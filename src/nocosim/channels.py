@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import I2, SX, SY, SZ, PAULI_NAMES, pauli_string_operator, unvec, vec
+from .qcore import I2, SX, SY, SZ, pauli_string_operator, pauli_strings, unvec, vec
 
 
 @dataclass
@@ -78,13 +78,7 @@ def depolarizing(eps: float) -> Channel:
     """Single-qubit depolarizing map with Kraus weights (1 - 3e/4, e/4, e/4, e/4)."""
     if not 0.0 <= eps <= 4.0 / 3.0:
         raise ValueError(f"depolarizing rate {eps} outside [0, 4/3]")
-    ks = [
-        np.sqrt(1.0 - 3.0 * eps / 4.0) * I2,
-        np.sqrt(eps / 4.0) * SX,
-        np.sqrt(eps / 4.0) * SY,
-        np.sqrt(eps / 4.0) * SZ,
-    ]
-    return channel_from_kraus(ks)
+    return channel_from_kraus(depolarizing_kraus(eps))
 
 
 def depolarizing_kraus(eps: float) -> list[np.ndarray]:
@@ -209,21 +203,10 @@ def pauli_twirl(ch: Channel) -> PauliErrorDistribution:
     by the Pauli string P.  For a CPTP channel the probabilities are real
     and sum to one.
     """
-    n = ch.nqubits
     d = ch.dim
     probs = {}
-    for idx in range(4 ** n):
-        digits = []
-        rem = idx
-        for _ in range(n):
-            digits.append(PAULI_NAMES[rem % 4])
-            rem //= 4
-        s = "".join(reversed(digits))
+    for s in pauli_strings(ch.nqubits):
         p = pauli_string_operator(s)
         sp = np.kron(p.conj(), p)
         probs[s] = float(np.real(np.vdot(sp, ch.smatrix)) / d ** 2)
-    return PauliErrorDistribution(probs, n)
-
-
-def marginal_error(dist: PauliErrorDistribution, qubit: int, axis: str) -> float:
-    return dist.marginal(qubit, axis)
+    return PauliErrorDistribution(probs, ch.nqubits)

@@ -11,6 +11,7 @@ when computed with a worker pool.
 
 import argparse
 import hashlib
+import math
 import sys
 from multiprocessing import Pool
 
@@ -61,18 +62,29 @@ class UnknownGateError(ValueError):
     """Gate name outside the catalog; maps to exit code 3."""
 
 
+# commands whose gate durations stretch like 1/(1 - epsilon)
+DURATION_COMMANDS = ("gate-error", "transfer-check", "distill")
+
+
 def fmt(x: float) -> str:
     return "{:.11e}".format(float(x))
+
+
+def _parse_number(text: str, key: str, kind=float):
+    try:
+        x = kind(text)
+    except ValueError:
+        raise ConfigError(f"bad {key} value: {text.strip()!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {text.strip()}")
+    return x
 
 
 def _parse_float_list(value: str, key: str) -> list:
     items = [s for s in value.split(",") if s.strip()]
     if not items:
         raise ConfigError(f"{key} grid is empty")
-    try:
-        return [float(s) for s in items]
-    except ValueError as exc:
-        raise ConfigError(f"bad {key} value: {exc}") from None
+    return [_parse_number(s, key) for s in items]
 
 
 def _parse_int_list(value: str, key: str) -> list:
@@ -125,15 +137,17 @@ def resolve_config(command: str, args) -> dict:
         "freq_over_h": _parse_float_list(raw["freq_over_h"], "freq_over_h"),
         "rounds": _parse_int_list(raw["rounds"], "rounds"),
         "gate": raw["gate"].strip(),
-        "budget": float(raw["budget"]),
-        "bisect_tol": float(raw["bisect_tol"]),
+        "budget": _parse_number(raw["budget"], "budget"),
+        "bisect_tol": _parse_number(raw["bisect_tol"], "bisect_tol"),
         "include_decoupling": _parse_bool(raw["include_decoupling"], "include_decoupling"),
-        "workers": int(raw["workers"]),
+        "workers": _parse_number(raw["workers"], "workers", int),
         "out": raw["out"].strip(),
     }
     for eps in cfg["epsilon"]:
         if not 0.0 <= eps <= 1.0:
             raise ConfigError(f"epsilon {eps} outside [0, 1]")
+        if eps == 1.0 and command in DURATION_COMMANDS:
+            raise ConfigError(f"{command} needs epsilon below 1: gate durations diverge at 1")
     for f in cfg["freq_over_h"]:
         if f <= 0:
             raise ConfigError(f"freq_over_h {f} must be positive")

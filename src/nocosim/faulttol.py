@@ -7,6 +7,12 @@ round is a noisy measurement of the data qubit in the z basis; Bayesian
 classification over the n-round outcome record drives the failure
 probability down exponentially.
 
+The gate commutes with Z on the data qubit, so each round leaves |0><0|
+and |1><1| in place and only rescales them by the outcome's rate.  A
+record's likelihood then depends only on k, its number of "-" outcomes,
+and the Bayes failure rate is a sum over the n + 1 classes of records
+that share k.
+
 The threshold pipeline adds up, per data qubit of the cluster schedule,
 the distillation failure probabilities and the dephasing-type error weight
 of every gate the qubit participates in, and bisects the depolarizing rate
@@ -14,6 +20,7 @@ until that budget hits the correcting code's tolerance.
 """
 
 from dataclasses import dataclass
+from math import comb
 from multiprocessing import Pool
 
 import numpy as np
@@ -27,9 +34,10 @@ from .channels import (
     unitary_channel,
 )
 from .gates import RZZ_PRIME_TARGET, gate_error_channel, realized_channel, recipe
-from .qcore import embed_operator, projector, unvec, vec
+from .qcore import I2, projector, unvec, vec
 
-PRUNE_TOLERANCE = 1e-300
+# largest weight a conditional data state may keep off |x><x|
+DIAGONAL_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,29 +62,32 @@ class DistillationConfig:
 
 @dataclass
 class DistillationResult:
-    """Outcome statistics of a distillation run.
+    """Outcome statistics of a distillation run, per class of records.
 
-    Outcome records are indexed by an integer whose bit (k-1) holds the
-    k-th round's outcome (0 for +, 1 for -); ``outcome_probs[i]`` is the
-    marginal probability of record i under the uniform prior over the two
-    data-qubit inputs, and ``posteriors[i]`` the posterior probability that
-    the input was |0>.
+    Class k holds the ``class_sizes[k] = C(n, k)`` records with k "-"
+    outcomes.  ``class_probs[k]`` is the probability of any one of those
+    records under the uniform prior over the two data-qubit inputs, and
+    ``posteriors[k]`` the posterior probability that the input was |0>
+    (0.5 where the record has probability zero under both inputs).
     """
 
     p_fail: float
-    outcome_indices: np.ndarray
-    outcome_probs: np.ndarray
+    class_sizes: np.ndarray
+    class_probs: np.ndarray
     posteriors: np.ndarray
-    pruned_mass: float
     rounds: int
 
     @property
     def total_probability(self) -> float:
-        return float(self.outcome_probs.sum() + self.pruned_mass)
+        return float(np.dot(self.class_sizes, self.class_probs))
 
 
-def _round_maps(config: DistillationConfig):
-    """The two conditional per-round maps on the data-qubit superoperator space."""
+def _round_rates(config: DistillationConfig) -> np.ndarray:
+    """Per-round outcome rates: ``rates[x, o]`` for data input |x> and outcome o.
+
+    Outcome 0 is "+" and 1 is "-".  Raises if a round moves any weight off
+    the data input, which would break the per-class sum in ``distill``.
+    """
     eps = config.eps
     plus = projector("+")
     anc = apply_channel(depolarizing(eps), plus) if config.noisy_init else plus
@@ -85,75 +96,53 @@ def _round_maps(config: DistillationConfig):
         s_gate = realized_channel("rzz_prime", eps, config.freq_over_h).channel.smatrix
     else:
         s_gate = unitary_channel(RZZ_PRIME_TARGET).smatrix
-
     if config.noisy_meas:
         # depolarizing on the ancilla factor of the (dq, aq) pair
-        s_meas_noise = kraus_to_superop(
-            [embed_operator(k, (1,), 2) for k in depolarizing_kraus(eps)]
-        )
+        s_meas = kraus_to_superop([np.kron(I2, k) for k in depolarizing_kraus(eps)])
     else:
-        s_meas_noise = np.eye(16, dtype=complex)
+        s_meas = np.eye(16, dtype=complex)
 
-    # lift: vec(rho_data) -> vec(rho_data (x) anc), data most significant
-    lift = np.zeros((16, 4), dtype=complex)
-    basis4 = np.eye(4, dtype=complex)
-    for col in range(4):
-        eij = unvec(basis4[:, col], 2)
-        lift[:, col] = vec(np.kron(eij, anc))
-
-    maps = []
-    basis16 = np.eye(16, dtype=complex)
-    for outcome in ("+", "-"):
-        proj = projector(outcome)
-        contract = np.zeros((4, 16), dtype=complex)
-        for col in range(16):
-            r4 = unvec(basis16[:, col], 4).reshape(2, 2, 2, 2)
-            contract[:, col] = vec(np.einsum("ak,ikja->ij", proj, r4))
-        maps.append(contract @ s_meas_noise @ s_gate @ lift)
-    return maps
+    rates = np.empty((2, 2))
+    for o, outcome in enumerate("+-"):
+        # row i + 2j reads entry (i, j) of the data-qubit state the outcome
+        # leaves: Tr[(|j><i| (x) P) rho].  The rows meet the channels before
+        # the input state does; that order fixes the last-bit rounding of
+        # the small rates, which the printed tables resolve.
+        rows = np.stack([vec(np.kron(unvec(e, 2), projector(outcome))) for e in np.eye(4)])
+        readout = rows @ s_meas @ s_gate
+        for x in (0, 1):
+            data = unvec(readout @ vec(np.kron(projector(str(x)), anc)), 2)
+            off = np.abs(data)
+            off[x, x] = 0.0
+            if off.max() > DIAGONAL_TOLERANCE:
+                raise ValueError(
+                    f"round map moves weight {off.max():.3e} off the data input "
+                    f"|{x}> (outcome {outcome}); distillation needs a gate that "
+                    "commutes with Z on the data qubit"
+                )
+            rates[x, o] = np.trace(data).real
+    return rates
 
 
 def distill(config: DistillationConfig) -> DistillationResult:
-    """Propagate all 2^n outcome branches and score the Bayes failure rate.
+    """Score the Bayes failure rate of n-round distillation by record class.
 
-    Both conditional runs (data prepared |0> and |1>) evolve together, one
-    tree level per round; branches whose joint probability underflows are
-    pruned with their mass tracked.
+    A record with k "-" outcomes has likelihood a_x^(n-k) b_x^k under input
+    |x>, where a_x and b_x are the per-round "+" and "-" rates, so
+    p_fail = 1/2 sum_k C(n, k) min(p0_k, p1_k).
     """
-    m_plus, m_minus = _round_maps(config)
     n = config.rounds
-
-    # states[i, c, :] -- branch i, conditional run c (input |0> / |1>)
-    states = np.stack(
-        [vec(projector("0")), vec(projector("1"))], axis=0
-    )[None, :, :]
-    indices = np.zeros(1, dtype=np.int64)
-    pruned = 0.0
-
-    for level in range(n):
-        states = np.concatenate([states @ m_plus.T, states @ m_minus.T], axis=0)
-        indices = np.concatenate([indices, indices + (1 << level)])
-        traces = 0.5 * np.real(
-            states[:, 0, 0] + states[:, 0, 3] + states[:, 1, 0] + states[:, 1, 3]
-        )
-        mask = traces > PRUNE_TOLERANCE
-        if not mask.all():
-            pruned += float(traces[~mask].sum())
-            states = states[mask]
-            indices = indices[mask]
-
-    p0 = np.real(states[:, 0, 0] + states[:, 0, 3])
-    p1 = np.real(states[:, 1, 0] + states[:, 1, 3])
-    p_bar = 0.5 * (p0 + p1)
-    safe = np.maximum(p0 + p1, PRUNE_TOLERANCE)
-    posteriors = np.where(p0 + p1 > 0, p0 / safe, 0.5)
-    p_fail = float(np.minimum(p0, p1).sum() * 0.5)
+    rates = _round_rates(config)
+    k = np.arange(n + 1)
+    p0, p1 = rates[:, :1] ** (n - k) * rates[:, 1:] ** k
+    sizes = np.array([float(comb(n, j)) for j in k])
+    p_sum = p0 + p1
+    posteriors = np.divide(p0, p_sum, out=np.full_like(p_sum, 0.5), where=p_sum > 0)
     return DistillationResult(
-        p_fail=p_fail,
-        outcome_indices=indices,
-        outcome_probs=p_bar,
+        p_fail=float(0.5 * np.dot(sizes, np.minimum(p0, p1))),
+        class_sizes=sizes,
+        class_probs=0.5 * p_sum,
         posteriors=posteriors,
-        pruned_mass=pruned,
         rounds=n,
     )
 

@@ -81,12 +81,6 @@ def hamiltonian_catalog(kind: str) -> np.ndarray:
     return _CATALOG_H[kind]()
 
 
-def interaction_layout(kind: str) -> SystemLayout:
-    if kind not in LAYOUTS:
-        raise ValueError(f"unknown interaction {kind!r}")
-    return LAYOUTS[kind]
-
-
 def noisy_initialization_kraus(eps: float):
     """Reset to |0> followed by a depolarizing error at rate eps."""
     return tuple(
@@ -120,7 +114,14 @@ class GateRecipe:
     def duration(self, eps: float, eps_h: float | None = None) -> float:
         if self.duration_rule is None:
             raise ValueError(f"{self.name} takes a caller-supplied duration")
-        return self.duration_rule(eps, eps if eps_h is None else eps_h)
+        eps_h = eps if eps_h is None else eps_h
+        for label, rate in (("eps", eps), ("eps_h", eps_h)):
+            if rate >= 1.0:
+                raise ValueError(
+                    f"{self.name} duration diverges at depolarizing rate "
+                    f"{label}={rate}; rates must be below 1"
+                )
+        return self.duration_rule(eps, eps_h)
 
     def cycle(self, eps: float, eps_h: float | None = None) -> NoisyCycleSpec:
         ops = self.ops_builder(eps, eps if eps_h is None else eps_h)

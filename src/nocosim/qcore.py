@@ -18,6 +18,7 @@ Conventions used throughout the package:
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -266,6 +267,11 @@ def pauli_string_operator(string: str) -> np.ndarray:
     return kron(*mats)
 
 
+def pauli_strings(nqubits: int):
+    """All n-qubit Pauli strings in lexicographic order over "IXYZ"."""
+    return ("".join(chars) for chars in product(PAULI_NAMES, repeat=nqubits))
+
+
 def pauli_coefficients(op, nqubits: int | None = None) -> dict[str, float]:
     """Expansion coefficients of a Hermitian operator in the Pauli basis.
 
@@ -276,14 +282,7 @@ def pauli_coefficients(op, nqubits: int | None = None) -> dict[str, float]:
     if nqubits is None:
         nqubits = int(round(np.log2(m.shape[0])))
     d = 2 ** nqubits
-    out = {}
-    for idx in range(4 ** nqubits):
-        digits = []
-        rem = idx
-        for _ in range(nqubits):
-            digits.append(PAULI_NAMES[rem % 4])
-            rem //= 4
-        s = "".join(reversed(digits))
-        p = pauli_string_operator(s)
-        out[s] = float(np.trace(p @ m).real / d)
-    return out
+    return {
+        s: float(np.trace(pauli_string_operator(s) @ m).real / d)
+        for s in pauli_strings(nqubits)
+    }

@@ -74,6 +74,17 @@ def test_invalid_config_exit_codes(tmp_path):
     assert run(["distill", "--epsilon", "abc"]) == 2
     assert run(["gate-error", "--freq_over_h", ""]) == 2
     assert run(["threshold", "--bisect_tol", "-1"]) == 2
+    assert run(["threshold", "--budget", "abc"]) == 2
+    assert run(["threshold", "--bisect_tol", "abc"]) == 2
+    assert run(["gate-error", "--workers", "x"]) == 2
+    for value in ("inf", "nan"):
+        assert run(["gate-error", "--freq_over_h", value]) == 2
+        assert run(["threshold", "--budget", value]) == 2
+        assert run(["threshold", "--bisect_tol", value]) == 2
+        assert run(["distill", "--rounds", value]) == 2
+    # gate durations stretch like 1/(1 - epsilon)
+    for command in ("gate-error", "distill", "transfer-check"):
+        assert run([command, "--epsilon", "1.0"]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 1\n", encoding="utf-8")
     assert run(["distill", "--config", str(bad)]) == 2

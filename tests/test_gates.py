@@ -42,6 +42,10 @@ def test_duration_rules():
     assert recipe("rzz_prime").duration(0.0) == pytest.approx(np.pi / 4.0)
     with pytest.raises(ValueError):
         recipe("decouple_ising").duration(0.1)
+    with pytest.raises(ValueError, match="eps=1.0"):
+        recipe("rz").duration(1.0)
+    with pytest.raises(ValueError, match="eps_h=1.0"):
+        recipe("rx").duration(0.2, eps_h=1.0)
 
 
 def test_noiseless_high_frequency_limit():
