@@ -12,8 +12,9 @@ when computed with a worker pool.
 import argparse
 import hashlib
 import math
+import multiprocessing
+import os
 import sys
-from multiprocessing import Pool
 
 from . import __version__, faulttol, gates, zeno
 from .channels import entanglement_fidelity
@@ -154,6 +155,8 @@ def resolve_config(command: str, args) -> dict:
     for n in cfg["rounds"]:
         if n < 1 or n % 2 == 0:
             raise ConfigError(f"rounds must be positive odd integers, got {n}")
+        if n > faulttol.MAX_ROUNDS:
+            raise ConfigError(f"rounds must be at most {faulttol.MAX_ROUNDS}, got {n}")
     if cfg["budget"] <= 0:
         raise ConfigError("budget must be positive")
     if cfg["bisect_tol"] <= 0:
@@ -187,25 +190,43 @@ def _require_catalog_gate(name: str) -> None:
         )
 
 
+# BLAS thread counts pinned to 1 in pool workers: each worker already takes
+# a core, and nested BLAS threads made a two-worker pool slower than serial
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _map_tasks(fn, tasks, workers: int):
-    if workers > 1 and len(tasks) > 1:
-        with Pool(processes=workers) as pool:
-            return pool.map(fn, tasks)
-    return [fn(t) for t in tasks]
+    """[fn(*t) for t in tasks], on a pool of single-threaded-BLAS workers.
+
+    Spawned workers read the thread variables when numpy loads, so they are
+    set only while the pool starts and restored afterwards.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(*t) for t in tasks]
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(processes=workers)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+    with pool:
+        return pool.starmap(fn, tasks)
 
 
 # worker entry points must be module level so they pickle
 
 
-def _gate_error_task(task):
-    gate, eps, f = task
+def _gate_error_task(gate, eps, f):
     run = gates.realized_channel(gate, eps, f)
     fid = entanglement_fidelity(run.channel, gates.recipe(gate).target)
     return eps, f, 1.0 - fid, run.n_periods
 
 
-def _distill_task(task):
-    n, eps, f = task
+def _distill_task(n, eps, f):
     res = faulttol.distill(faulttol.DistillationConfig(rounds=n, eps=eps, freq_over_h=f))
     return n, eps, f, res.p_fail
 
@@ -297,14 +318,12 @@ def cmd_distill(cfg):
 
 
 def cmd_threshold(cfg):
-    points = faulttol.threshold_sweep(
-        cfg["freq_over_h"],
-        cfg["rounds"],
-        budget=cfg["budget"],
-        bisect_tol=cfg["bisect_tol"],
-        include_decoupling=cfg["include_decoupling"],
-        workers=cfg["workers"],
-    )
+    tasks = [
+        (f, n, cfg["budget"], cfg["bisect_tol"], cfg["include_decoupling"])
+        for f in cfg["freq_over_h"]
+        for n in cfg["rounds"]
+    ]
+    points = _map_tasks(faulttol.threshold, tasks, cfg["workers"])
     rows = [
         [fmt(p.freq_over_h), str(p.rounds), fmt(p.eps_star), str(p.iterations)]
         for p in points

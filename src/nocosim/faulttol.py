@@ -21,23 +21,23 @@ until that budget hits the correcting code's tolerance.
 
 from dataclasses import dataclass
 from math import comb
-from multiprocessing import Pool
 
 import numpy as np
 
 from .channels import (
     apply_channel,
     depolarizing,
-    depolarizing_kraus,
-    kraus_to_superop,
     pauli_twirl,
     unitary_channel,
 )
 from .gates import RZZ_PRIME_TARGET, gate_error_channel, realized_channel, recipe
-from .qcore import I2, projector, unvec, vec
+from .qcore import embed_superop, projector, unvec, vec
 
 # largest weight a conditional data state may keep off |x><x|
 DIAGONAL_TOLERANCE = 1e-12
+
+# largest odd round count whose binomials C(n, k) all fit in a double
+MAX_ROUNDS = 1029
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class DistillationConfig:
     def __post_init__(self):
         if self.rounds < 1 or self.rounds % 2 == 0:
             raise ValueError(f"rounds must be a positive odd integer, got {self.rounds}")
+        if self.rounds > MAX_ROUNDS:
+            raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {self.eps}")
         if self.freq_over_h <= 0:
@@ -98,7 +100,7 @@ def _round_rates(config: DistillationConfig) -> np.ndarray:
         s_gate = unitary_channel(RZZ_PRIME_TARGET).smatrix
     if config.noisy_meas:
         # depolarizing on the ancilla factor of the (dq, aq) pair
-        s_meas = kraus_to_superop([np.kron(I2, k) for k in depolarizing_kraus(eps)])
+        s_meas = embed_superop(depolarizing(eps).smatrix, (1,), 2)
     else:
         s_meas = np.eye(16, dtype=complex)
 
@@ -345,30 +347,6 @@ def threshold(
         bracket=(lo, hi),
         history=tuple(history),
     )
-
-
-def _threshold_task(args) -> ThresholdPoint:
-    return threshold(*args)
-
-
-def threshold_sweep(
-    freq_values,
-    rounds_values,
-    budget: float = 0.03,
-    bisect_tol: float = 1e-4,
-    include_decoupling: bool = False,
-    workers: int = 1,
-):
-    """Thresholds over the (freq, rounds) grid, rows in grid order."""
-    tasks = [
-        (f, n, budget, bisect_tol, include_decoupling)
-        for f in freq_values
-        for n in rounds_values
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with Pool(processes=workers) as pool:
-            return pool.map(_threshold_task, tasks)
-    return [_threshold_task(t) for t in tasks]
 
 
 def error_rate_mapping(eps: float):

@@ -14,8 +14,8 @@ import numpy as np
 from .channels import (
     Channel,
     depolarizing_kraus,
+    entanglement_fidelity,
     initialization_kraus,
-    superop_to_kraus,
     unitary_channel,
 )
 from .qcore import (
@@ -26,14 +26,13 @@ from .qcore import (
     SystemLayout,
     bloch_vector,
     embed_operator,
+    embed_superop,
     kron,
-    partial_trace,
     projector,
+    reduce_superop,
     unitary_evolution,
-    unvec,
-    vec,
 )
-from .zeno import NocoResult, NoisyCycleSpec, noco_channel
+from .zeno import NocoResult, NoisyCycleSpec, fixed_state, noco_channel
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -199,6 +198,24 @@ def realized_channel(
     return noco_channel(rec.cycle(eps, eps_h), duration, freq_over_h)
 
 
+def infidelity_surface(eps_values, freq_values, gate_name: str):
+    """Grid of (1 - entanglement fidelity, period count) for a catalog gate.
+
+    Returns (infidelity, n_periods) arrays of shape (len(eps), len(freq)).
+    """
+    eps_values = list(eps_values)
+    freq_values = list(freq_values)
+    infid = np.zeros((len(eps_values), len(freq_values)))
+    counts = np.zeros((len(eps_values), len(freq_values)), dtype=int)
+    target = recipe(gate_name).target
+    for i, eps in enumerate(eps_values):
+        for j, f in enumerate(freq_values):
+            run = realized_channel(gate_name, eps, f)
+            infid[i, j] = 1.0 - entanglement_fidelity(run.channel, target)
+            counts[i, j] = run.n_periods
+    return infid, counts
+
+
 def gate_error_channel(
     name: str,
     eps: float,
@@ -274,42 +291,22 @@ def transfer_cphase_circuit(
     rho_p2 = _state_matrix(initial_p2)
     rho_a = _state_matrix(initial_a)
     nq = 4  # label order (a, c1, p2, c2)
-    d = 2 ** nq
 
-    u_ring = embed_operator(
-        unitary_evolution(_xy_h(), _SWAP_EVOLUTION_TIME), (0, 1, 2), nq
-    )
-    s_ring = np.kron(u_ring.conj(), u_ring)
+    ring = unitary_channel(unitary_evolution(_xy_h(), _SWAP_EVOLUTION_TIME))
+    s_ring = embed_superop(ring.smatrix, (0, 1, 2), nq)
 
     if mode == "ideal":
-        g = embed_operator(RZZ_TARGET, (3, 2), nq)
-        s_mid = np.kron(g.conj(), g)
+        gate = unitary_channel(RZZ_TARGET)
     elif mode == "finite_frequency":
         if freq_over_h is None:
             raise ValueError("finite_frequency mode needs freq_over_h")
-        run = realized_channel("rzz", eps, freq_over_h)
-        s_mid = np.zeros((d * d, d * d), dtype=complex)
-        for k in superop_to_kraus(run.channel.smatrix):
-            ke = embed_operator(k, (3, 2), nq)
-            s_mid += np.kron(ke.conj(), ke)
+        gate = realized_channel("rzz", eps, freq_over_h).channel
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    s_tot = s_ring @ s_mid @ s_ring
-
-    # reduce to (c1, c2): lift matrix units against the fixed a and p2 states
-    s_out = np.zeros((16, 16), dtype=complex)
-    basis = np.eye(16, dtype=complex)
-    for col in range(16):
-        eij = unvec(basis[:, col], 4)
-        full = (
-            embed_operator(rho_a, (0,), nq)
-            @ embed_operator(eij, (1, 3), nq)
-            @ embed_operator(rho_p2, (2,), nq)
-        )
-        out = unvec(s_tot @ vec(full), d)
-        s_out[:, col] = vec(partial_trace(out, nq, (1, 3)))
-    return Channel(s_out, 2)
+    s_tot = s_ring @ embed_superop(gate.smatrix, (3, 2), nq) @ s_ring
+    # reduce to (c1, c2) against the fixed a and p2 states
+    return Channel(reduce_superop(s_tot, nq, (1, 3), kron(rho_a, rho_p2)), 2)
 
 
 TRANSFER_PROBE_STATES = (
@@ -399,8 +396,6 @@ def depolarizing_fixed_states(eps_i: float, eps_h: float | None = None,
                               eps_s: float | None = None):
     """Frozen actuator states (reset, reset+Hadamard, square reset) at the
     given depolarizing rates."""
-    from .zeno import fixed_state
-
     eps_h = eps_i if eps_h is None else eps_h
     eps_s = eps_i if eps_s is None else eps_s
     rho_i = fixed_state(recipe("rz").cycle(eps_i)).rho

@@ -11,6 +11,11 @@ Conventions used throughout the package:
   the first label.
 * Superoperators use column stacking, ``vec(A @ rho @ B) ==
   kron(B.T, A) @ vec(rho)``, with ``vec(rho) = rho.flatten(order="F")``.
+  The index of ``vec(rho)`` then runs over the column qubits first and the
+  row qubits second, so a superoperator on n qubits is an operator on 2n
+  qubits: position q < n is the column index of qubit q, position n + q
+  its row index.  ``embed_superop`` and ``reduce_superop`` work in that
+  doubled space.
 * ``bloch_vector`` returns p_k = Tr(sigma_k rho) / 2, so components lie in
   [-1/2, 1/2].  This is half the textbook Bloch vector; an exchange
   coupling sum_k sigma_k (x) sigma_k against a frozen actuator state rho
@@ -175,6 +180,31 @@ def partial_trace(mat, nqubits: int, keep) -> np.ndarray:
     return t.reshape(2 ** k, 2 ** k)
 
 
+def reduce_superop(s, nqubits: int, keep, env) -> np.ndarray:
+    """Superoperator of sigma -> Tr_T[S(env (x) sigma)] on the ``keep`` qubits.
+
+    ``s`` acts on ``nqubits`` qubits; T are the qubits outside ``keep``,
+    and ``env`` is their input state in position order, interleaved with
+    sigma by position.  The kept qubits come out in sorted order.
+    """
+    keep = sorted(keep)
+    traced = [q for q in range(nqubits) if q not in keep]
+    dk, dt = 2 ** len(keep), 2 ** len(traced)
+
+    def axes(block, qubits):
+        # blocks: output columns, output rows, input columns, input rows
+        return [block * nqubits + q for q in qubits]
+
+    t = _as_matrix(s).reshape([2] * (4 * nqubits)).transpose(
+        axes(0, traced) + axes(1, traced) + axes(0, keep) + axes(1, keep)
+        + axes(2, traced) + axes(3, traced) + axes(2, keep) + axes(3, keep)
+    ).reshape(dt, dt, dk * dk, dt, dt, dk * dk)
+    # trace the output first, then feed env into the traced input columns
+    # (j) and rows (i): vec(env (x) sigma) carries env[i, j]
+    t = np.trace(t, axis1=0, axis2=1)
+    return np.einsum("ajib,ij->ab", t, _as_matrix(env))
+
+
 def unitary_evolution(hamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) through the Hermitian eigendecomposition."""
     h = _as_matrix(hamiltonian)
@@ -215,6 +245,12 @@ def embed_operator(op, positions, nqubits: int) -> np.ndarray:
     t = full.reshape([2] * (2 * nqubits))
     t = t.transpose(perm + [p + nqubits for p in perm])
     return t.reshape(2 ** nqubits, 2 ** nqubits)
+
+
+def embed_superop(s, positions, nqubits: int) -> np.ndarray:
+    """Embed a k-qubit superoperator at the given positions of an n-qubit space."""
+    positions = list(positions)
+    return embed_operator(s, positions + [nqubits + p for p in positions], 2 * nqubits)
 
 
 def vec(mat) -> np.ndarray:

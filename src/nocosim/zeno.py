@@ -22,9 +22,9 @@ import numpy as np
 from .channels import Channel, kraus_to_superop, twirl
 from .qcore import (
     SystemLayout,
-    embed_operator,
+    embed_superop,
     matrix_power_int,
-    partial_trace,
+    reduce_superop,
     unitary_evolution,
     unvec,
     vec,
@@ -64,20 +64,17 @@ class NoisyCycleSpec:
                 raise ValueError(f"period op on {label!r}, which is not an actuator")
 
 
-def _ops_superop(spec: NoisyCycleSpec, positions_of, dim: int) -> np.ndarray:
-    """Superoperator of the per-period operations on a space of dimension dim."""
-    s = np.eye(dim * dim, dtype=complex)
-    nq = int(round(np.log2(dim)))
+def _ops_superop(spec: NoisyCycleSpec, positions_of, nqubits: int) -> np.ndarray:
+    """Superoperator of the per-period operations on ``nqubits`` qubits."""
+    s = np.eye(4 ** nqubits, dtype=complex)
     for label, kraus in spec.period_ops:
-        pos = positions_of(label)
-        embedded = [embed_operator(k, (pos,), nq) for k in kraus]
-        s = kraus_to_superop(embedded) @ s
+        s = embed_superop(kraus_to_superop(kraus), (positions_of(label),), nqubits) @ s
     return s
 
 
 def cycle_superop(spec: NoisyCycleSpec) -> np.ndarray:
     """Per-period actuator operations on the full system (no free flight)."""
-    return _ops_superop(spec, spec.layout.position, spec.layout.dim)
+    return _ops_superop(spec, spec.layout.position, spec.layout.nqubits)
 
 
 def actuator_superop(spec: NoisyCycleSpec) -> np.ndarray:
@@ -85,8 +82,7 @@ def actuator_superop(spec: NoisyCycleSpec) -> np.ndarray:
     acts = spec.layout.actuators
     if not acts:
         raise ValueError("cycle has no actuators")
-    dim = 2 ** len(acts)
-    return _ops_superop(spec, lambda lbl: acts.index(lbl), dim)
+    return _ops_superop(spec, acts.index, len(acts))
 
 
 @dataclass
@@ -149,32 +145,6 @@ def period_superop(spec: NoisyCycleSpec, period: float) -> np.ndarray:
     return flight @ cycle_superop(spec)
 
 
-def _lift_matrix(da: int, dr: int) -> np.ndarray:
-    """vec(rho_R) -> vec(id_A / da (x) rho_R)."""
-    d = da * dr
-    lift = np.zeros((d * d, dr * dr), dtype=complex)
-    eye_a = np.eye(da, dtype=complex) / da
-    basis = np.eye(dr * dr, dtype=complex)
-    for col in range(dr * dr):
-        eij = unvec(basis[:, col], dr)
-        lift[:, col] = vec(np.kron(eye_a, eij))
-    return lift
-
-
-def _contract_matrix(da: int, dr: int) -> np.ndarray:
-    """vec(rho_full) -> vec(Tr_A rho_full), actuators in the leading factor."""
-    d = da * dr
-    na = int(round(np.log2(da)))
-    nq = int(round(np.log2(d)))
-    keep = list(range(na, nq))
-    out = np.zeros((dr * dr, d * d), dtype=complex)
-    basis = np.eye(d * d, dtype=complex)
-    for col in range(d * d):
-        eij = unvec(basis[:, col], d)
-        out[:, col] = vec(partial_trace(eij, nq, keep))
-    return out
-
-
 @dataclass
 class NocoResult:
     """Realized register channel of a frequently driven cycle."""
@@ -197,37 +167,14 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
     n = period_count(duration, freq_over_h)
     dt = 2.0 * np.pi / freq_over_h
     na = len(spec.layout.actuators)
+    nq = spec.layout.nqubits
     da = 2 ** na
-    dr = spec.layout.dim // da
-    m = period_superop(spec, dt)
-    prop = matrix_power_int(m, n)
-    s_reg = _contract_matrix(da, dr) @ prop @ _lift_matrix(da, dr)
+    prop = matrix_power_int(period_superop(spec, dt), n)
+    s_reg = reduce_superop(prop, nq, range(na, nq), np.eye(da, dtype=complex) / da)
     return NocoResult(
-        channel=Channel(s_reg, int(round(np.log2(dr)))),
+        channel=Channel(s_reg, nq - na),
         registers=spec.layout.registers,
         n_periods=n,
         period=dt,
         residual_time=duration - n * dt,
     )
-
-
-def infidelity_surface(eps_values, freq_values, gate_name: str):
-    """Grid of (1 - entanglement fidelity, period count) for a catalog gate.
-
-    Returns (infidelity, n_periods) arrays of shape (len(eps), len(freq)).
-    """
-    # imported here to keep the module dependency one-way at import time
-    from . import gates
-    from .channels import entanglement_fidelity
-
-    eps_values = list(eps_values)
-    freq_values = list(freq_values)
-    infid = np.zeros((len(eps_values), len(freq_values)))
-    counts = np.zeros((len(eps_values), len(freq_values)), dtype=int)
-    target = gates.recipe(gate_name).target
-    for i, eps in enumerate(eps_values):
-        for j, f in enumerate(freq_values):
-            run = gates.realized_channel(gate_name, eps, f)
-            infid[i, j] = 1.0 - entanglement_fidelity(run.channel, target)
-            counts[i, j] = run.n_periods
-    return infid, counts

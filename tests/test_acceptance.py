@@ -26,6 +26,7 @@ from nocosim.faulttol import (
 from nocosim.gates import (
     HADAMARD,
     depolarizing_fixed_states,
+    infidelity_surface,
     noise_conditions,
     swap_identity_check,
     transfer_independence_report,
@@ -46,7 +47,6 @@ from nocosim.zeno import (
     NoisyCycleSpec,
     cycle_superop,
     effective_hamiltonian,
-    infidelity_surface,
     noco_channel,
     verify_projector,
 )

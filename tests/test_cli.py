@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 
 from nocosim.cli import main
@@ -44,10 +46,15 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_workers_do_not_change_bytes(tmp_path):
     a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    args = ["gate-error", "--epsilon", "0.1,0.2", "--freq_over_h", "1e3,3e3"]
-    assert run(args + ["--workers", "1", "--out", str(a)]) == 0
-    assert run(args + ["--workers", "2", "--out", str(b)]) == 0
-    assert read(a) == read(b)
+    env = dict(os.environ)
+    for args in (
+        ["gate-error", "--epsilon", "0.1,0.2", "--freq_over_h", "1e3,3e3"],
+        ["threshold", "--freq_over_h", "1e3", "--rounds", "1,3", "--bisect_tol", "1e-3"],
+    ):
+        assert run(args + ["--workers", "1", "--out", str(a)]) == 0
+        assert run(args + ["--workers", "2", "--out", str(b)]) == 0
+        assert read(a) == read(b)
+    assert dict(os.environ) == env  # the pool's BLAS pinning is undone
 
 
 def test_stdout_mode(capsys):
@@ -70,6 +77,9 @@ def test_config_file_and_override(tmp_path, capsys):
 
 def test_invalid_config_exit_codes(tmp_path):
     assert run(["distill", "--rounds", "2"]) == 2
+    # C(1030, 515) overflows a double, so rounds stop at faulttol.MAX_ROUNDS
+    assert run(["distill", "--rounds", "1031"]) == 2
+    assert run(["threshold", "--rounds", "1031"]) == 2
     assert run(["distill", "--epsilon", "1.4"]) == 2
     assert run(["distill", "--epsilon", "abc"]) == 2
     assert run(["gate-error", "--freq_over_h", ""]) == 2

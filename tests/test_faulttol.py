@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nocosim import faulttol
+from nocosim.cli import _map_tasks
 from nocosim.channels import depolarizing_kraus, unitary_channel
 from nocosim.faulttol import (
     DistillationConfig,
@@ -13,7 +14,6 @@ from nocosim.faulttol import (
     error_rate_mapping,
     distill,
     threshold,
-    threshold_sweep,
     vacuum_error_budget,
 )
 from nocosim.gates import RX_TARGET, RZZ_PRIME_TARGET, realized_channel, recipe
@@ -168,6 +168,12 @@ def test_distill_validation():
         DistillationConfig(rounds=3, eps=1.2, freq_over_h=1e4)
     with pytest.raises(ValueError):
         DistillationConfig(rounds=3, eps=0.1, freq_over_h=0.0)
+    # C(1030, 515) overflows a double; every C(1029, k) still fits
+    with pytest.raises(ValueError):
+        DistillationConfig(rounds=1031, eps=0.1, freq_over_h=1e4)
+    res = distill(DistillationConfig(rounds=faulttol.MAX_ROUNDS, eps=0.1, freq_over_h=1e3))
+    assert np.isfinite(res.class_sizes).all()
+    assert abs(res.total_probability - 1.0) < 1e-9
 
 
 def test_budget_composition():
@@ -231,7 +237,9 @@ def test_threshold_no_crossing():
 
 
 def test_threshold_sweep_workers_agree():
-    serial = threshold_sweep([1e3], [1, 3], bisect_tol=1e-3)
-    parallel = threshold_sweep([1e3], [1, 3], bisect_tol=1e-3, workers=2)
+    # a threshold sweep is faulttol.threshold mapped over the grid by the CLI's pool
+    tasks = [(1e3, n, 0.03, 1e-3) for n in (1, 3)]
+    serial = _map_tasks(threshold, tasks, workers=1)
+    parallel = _map_tasks(threshold, tasks, workers=2)
     assert [p.eps_star for p in serial] == [p.eps_star for p in parallel]
     assert [(p.freq_over_h, p.rounds) for p in serial] == [(1e3, 1), (1e3, 3)]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nocosim.channels import kraus_to_superop
 from nocosim.qcore import (
     I2,
     SX,
@@ -11,6 +14,7 @@ from nocosim.qcore import (
     SystemLayout,
     bloch_vector,
     embed_operator,
+    embed_superop,
     ket,
     kron,
     matrix_power_int,
@@ -19,6 +23,7 @@ from nocosim.qcore import (
     pauli_string_operator,
     phase_aligned_distance,
     projector,
+    reduce_superop,
     unitary_evolution,
     unvec,
     vec,
@@ -184,3 +189,62 @@ def test_pauli_coefficients_reconstruct():
     assert list(coeffs)[:3] == ["II", "IX", "IY"]
     rebuilt = sum(c * pauli_string_operator(s) for s, c in coeffs.items())
     assert np.allclose(rebuilt, h, atol=1e-12)
+
+
+def random_kraus(rng, nqubits, count):
+    """Kraus operators of a random channel: blocks of a random isometry."""
+    d = 2 ** nqubits
+    g = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
+    q, _ = np.linalg.qr(g)
+    return [q[i * d:(i + 1) * d] for i in range(count)]
+
+
+@st.composite
+def split_qubits(draw):
+    """(n, sorted non-empty keep) with interleaved subsets included."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return n, sorted(keep)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(split_qubits(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_reduce_superop_matches_partial_trace_columns(split, count, seed):
+    n, keep = split
+    rng = np.random.default_rng(seed)
+    traced = [q for q in range(n) if q not in keep]
+    dk, d = 2 ** len(keep), 2 ** n
+    s = kraus_to_superop(random_kraus(rng, n, count))
+    env = random_state(rng, 2 ** len(traced))
+
+    def reduced_output(sigma):
+        full = embed_operator(np.kron(env, sigma), traced + keep, n)
+        return partial_trace(unvec(s @ vec(full), d), n, keep)
+
+    oracle = np.stack(
+        [vec(reduced_output(unvec(e, dk))) for e in np.eye(dk * dk)], axis=1
+    )
+    reduced = reduce_superop(s, n, keep, env)
+    assert np.allclose(reduced, oracle, atol=1e-12)
+    sigma = random_state(rng, dk)
+    assert np.allclose(unvec(reduced @ vec(sigma)), reduced_output(sigma), atol=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)).flatmap(
+        lambda n: st.tuples(st.just(n), st.permutations(range(n)), st.integers(1, n))
+    ),
+    st.integers(1, 3),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_embed_superop_matches_embedded_kraus(layout, count, seed):
+    n, order, k = layout
+    positions = list(order[:k])
+    kraus = random_kraus(np.random.default_rng(seed), k, count)
+    embedded = [embed_operator(op, positions, n) for op in kraus]
+    assert np.allclose(
+        embed_superop(kraus_to_superop(kraus), positions, n),
+        kraus_to_superop(embedded),
+        atol=1e-13,
+    )

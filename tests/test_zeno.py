@@ -6,6 +6,7 @@ from nocosim.channels import (
     depolarizing_kraus,
     initialization_kraus,
 )
+from nocosim.gates import infidelity_surface
 from nocosim.qcore import (
     I2,
     SX,
@@ -24,7 +25,6 @@ from nocosim.zeno import (
     cycle_superop,
     effective_hamiltonian,
     fixed_state,
-    infidelity_surface,
     noco_channel,
     period_count,
     period_superop,
