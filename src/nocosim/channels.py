@@ -1,11 +1,12 @@
-"""Quantum channels as dense superoperators, plus Choi/Kraus conversions.
+"""Quantum channels as dense superoperators built from Kraus operators.
 
 All superoperators act on column-stacked density matrices (see qcore.vec),
 so a conjugation rho -> A rho B has matrix kron(B.T, A) and a Kraus set
 {K_m} has matrix sum_m kron(conj(K_m), K_m).
 
-The Choi matrix convention is C = sum_ij |i><j| (x) E(|i><j|), which has
-trace d for a trace-preserving channel on a d-dimensional system.
+The Choi matrix, used by the CPTP check, follows the convention
+C = sum_ij |i><j| (x) E(|i><j|), which has trace d for a trace-preserving
+channel on a d-dimensional system.
 """
 
 from dataclasses import dataclass
@@ -45,9 +46,6 @@ class Channel:
         if w.min() < -atol:
             raise ValueError(f"Choi matrix has negative eigenvalue {w.min():.3e}")
 
-    def __call__(self, rho) -> np.ndarray:
-        return apply_channel(self, rho)
-
 
 def kraus_to_superop(kraus_ops) -> np.ndarray:
     ks = [np.asarray(k, dtype=complex) for k in kraus_ops]
@@ -58,18 +56,14 @@ def kraus_to_superop(kraus_ops) -> np.ndarray:
     return s
 
 
-def channel_from_kraus(kraus_ops, validate: bool = False) -> Channel:
+def channel_from_kraus(kraus_ops) -> Channel:
     ks = list(kraus_ops)
     d = np.asarray(ks[0]).shape[0]
-    n = int(round(np.log2(d)))
-    ch = Channel(kraus_to_superop(ks), n)
-    if validate:
-        ch.validate()
-    return ch
+    return Channel(kraus_to_superop(ks), int(round(np.log2(d))))
 
 
 def unitary_channel(u) -> Channel:
-    um = np.asarray(getattr(u, "matrix", u), dtype=complex)
+    um = np.asarray(u, dtype=complex)
     n = int(round(np.log2(um.shape[0])))
     return Channel(np.kron(um.conj(), um), n)
 
@@ -99,32 +93,8 @@ def initialization_kraus() -> list[np.ndarray]:
     return [k0, k1]
 
 
-def initialization() -> Channel:
-    """Reset-to-|0> map on one qubit."""
-    return channel_from_kraus(initialization_kraus())
-
-
-def twirl() -> Channel:
-    """Full depolarizing map (rate 1): rho -> Tr(rho) * id / 2."""
-    return depolarizing(1.0)
-
-
-def compose(*chs: Channel) -> Channel:
-    """Compose channels in application order: the first argument acts first."""
-    if not chs:
-        raise ValueError("compose needs at least one channel")
-    n = chs[0].nqubits
-    s = chs[0].smatrix
-    for ch in chs[1:]:
-        if ch.nqubits != n:
-            raise ValueError("cannot compose channels on different qubit counts")
-        s = ch.smatrix @ s
-    return Channel(s, n)
-
-
 def apply_channel(ch: Channel, rho) -> np.ndarray:
-    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    return unvec(ch.smatrix @ vec(m), ch.dim)
+    return unvec(ch.smatrix @ vec(rho), ch.dim)
 
 
 def superop_to_choi(s: np.ndarray) -> np.ndarray:
@@ -134,35 +104,12 @@ def superop_to_choi(s: np.ndarray) -> np.ndarray:
     return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
 
 
-def choi_to_superop(c: np.ndarray) -> np.ndarray:
-    # the reshuffle is its own inverse
-    return superop_to_choi(c)
-
-
-def choi_to_kraus(c: np.ndarray, atol: float = 1e-9) -> list[np.ndarray]:
-    """Kraus operators from the eigendecomposition of the Choi matrix."""
-    d = int(round(np.sqrt(c.shape[0])))
-    w, v = np.linalg.eigh(c)
-    if w.min() < -atol:
-        raise ValueError(f"Choi matrix is not positive (min eigenvalue {w.min():.3e})")
-    ks = []
-    for lam, col in zip(w, v.T):
-        if lam <= atol:
-            continue
-        ks.append(np.sqrt(lam) * col.reshape(d, d).T)
-    return ks
-
-
-def superop_to_kraus(s: np.ndarray, atol: float = 1e-9) -> list[np.ndarray]:
-    return choi_to_kraus(superop_to_choi(s), atol)
-
-
 def entanglement_fidelity(ch: Channel, target_unitary) -> float:
     """Overlap of the channel with a target unitary.
 
     Equal to (1/d^2) sum_m |Tr(U^dag K_m)|^2 in any Kraus decomposition.
     """
-    u = np.asarray(getattr(target_unitary, "matrix", target_unitary), dtype=complex)
+    u = np.asarray(target_unitary, dtype=complex)
     d = u.shape[0]
     if ch.dim != d:
         raise ValueError("channel and target act on different dimensions")

@@ -206,7 +206,8 @@ def _map_tasks(fn, tasks, workers: int):
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        pool = multiprocessing.get_context("spawn").Pool(processes=workers)
+        ctx = multiprocessing.get_context("spawn")
+        pool = ctx.Pool(processes=min(workers, len(tasks)))
     finally:
         for var, value in saved.items():
             if value is None:
@@ -286,8 +287,9 @@ def cmd_swap_check(cfg):
 
 
 def cmd_transfer_check(cfg):
-    eps = cfg["epsilon"][0]
-    f = cfg["freq_over_h"][0]
+    if len(cfg["epsilon"]) > 1 or len(cfg["freq_over_h"]) > 1:
+        raise ConfigError("transfer-check takes one epsilon and one freq_over_h")
+    [eps], [f] = cfg["epsilon"], cfg["freq_over_h"]
     rows = []
     for mode in ("ideal", "finite_frequency"):
         rep = gates.transfer_independence_report(mode, eps, f)

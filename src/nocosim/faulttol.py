@@ -296,7 +296,7 @@ def threshold(
 
     A coarse upward scan first verifies the budget is monotone along the
     scanned grid and brackets the crossing; bisection then narrows the
-    bracket to ``bisect_tol``.
+    bracket to ``bisect_tol``, or to adjacent doubles if that comes first.
     """
 
     def p_phase(eps: float) -> float:
@@ -331,6 +331,8 @@ def threshold(
     iterations = 0
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         if p_phase(mid) < budget:
             lo = mid
         else:

@@ -41,7 +41,6 @@ LAYOUTS = {
     "ising3": SystemLayout(("a", "q1", "q2"), actuators=("a",)),
     "xy": SystemLayout(("a", "c1", "p2"), actuators=("a",)),
     "rzz_prime": SystemLayout(("ta", "sa", "dq", "aq"), actuators=("ta", "sa")),
-    "transfer": SystemLayout(("a", "c1", "p2", "c2"), actuators=("a",)),
 }
 
 
@@ -64,20 +63,6 @@ def _rzz_prime_h() -> np.ndarray:
     h = embed_operator(_heisenberg_h(), (0, 3), 4)
     h += embed_operator(_ising3_h(), (1, 2, 3), 4)
     return h
-
-
-_CATALOG_H = {
-    "heisenberg": _heisenberg_h,
-    "ising3": _ising3_h,
-    "xy": _xy_h,
-}
-
-
-def hamiltonian_catalog(kind: str) -> np.ndarray:
-    """Interaction Hamiltonian by name; see LAYOUTS for the label order."""
-    if kind not in _CATALOG_H:
-        raise ValueError(f"unknown interaction {kind!r}")
-    return _CATALOG_H[kind]()
 
 
 def noisy_initialization_kraus(eps: float):
@@ -264,9 +249,7 @@ def swap_identity_check() -> SwapIdentityCheck:
 
 
 def _state_matrix(state) -> np.ndarray:
-    m = np.asarray(getattr(state, "matrix", state), dtype=complex)
-    if m.ndim == 1:
-        m = np.outer(m, m.conj())
+    m = np.asarray(state, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("expected a single-qubit state")
     return m
@@ -379,8 +362,7 @@ def noise_conditions(rho_i, rho_h, rho_s, tol: float = 1e-9) -> NoiseAdmissibili
     bh = bloch_vector(rho_h)
     cross = np.cross(bi, bh)
     cross_norm = float(np.linalg.norm(cross))
-    rs = np.asarray(getattr(rho_s, "matrix", rho_s), dtype=complex)
-    trz = float(np.trace(SZ @ rs).real)
+    trz = float(np.trace(SZ @ np.asarray(rho_s, dtype=complex)).real)
     return NoiseAdmissibility(
         bloch_i=bi,
         bloch_h=bh,

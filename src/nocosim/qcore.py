@@ -106,63 +106,13 @@ class SystemLayout:
     def position(self, label: str) -> int:
         return self.labels.index(label)
 
-    def positions(self, labels) -> tuple[int, ...]:
-        return tuple(self.position(l) for l in labels)
-
-
-def _as_matrix(obj) -> np.ndarray:
-    m = getattr(obj, "matrix", obj)
-    return np.asarray(m, dtype=complex)
-
-
-class HermitianOperator:
-    """Validated Hermitian matrix on an integer number of qubits."""
-
-    def __init__(self, matrix, atol: float = 1e-12):
-        m = _as_matrix(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"not a square matrix: shape {m.shape}")
-        n = int(round(np.log2(m.shape[0])))
-        if 2 ** n != m.shape[0]:
-            raise ValueError(f"dimension {m.shape[0]} is not a power of two")
-        if np.max(np.abs(m - m.conj().T)) > atol:
-            raise ValueError("matrix is not Hermitian")
-        self.matrix = m
-        self.nqubits = n
-
-    def __array__(self, dtype=None):
-        return self.matrix if dtype is None else self.matrix.astype(dtype)
-
-
-class DensityMatrix:
-    """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
-
-    def __init__(self, matrix, atol: float = 1e-9):
-        m = _as_matrix(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"not a square matrix: shape {m.shape}")
-        n = int(round(np.log2(m.shape[0])))
-        if 2 ** n != m.shape[0]:
-            raise ValueError(f"dimension {m.shape[0]} is not a power of two")
-        if np.max(np.abs(m - m.conj().T)) > atol:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > atol:
-            raise ValueError(f"trace is {np.trace(m)}, expected 1")
-        if np.linalg.eigvalsh(m).min() < -atol:
-            raise ValueError("density matrix has a negative eigenvalue")
-        self.matrix = m
-        self.nqubits = n
-
-    def __array__(self, dtype=None):
-        return self.matrix if dtype is None else self.matrix.astype(dtype)
-
 
 def partial_trace(mat, nqubits: int, keep) -> np.ndarray:
     """Trace out all qubits except those in ``keep`` (positions, in order).
 
     ``keep`` need not be sorted; the output tensor order follows ``keep``.
     """
-    m = _as_matrix(mat)
+    m = np.asarray(mat, dtype=complex)
     keep = list(keep)
     d = 2 ** nqubits
     if m.shape != (d, d):
@@ -195,19 +145,19 @@ def reduce_superop(s, nqubits: int, keep, env) -> np.ndarray:
         # blocks: output columns, output rows, input columns, input rows
         return [block * nqubits + q for q in qubits]
 
-    t = _as_matrix(s).reshape([2] * (4 * nqubits)).transpose(
+    t = np.asarray(s, dtype=complex).reshape([2] * (4 * nqubits)).transpose(
         axes(0, traced) + axes(1, traced) + axes(0, keep) + axes(1, keep)
         + axes(2, traced) + axes(3, traced) + axes(2, keep) + axes(3, keep)
     ).reshape(dt, dt, dk * dk, dt, dt, dk * dk)
     # trace the output first, then feed env into the traced input columns
     # (j) and rows (i): vec(env (x) sigma) carries env[i, j]
     t = np.trace(t, axis1=0, axis2=1)
-    return np.einsum("ajib,ij->ab", t, _as_matrix(env))
+    return np.einsum("ajib,ij->ab", t, np.asarray(env, dtype=complex))
 
 
 def unitary_evolution(hamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) through the Hermitian eigendecomposition."""
-    h = _as_matrix(hamiltonian)
+    h = np.asarray(hamiltonian, dtype=complex)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
@@ -219,7 +169,7 @@ def bloch_vector(rho) -> np.ndarray:
     normalization under which the actuator fixed states come out with
     rational components, e.g. the reset cycle gives p = (0, 0, (1-eps)/2).
     """
-    m = _as_matrix(rho)
+    m = np.asarray(rho, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("bloch_vector is defined for single-qubit operators")
     return np.array([np.trace(s @ m).real / 2.0 for s in (SX, SY, SZ)])
@@ -231,7 +181,7 @@ def embed_operator(op, positions, nqubits: int) -> np.ndarray:
     The operator's own tensor order is mapped onto ``positions`` in order;
     identity acts everywhere else.
     """
-    o = _as_matrix(op)
+    o = np.asarray(op, dtype=complex)
     k = len(positions)
     if o.shape != (2 ** k, 2 ** k):
         raise ValueError(f"operator shape {o.shape} does not match {k} positions")
@@ -255,7 +205,7 @@ def embed_superop(s, positions, nqubits: int) -> np.ndarray:
 
 def vec(mat) -> np.ndarray:
     """Column-stacking vectorization."""
-    return _as_matrix(mat).flatten(order="F")
+    return np.asarray(mat, dtype=complex).flatten(order="F")
 
 
 def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -283,16 +233,6 @@ def matrix_power_int(m: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-def phase_aligned_distance(a, b) -> float:
-    """Frobenius distance between matrices minimized over a global phase."""
-    am = _as_matrix(a)
-    bm = _as_matrix(b)
-    na2 = np.linalg.norm(am) ** 2
-    nb2 = np.linalg.norm(bm) ** 2
-    overlap = abs(np.trace(am.conj().T @ bm))
-    return float(np.sqrt(max(na2 + nb2 - 2.0 * overlap, 0.0)))
-
-
 def pauli_string_operator(string: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by ``string``, e.g. "IXZ"."""
     mats = []
@@ -314,7 +254,7 @@ def pauli_coefficients(op, nqubits: int | None = None) -> dict[str, float]:
     Returns {string: c} with op = sum_s c_s * P_s and c_s real,
     c_s = Tr(P_s op) / 2**n.
     """
-    m = _as_matrix(op)
+    m = np.asarray(op, dtype=complex)
     if nqubits is None:
         nqubits = int(round(np.log2(m.shape[0])))
     d = 2 ** nqubits

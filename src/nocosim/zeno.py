@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, kraus_to_superop, twirl
+from .channels import Channel, kraus_to_superop
 from .qcore import (
     SystemLayout,
     embed_superop,
@@ -90,7 +90,6 @@ class FixedState:
     """Fixed point of the per-period actuator operation."""
 
     rho: np.ndarray
-    twirl_only: bool
     defect: float
 
 
@@ -105,12 +104,7 @@ def fixed_state(spec: NoisyCycleSpec) -> FixedState:
     da = 2 ** len(spec.layout.actuators)
     rho = unvec(s @ vec(np.eye(da, dtype=complex) / da), da)
     defect = float(np.linalg.norm(s @ vec(rho) - vec(rho)))
-    tw = twirl().smatrix
-    twirl_only = bool(spec.period_ops) and all(
-        np.allclose(kraus_to_superop(kraus), tw, atol=1e-12)
-        for _, kraus in spec.period_ops
-    )
-    return FixedState(rho=rho, twirl_only=twirl_only, defect=defect)
+    return FixedState(rho=rho, defect=defect)
 
 
 def verify_projector(spec: NoisyCycleSpec, atol: float = 1e-10):
@@ -152,7 +146,6 @@ class NocoResult:
     channel: Channel
     registers: tuple
     n_periods: int
-    period: float
     residual_time: float
 
 
@@ -175,6 +168,5 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
         channel=Channel(s_reg, nq - na),
         registers=spec.layout.registers,
         n_periods=n,
-        period=dt,
         residual_time=duration - n * dt,
     )

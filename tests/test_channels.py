@@ -5,18 +5,12 @@ from nocosim.channels import (
     Channel,
     apply_channel,
     channel_from_kraus,
-    choi_to_kraus,
-    choi_to_superop,
-    compose,
     depolarizing,
     depolarizing_kraus,
     entanglement_fidelity,
-    initialization,
     kraus_to_superop,
     pauli_twirl,
     superop_to_choi,
-    superop_to_kraus,
-    twirl,
     unitary_channel,
 )
 from nocosim.qcore import I2, SX, SZ, projector, unitary_evolution, vec
@@ -62,23 +56,6 @@ def test_depolarizing_kraus_matches_superop():
     )
 
 
-def test_initialization_and_twirl():
-    rng = np.random.default_rng(20)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho)
-    assert np.allclose(apply_channel(initialization(), rho), projector("0"), atol=1e-12)
-    assert np.allclose(apply_channel(twirl(), rho), I2 / 2.0, atol=1e-12)
-
-
-def test_compose_order():
-    # first reset to |0>, then flip: compose runs left to right
-    flip = unitary_channel(SX)
-    ch = compose(initialization(), flip)
-    rho = projector("+")
-    assert np.allclose(apply_channel(ch, rho), projector("1"), atol=1e-12)
-
-
 def test_choi_of_identity():
     c = superop_to_choi(np.eye(4, dtype=complex))
     expected = np.zeros((4, 4))
@@ -91,7 +68,7 @@ def test_choi_reshuffle_involution():
     rng = np.random.default_rng(21)
     for d in (2, 4):
         s = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-        assert np.allclose(choi_to_superop(superop_to_choi(s)), s, atol=1e-13)
+        assert np.allclose(superop_to_choi(superop_to_choi(s)), s, atol=1e-13)
 
 
 def test_kraus_round_trip():
@@ -102,15 +79,12 @@ def test_kraus_round_trip():
         Channel(s, int(np.log2(d))).validate()
         choi = superop_to_choi(s)
         assert np.isclose(np.trace(choi).real, d, atol=1e-10)
-        ks2 = choi_to_kraus(choi)
-        assert np.allclose(kraus_to_superop(ks2), s, atol=1e-10)
-        assert np.allclose(kraus_to_superop(superop_to_kraus(s)), s, atol=1e-10)
 
 
 def test_channel_from_kraus_validates():
     bad = [np.eye(2) * 0.5]
     with pytest.raises(ValueError):
-        channel_from_kraus(bad, validate=True)
+        channel_from_kraus(bad).validate()
 
 
 def test_entanglement_fidelity_unitary():

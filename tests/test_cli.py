@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 
+from nocosim import cli
 from nocosim.cli import main
 
 
@@ -57,6 +58,30 @@ def test_workers_do_not_change_bytes(tmp_path):
     assert dict(os.environ) == env  # the pool's BLAS pinning is undone
 
 
+def test_pool_is_no_larger_than_task_list(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
+
+    class SerialContext:
+        Pool = SerialPool
+
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: SerialContext)
+    assert cli._map_tasks(pow, [(2, 3), (3, 2)], workers=64) == [8, 9]
+    assert started == [2]
+
+
 def test_stdout_mode(capsys):
     assert run(["swap-check"]) == 0
     captured = capsys.readouterr()
@@ -95,6 +120,9 @@ def test_invalid_config_exit_codes(tmp_path):
     # gate durations stretch like 1/(1 - epsilon)
     for command in ("gate-error", "distill", "transfer-check"):
         assert run([command, "--epsilon", "1.0"]) == 2
+    # transfer-check computes one point; a grid is refused, not truncated
+    assert run(["transfer-check", "--epsilon", "0.1,0.2"]) == 2
+    assert run(["transfer-check", "--freq_over_h", "1e3,1e4"]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 1\n", encoding="utf-8")
     assert run(["distill", "--config", str(bad)]) == 2

@@ -229,6 +229,21 @@ def test_threshold_bracketing():
     assert below < point.target <= above
 
 
+def test_threshold_ends_at_adjacent_doubles(monkeypatch):
+    # a tolerance below the float spacing at eps* used to bisect forever
+    calls = []
+
+    def budget(eps, *_args):
+        calls.append(eps)
+        assert len(calls) < 500, "bisection does not end"
+        return SimpleNamespace(p_phase=eps / 10.0)
+
+    monkeypatch.setattr(faulttol, "vacuum_error_budget", budget)
+    lo, hi = threshold(1e3, 1, bisect_tol=1e-20).bracket
+    assert lo < hi == np.nextafter(lo, 1.0)
+    assert lo / 10.0 < 0.03 <= hi / 10.0
+
+
 def test_threshold_no_crossing():
     with pytest.raises(NoThresholdError):
         threshold(1e3, 1, budget=1e-9)
