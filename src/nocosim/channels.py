@@ -124,12 +124,6 @@ class PauliErrorDistribution:
     probs: dict[str, float]
     nqubits: int
 
-    def total(self) -> float:
-        return sum(self.probs.values())
-
-    def identity_weight(self) -> float:
-        return self.probs["I" * self.nqubits]
-
     def marginal(self, qubit: int, axis: str) -> float:
         """Probability of a Pauli component that flips eigenstates of ``axis``.
 

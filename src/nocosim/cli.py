@@ -11,6 +11,7 @@ when computed with a worker pool.
 
 import argparse
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -18,31 +19,7 @@ import sys
 
 from . import __version__, faulttol, gates, zeno
 from .channels import entanglement_fidelity
-from .qcore import bloch_vector, pauli_coefficients
-
-CONFIG_KEYS = (
-    "epsilon",
-    "freq_over_h",
-    "rounds",
-    "gate",
-    "budget",
-    "bisect_tol",
-    "include_decoupling",
-    "workers",
-    "out",
-)
-
-GLOBAL_DEFAULTS = {
-    "epsilon": "0.2",
-    "freq_over_h": "1e4",
-    "rounds": "3",
-    "gate": "phase_z",
-    "budget": "0.03",
-    "bisect_tol": "1e-4",
-    "include_decoupling": "false",
-    "workers": "1",
-    "out": "",
-}
+from .qcore import bloch_vector, pauli_coefficients, pauli_strings
 
 COMMAND_DEFAULTS = {
     "fixed-state": {"gate": "rx"},
@@ -106,6 +83,20 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"bad boolean for {key}: {value!r}")
 
 
+# key -> (default, parser); list-valued keys are grids a command may sweep
+CONFIG = {
+    "epsilon": ("0.2", _parse_float_list),
+    "freq_over_h": ("1e4", _parse_float_list),
+    "rounds": ("3", _parse_int_list),
+    "gate": ("phase_z", lambda value, _key: value.strip()),
+    "budget": ("0.03", _parse_number),
+    "bisect_tol": ("1e-4", _parse_number),
+    "include_decoupling": ("false", _parse_bool),
+    "workers": ("1", lambda value, key: _parse_number(value, key, int)),
+    "out": ("", lambda value, _key: value.strip()),
+}
+
+
 def read_config_file(path: str) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -117,33 +108,23 @@ def read_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in CONFIG:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value.strip()
     return out
 
 
 def resolve_config(command: str, args) -> dict:
-    raw = dict(GLOBAL_DEFAULTS)
+    raw = {key: default for key, (default, _) in CONFIG.items()}
     raw.update(COMMAND_DEFAULTS.get(command, {}))
     if args.config:
         raw.update(read_config_file(args.config))
-    for key in CONFIG_KEYS:
+    for key in CONFIG:
         override = getattr(args, key, None)
         if override is not None:
             raw[key] = override
 
-    cfg = {
-        "epsilon": _parse_float_list(raw["epsilon"], "epsilon"),
-        "freq_over_h": _parse_float_list(raw["freq_over_h"], "freq_over_h"),
-        "rounds": _parse_int_list(raw["rounds"], "rounds"),
-        "gate": raw["gate"].strip(),
-        "budget": _parse_number(raw["budget"], "budget"),
-        "bisect_tol": _parse_number(raw["bisect_tol"], "bisect_tol"),
-        "include_decoupling": _parse_bool(raw["include_decoupling"], "include_decoupling"),
-        "workers": _parse_number(raw["workers"], "workers", int),
-        "out": raw["out"].strip(),
-    }
+    cfg = {key: parse(raw[key], key) for key, (_, parse) in CONFIG.items()}
     for eps in cfg["epsilon"]:
         if not 0.0 <= eps <= 1.0:
             raise ConfigError(f"epsilon {eps} outside [0, 1]")
@@ -168,7 +149,7 @@ def resolve_config(command: str, args) -> dict:
 
 # out and workers steer execution, not results; keep them out of provenance
 # so reruns with a different pool size stay byte-identical
-PROVENANCE_KEYS = tuple(k for k in CONFIG_KEYS if k not in ("workers", "out"))
+PROVENANCE_KEYS = tuple(k for k in CONFIG if k not in ("workers", "out"))
 
 
 def _canonical_config(command: str, cfg: dict) -> str:
@@ -181,13 +162,6 @@ def _canonical_config(command: str, cfg: dict) -> str:
             text = repr(val) if not isinstance(val, str) else val
         parts.append(f"{key}={text}")
     return " ".join(parts)
-
-
-def _require_catalog_gate(name: str) -> None:
-    if name not in gates.GATE_NAMES:
-        raise UnknownGateError(
-            f"unknown gate {name!r}; known: {', '.join(gates.GATE_NAMES)}"
-        )
 
 
 # BLAS thread counts pinned to 1 in pool workers: each worker already takes
@@ -218,149 +192,104 @@ def _map_tasks(fn, tasks, workers: int):
         return pool.starmap(fn, tasks)
 
 
-# worker entry points must be module level so they pickle
+# Row functions compute one table row from one grid point.  They are module
+# level so they pickle into pool workers, and they look library functions up
+# on their modules at call time, so a function rebound there (by a tracer,
+# say) is the one that runs.
 
 
-def _gate_error_task(gate, eps, f):
+def _fixed_state_row(gate, eps):
+    p = bloch_vector(zeno.fixed_state(gates.recipe(gate).cycle(eps)).rho)
+    return [fmt(eps), fmt(eps if gate == "rx" else 0.0), fmt(p[0]), fmt(p[1]), fmt(p[2])]
+
+
+def _eff_h_row(gate, eps):
+    coeffs = pauli_coefficients(zeno.effective_hamiltonian(gates.recipe(gate).cycle(eps)))
+    return [fmt(eps), fmt(eps if gate == "rx" else 0.0)] + [fmt(c) for c in coeffs.values()]
+
+
+def _eff_h_columns(cfg):
+    nregisters = len(gates.recipe(cfg["gate"]).layout.registers)
+    return ["epsilon_i", "epsilon_h"] + [f"c_{s}" for s in pauli_strings(nregisters)]
+
+
+def _gate_error_row(gate, eps, f):
     run = gates.realized_channel(gate, eps, f)
-    fid = entanglement_fidelity(run.channel, gates.recipe(gate).target)
-    return eps, f, 1.0 - fid, run.n_periods
+    infid = 1.0 - entanglement_fidelity(run.channel, gates.recipe(gate).target)
+    return [fmt(eps), fmt(f), fmt(infid), str(run.n_periods)]
 
 
-def _distill_task(n, eps, f):
-    res = faulttol.distill(faulttol.DistillationConfig(rounds=n, eps=eps, freq_over_h=f))
-    return n, eps, f, res.p_fail
-
-
-def cmd_fixed_state(cfg):
-    _require_catalog_gate(cfg["gate"])
-    rec = gates.recipe(cfg["gate"])
-    if len(rec.layout.actuators) != 1:
-        raise ConfigError("fixed-state output is defined for single-actuator gates")
-    has_hadamard = cfg["gate"] == "rx"
-    rows = []
-    for eps in cfg["epsilon"]:
-        fs = zeno.fixed_state(rec.cycle(eps))
-        p = bloch_vector(fs.rho)
-        eps_h = eps if has_hadamard else 0.0
-        rows.append([fmt(eps), fmt(eps_h), fmt(p[0]), fmt(p[1]), fmt(p[2])])
-    cols = ["epsilon_i", "epsilon_h", "px", "py", "pz"]
-    return cols, rows, f"fixed-state: {len(rows)} rows for gate {cfg['gate']}"
-
-
-def cmd_eff_h(cfg):
-    _require_catalog_gate(cfg["gate"])
-    rec = gates.recipe(cfg["gate"])
-    has_hadamard = cfg["gate"] == "rx"
-    rows = []
-    cols = None
-    for eps in cfg["epsilon"]:
-        hq = zeno.effective_hamiltonian(rec.cycle(eps))
-        coeffs = pauli_coefficients(hq)
-        if cols is None:
-            cols = ["epsilon_i", "epsilon_h"] + [f"c_{s}" for s in coeffs]
-        eps_h = eps if has_hadamard else 0.0
-        rows.append([fmt(eps), fmt(eps_h)] + [fmt(c) for c in coeffs.values()])
-    return cols, rows, f"eff-h: {len(rows)} rows for gate {cfg['gate']}"
-
-
-def cmd_gate_error(cfg):
-    _require_catalog_gate(cfg["gate"])
-    if gates.recipe(cfg["gate"]).duration_rule is None:
-        raise ConfigError("gate-error needs a gate with a duration rule")
-    tasks = [
-        (cfg["gate"], eps, f) for eps in cfg["epsilon"] for f in cfg["freq_over_h"]
-    ]
-    results = _map_tasks(_gate_error_task, tasks, cfg["workers"])
-    rows = [
-        [fmt(eps), fmt(f), fmt(infid), str(n)] for eps, f, infid, n in results
-    ]
-    cols = ["epsilon", "freq_over_h", "infidelity", "N_periods"]
-    return cols, rows, f"gate-error: {len(rows)} rows for gate {cfg['gate']}"
-
-
-def cmd_swap_check(cfg):
+def _swap_check_row():
     chk = gates.swap_identity_check()
-    rows = [[fmt(chk.deviation), fmt(chk.halftime_deviation)]]
-    cols = ["deviation", "halftime_deviation"]
-    return cols, rows, f"swap-check: deviation {chk.deviation:.3e}"
+    return [fmt(chk.deviation), fmt(chk.halftime_deviation)]
 
 
-def cmd_transfer_check(cfg):
-    if len(cfg["epsilon"]) > 1 or len(cfg["freq_over_h"]) > 1:
-        raise ConfigError("transfer-check takes one epsilon and one freq_over_h")
-    [eps], [f] = cfg["epsilon"], cfg["freq_over_h"]
-    rows = []
-    for mode in ("ideal", "finite_frequency"):
-        rep = gates.transfer_independence_report(mode, eps, f)
-        rows.append([
-            mode,
-            fmt(eps if mode == "finite_frequency" else 0.0),
-            fmt(f if mode == "finite_frequency" else 0.0),
-            fmt(rep.max_pair_distance),
-            fmt(rep.max_distance_to_rzz),
-        ])
-    cols = ["mode", "epsilon", "freq_over_h", "max_pair_distance", "max_distance_to_rzz"]
-    return cols, rows, "transfer-check: 2 rows"
+def _transfer_check_row(mode, eps, f):
+    rep = gates.transfer_independence_report(mode, eps, f)
+    noisy = mode == "finite_frequency"
+    return [mode, fmt(eps if noisy else 0.0), fmt(f if noisy else 0.0),
+            fmt(rep.max_pair_distance), fmt(rep.max_distance_to_rzz)]
 
 
-def cmd_distill(cfg):
-    tasks = [
-        (n, eps, f)
-        for n in cfg["rounds"]
-        for eps in cfg["epsilon"]
-        for f in cfg["freq_over_h"]
-    ]
-    results = _map_tasks(_distill_task, tasks, cfg["workers"])
-    rows = [
-        [str(n), fmt(eps), fmt(f), fmt(pf)] for n, eps, f, pf in results
-    ]
-    cols = ["rounds", "epsilon", "freq_over_h", "p_fail"]
-    return cols, rows, f"distill: {len(rows)} rows"
+def _distill_row(n, eps, f):
+    res = faulttol.distill(faulttol.DistillationConfig(rounds=n, eps=eps, freq_over_h=f))
+    return [str(n), fmt(eps), fmt(f), fmt(res.p_fail)]
 
 
-def cmd_threshold(cfg):
-    tasks = [
-        (f, n, cfg["budget"], cfg["bisect_tol"], cfg["include_decoupling"])
-        for f in cfg["freq_over_h"]
-        for n in cfg["rounds"]
-    ]
-    points = _map_tasks(faulttol.threshold, tasks, cfg["workers"])
-    rows = [
-        [fmt(p.freq_over_h), str(p.rounds), fmt(p.eps_star), str(p.iterations)]
-        for p in points
-    ]
-    cols = ["freq_over_h", "rounds", "epsilon_star", "iterations"]
-    return cols, rows, f"threshold: {len(rows)} points"
+def _threshold_row(f, n, budget, bisect_tol, include_decoupling):
+    p = faulttol.threshold(f, n, budget, bisect_tol, include_decoupling)
+    return [fmt(p.freq_over_h), str(p.rounds), fmt(p.eps_star), str(p.iterations)]
 
 
-def cmd_noise_check(cfg):
-    rows = []
-    for eps in cfg["epsilon"]:
-        rho_i, rho_h, rho_s = gates.depolarizing_fixed_states(eps)
-        res = gates.noise_conditions(rho_i, rho_h, rho_s)
-        rows.append([
-            fmt(eps),
-            fmt(res.cross_norm),
-            fmt(res.trz_s),
-            str(int(res.pass_c1)),
-            str(int(res.pass_c2)),
-        ])
-    cols = ["epsilon", "cross_norm", "trz_s", "pass_c1", "pass_c2"]
-    n_fail = sum(1 for r in rows if r[3] == "0" or r[4] == "0")
-    return cols, rows, f"noise-check: {len(rows)} rows, {n_fail} failing"
+def _noise_check_row(eps):
+    res = gates.noise_conditions(*gates.depolarizing_fixed_states(eps))
+    return [fmt(eps), fmt(res.cross_norm), fmt(res.trz_s),
+            str(int(res.pass_c1)), str(int(res.pass_c2))]
 
 
+# command -> (row function, grid, columns).  The grid lists the row
+# function's arguments: a config key, whose value or values are swept, or a
+# tuple of fixed values.  Rows follow itertools.product, the first entry
+# outermost.  Columns are a list, or a function of the config.
 COMMANDS = {
-    "fixed-state": cmd_fixed_state,
-    "eff-h": cmd_eff_h,
-    "gate-error": cmd_gate_error,
-    "swap-check": cmd_swap_check,
-    "transfer-check": cmd_transfer_check,
-    "distill": cmd_distill,
-    "threshold": cmd_threshold,
-    "noise-check": cmd_noise_check,
+    "fixed-state": (_fixed_state_row, ("gate", "epsilon"),
+                    ["epsilon_i", "epsilon_h", "px", "py", "pz"]),
+    "eff-h": (_eff_h_row, ("gate", "epsilon"), _eff_h_columns),
+    "gate-error": (_gate_error_row, ("gate", "epsilon", "freq_over_h"),
+                   ["epsilon", "freq_over_h", "infidelity", "N_periods"]),
+    "swap-check": (_swap_check_row, (), ["deviation", "halftime_deviation"]),
+    "transfer-check": (_transfer_check_row,
+                       (("ideal", "finite_frequency"), "epsilon", "freq_over_h"),
+                       ["mode", "epsilon", "freq_over_h", "max_pair_distance",
+                        "max_distance_to_rzz"]),
+    "distill": (_distill_row, ("rounds", "epsilon", "freq_over_h"),
+                ["rounds", "epsilon", "freq_over_h", "p_fail"]),
+    "threshold": (_threshold_row,
+                  ("freq_over_h", "rounds", "budget", "bisect_tol", "include_decoupling"),
+                  ["freq_over_h", "rounds", "epsilon_star", "iterations"]),
+    "noise-check": (_noise_check_row, ("epsilon",),
+                    ["epsilon", "cross_norm", "trz_s", "pass_c1", "pass_c2"]),
 }
+
+
+def _check_command(command: str, cfg: dict) -> None:
+    """Refuse a configuration the command's rows cannot be computed for."""
+    gate = cfg["gate"]
+    if "gate" in COMMANDS[command][1] and gate not in gates.GATE_NAMES:
+        raise UnknownGateError(f"unknown gate {gate!r}; known: {', '.join(gates.GATE_NAMES)}")
+    if command == "fixed-state" and len(gates.recipe(gate).layout.actuators) != 1:
+        raise ConfigError("fixed-state output is defined for single-actuator gates")
+    if command == "gate-error" and gates.recipe(gate).duration_rule is None:
+        raise ConfigError("gate-error needs a gate with a duration rule")
+    if command == "transfer-check" and max(len(cfg["epsilon"]), len(cfg["freq_over_h"])) > 1:
+        raise ConfigError("transfer-check takes one epsilon and one freq_over_h")
+
+
+def _axis(cfg: dict, entry):
+    if isinstance(entry, tuple):
+        return entry
+    value = cfg[entry]
+    return value if isinstance(value, list) else [value]
 
 
 def render_table(command: str, cfg: dict, cols, rows) -> str:
@@ -385,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value file")
-        for key in CONFIG_KEYS:
+        for key in CONFIG:
             p.add_argument(f"--{key}", default=None)
     return parser
 
@@ -394,8 +323,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.command, args)
-        cols, rows, summary = COMMANDS[args.command](cfg)
+        _check_command(args.command, cfg)
+        row, grid, columns = COMMANDS[args.command]
+        tasks = list(itertools.product(*(_axis(cfg, entry) for entry in grid)))
+        rows = _map_tasks(row, tasks, cfg["workers"])
+        cols = columns(cfg) if callable(columns) else columns
         table = render_table(args.command, cfg, cols, rows)
+        summary = f"{args.command}: {len(rows)} rows"
         if cfg["out"]:
             try:
                 with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:

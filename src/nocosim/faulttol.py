@@ -79,10 +79,6 @@ class DistillationResult:
     posteriors: np.ndarray
     rounds: int
 
-    @property
-    def total_probability(self) -> float:
-        return float(np.dot(self.class_sizes, self.class_probs))
-
 
 def _round_rates(config: DistillationConfig) -> np.ndarray:
     """Per-round outcome rates: ``rates[x, o]`` for data input |x> and outcome o.
@@ -290,19 +286,19 @@ def threshold(
     budget: float = 0.03,
     bisect_tol: float = 1e-4,
     include_decoupling: bool = False,
-    scan_step: float = 0.05,
 ) -> ThresholdPoint:
     """Bisect the depolarizing rate where the phase budget crosses ``budget``.
 
-    A coarse upward scan first verifies the budget is monotone along the
-    scanned grid and brackets the crossing; bisection then narrows the
-    bracket to ``bisect_tol``, or to adjacent doubles if that comes first.
+    A coarse upward scan in steps of 0.05 first verifies the budget is
+    monotone along the scanned grid and brackets the crossing; bisection
+    then narrows the bracket to ``bisect_tol``, or to adjacent doubles if
+    that comes first.
     """
 
     def p_phase(eps: float) -> float:
         return vacuum_error_budget(eps, freq_over_h, rounds, include_decoupling).p_phase
 
-    grid = list(np.arange(0.0, 0.99, scan_step)) + [0.99]
+    grid = list(np.arange(0.0, 0.99, 0.05)) + [0.99]
     prev_val = None
     lo = hi = None
     for eps in grid:

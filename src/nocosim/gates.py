@@ -91,25 +91,22 @@ class GateRecipe:
     name: str
     layout: SystemLayout
     hamiltonian: np.ndarray
-    ops_builder: object        # (eps_i, eps_h) -> period_ops tuple
-    duration_rule: object      # (eps_i, eps_h) -> float, or None for decoupling
+    ops_builder: object        # eps -> period_ops tuple
+    duration_rule: object      # eps -> float, or None for decoupling
     target: np.ndarray
 
-    def duration(self, eps: float, eps_h: float | None = None) -> float:
+    def duration(self, eps: float) -> float:
         if self.duration_rule is None:
             raise ValueError(f"{self.name} takes a caller-supplied duration")
-        eps_h = eps if eps_h is None else eps_h
-        for label, rate in (("eps", eps), ("eps_h", eps_h)):
-            if rate >= 1.0:
-                raise ValueError(
-                    f"{self.name} duration diverges at depolarizing rate "
-                    f"{label}={rate}; rates must be below 1"
-                )
-        return self.duration_rule(eps, eps_h)
+        if eps >= 1.0:
+            raise ValueError(
+                f"{self.name} duration diverges at depolarizing rate "
+                f"eps={eps}; rates must be below 1"
+            )
+        return self.duration_rule(eps)
 
-    def cycle(self, eps: float, eps_h: float | None = None) -> NoisyCycleSpec:
-        ops = self.ops_builder(eps, eps if eps_h is None else eps_h)
-        return NoisyCycleSpec(self.layout, self.hamiltonian, ops)
+    def cycle(self, eps: float) -> NoisyCycleSpec:
+        return NoisyCycleSpec(self.layout, self.hamiltonian, self.ops_builder(eps))
 
 
 def _recipes() -> dict:
@@ -119,42 +116,42 @@ def _recipes() -> dict:
     rzzp = LAYOUTS["rzz_prime"]
     tw = tuple(depolarizing_kraus(1.0))
 
-    def init_ops(eps, _eps_h):
+    def init_ops(eps):
         return (("a", noisy_initialization_kraus(eps)),)
 
-    def init_hadamard_ops(eps, eps_h):
+    def init_hadamard_ops(eps):
         return (("a", noisy_initialization_kraus(eps)),
-                ("a", noisy_hadamard_kraus(eps_h)))
+                ("a", noisy_hadamard_kraus(eps)))
 
-    def rzzp_ops(eps, _eps_h):
+    def rzzp_ops(eps):
         ni = noisy_initialization_kraus(eps)
         return (("ta", ni), ("sa", ni))
 
     return {
         "rz": GateRecipe(
             "rz", heis, _heisenberg_h(), init_ops,
-            lambda e, _h: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
+            lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
         "phase_z": GateRecipe(
             "phase_z", heis, _heisenberg_h(), init_ops,
-            lambda e, _h: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
+            lambda e: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
         "rx": GateRecipe(
             "rx", heis, _heisenberg_h(), init_hadamard_ops,
-            lambda e, h: np.pi / (4.0 * (1.0 - e) * (1.0 - h)), RX_TARGET),
+            lambda e: np.pi / (4.0 * (1.0 - e) * (1.0 - e)), RX_TARGET),
         "rzz": GateRecipe(
             "rzz", ising, _ising3_h(), init_ops,
-            lambda e, _h: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
+            lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
         "rzz_prime": GateRecipe(
             "rzz_prime", rzzp, _rzz_prime_h(), rzzp_ops,
-            lambda e, _h: np.pi / (4.0 * (1.0 - e)), RZZ_PRIME_TARGET),
+            lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_PRIME_TARGET),
         "decouple_heisenberg": GateRecipe(
             "decouple_heisenberg", heis, _heisenberg_h(),
-            lambda e, h: (("a", tw),), None, np.eye(2, dtype=complex)),
+            lambda e: (("a", tw),), None, np.eye(2, dtype=complex)),
         "decouple_ising": GateRecipe(
             "decouple_ising", ising, _ising3_h(),
-            lambda e, h: (("a", tw),), None, np.eye(4, dtype=complex)),
+            lambda e: (("a", tw),), None, np.eye(4, dtype=complex)),
         "decouple_xy": GateRecipe(
             "decouple_xy", xy, _xy_h(),
-            lambda e, h: (("a", tw),), None, np.eye(4, dtype=complex)),
+            lambda e: (("a", tw),), None, np.eye(4, dtype=complex)),
     }
 
 
@@ -174,13 +171,12 @@ def realized_channel(
     eps: float,
     freq_over_h: float,
     duration: float | None = None,
-    eps_h: float | None = None,
 ) -> NocoResult:
     """Finite-frequency register channel of a catalog gate."""
     rec = recipe(name)
     if duration is None:
-        duration = rec.duration(eps, eps_h)
-    return noco_channel(rec.cycle(eps, eps_h), duration, freq_over_h)
+        duration = rec.duration(eps)
+    return noco_channel(rec.cycle(eps), duration, freq_over_h)
 
 
 def infidelity_surface(eps_values, freq_values, gate_name: str):
@@ -201,16 +197,10 @@ def infidelity_surface(eps_values, freq_values, gate_name: str):
     return infid, counts
 
 
-def gate_error_channel(
-    name: str,
-    eps: float,
-    freq_over_h: float,
-    duration: float | None = None,
-    eps_h: float | None = None,
-) -> Channel:
+def gate_error_channel(name: str, eps: float, freq_over_h: float) -> Channel:
     """Error channel E with realized = E o ideal."""
     rec = recipe(name)
-    run = realized_channel(name, eps, freq_over_h, duration, eps_h)
+    run = realized_channel(name, eps, freq_over_h)
     s_target = unitary_channel(rec.target).smatrix
     return Channel(run.channel.smatrix @ s_target.conj().T, run.channel.nqubits)
 
@@ -341,9 +331,6 @@ def transfer_independence_report(
 class NoiseAdmissibility:
     """Polarization checks on the frozen actuator states."""
 
-    bloch_i: np.ndarray
-    bloch_h: np.ndarray
-    cross: np.ndarray
     cross_norm: float
     trz_s: float
     pass_c1: bool
@@ -358,15 +345,9 @@ def noise_conditions(rho_i, rho_h, rho_s, tol: float = 1e-9) -> NoiseAdmissibili
     product of Bloch vectors); the second requires the square-actuator
     fixed state to retain z polarization.
     """
-    bi = bloch_vector(rho_i)
-    bh = bloch_vector(rho_h)
-    cross = np.cross(bi, bh)
-    cross_norm = float(np.linalg.norm(cross))
+    cross_norm = float(np.linalg.norm(np.cross(bloch_vector(rho_i), bloch_vector(rho_h))))
     trz = float(np.trace(SZ @ np.asarray(rho_s, dtype=complex)).real)
     return NoiseAdmissibility(
-        bloch_i=bi,
-        bloch_h=bh,
-        cross=cross,
         cross_norm=cross_norm,
         trz_s=trz,
         pass_c1=cross_norm > tol,
@@ -374,13 +355,7 @@ def noise_conditions(rho_i, rho_h, rho_s, tol: float = 1e-9) -> NoiseAdmissibili
     )
 
 
-def depolarizing_fixed_states(eps_i: float, eps_h: float | None = None,
-                              eps_s: float | None = None):
+def depolarizing_fixed_states(eps: float):
     """Frozen actuator states (reset, reset+Hadamard, square reset) at the
-    given depolarizing rates."""
-    eps_h = eps_i if eps_h is None else eps_h
-    eps_s = eps_i if eps_s is None else eps_s
-    rho_i = fixed_state(recipe("rz").cycle(eps_i)).rho
-    rho_h = fixed_state(recipe("rx").cycle(eps_i, eps_h)).rho
-    rho_s = fixed_state(recipe("rzz").cycle(eps_s)).rho
-    return rho_i, rho_h, rho_s
+    depolarizing rate eps."""
+    return tuple(fixed_state(recipe(name).cycle(eps)).rho for name in ("rz", "rx", "rzz"))

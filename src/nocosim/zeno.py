@@ -38,7 +38,13 @@ def period_count(duration: float, freq_over_h: float) -> int:
     """Number of whole drive periods inside ``duration`` internal time units."""
     if duration < 0 or freq_over_h <= 0:
         raise ValueError("need duration >= 0 and a positive frequency")
-    return int(np.floor(duration * freq_over_h / (2.0 * np.pi) + _PERIOD_COUNT_NUDGE))
+    drive_phase = duration * freq_over_h
+    if not np.isfinite(drive_phase):
+        raise ValueError(
+            f"duration {duration} at freq_over_h {freq_over_h} holds more drive "
+            "periods than a float can count"
+        )
+    return int(np.floor(drive_phase / (2.0 * np.pi) + _PERIOD_COUNT_NUDGE))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,9 @@ def test_workers_do_not_change_bytes(tmp_path):
     env = dict(os.environ)
     for args in (
         ["gate-error", "--epsilon", "0.1,0.2", "--freq_over_h", "1e3,3e3"],
+        ["fixed-state", "--epsilon", "0.1,0.2"],
+        ["eff-h", "--gate", "rzz", "--epsilon", "0.1,0.2"],
+        ["noise-check", "--epsilon", "0.2,1.0"],
         ["threshold", "--freq_over_h", "1e3", "--rounds", "1,3", "--bisect_tol", "1e-3"],
     ):
         assert run(args + ["--workers", "1", "--out", str(a)]) == 0
@@ -138,6 +141,12 @@ def test_unknown_gate_exit_code():
 def test_no_threshold_exit_code():
     assert run(["threshold", "--freq_over_h", "1e3", "--rounds", "1",
                 "--budget", "1e-9"]) == 4
+
+
+def test_period_count_overflow_exit_code(capsys):
+    # pi / 1.6 * 1e308 overflows: a clear error, not int(inf)
+    assert run(["gate-error", "--freq_over_h", "1e308"]) == 1
+    assert "freq_over_h 1e+308" in capsys.readouterr().err
 
 
 def test_unwritable_output_exit_code():

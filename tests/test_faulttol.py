@@ -112,14 +112,15 @@ def test_distill_many_rounds_stays_small():
     config = DistillationConfig(rounds=61, eps=0.2, freq_over_h=1e4, noisy_gate=False)
     res = distill(config)
     assert len(res.class_sizes) == len(res.class_probs) == 62
-    assert abs(res.total_probability - 1.0) < 1e-12
+    assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-12
     assert 0.0 < res.p_fail < 1e-6
     # the realized gate's trace drifts by 1e-14 to 1e-11 per round, so
     # its total is checked against the per-round rates, not against 1
     config = DistillationConfig(rounds=61, eps=0.2, freq_over_h=1e4)
     rates = faulttol._round_rates(config)
     expected = 0.5 * np.sum(rates.sum(axis=1) ** 61)
-    assert abs(distill(config).total_probability - expected) < 1e-12
+    res = distill(config)
+    assert abs(np.dot(res.class_sizes, res.class_probs) - expected) < 1e-12
 
 
 def test_distill_noiseless_classification_is_sharp():
@@ -134,7 +135,7 @@ def test_distill_noiseless_classification_is_sharp():
 
 def test_distill_bookkeeping():
     res = distill(DistillationConfig(rounds=5, eps=0.3, freq_over_h=1e3))
-    assert abs(res.total_probability - 1.0) < 1e-9
+    assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-9
     assert 0.0 <= res.p_fail <= 0.5
     assert np.all(res.posteriors >= 0.0) and np.all(res.posteriors <= 1.0)
     assert res.rounds == 5
@@ -173,7 +174,7 @@ def test_distill_validation():
         DistillationConfig(rounds=1031, eps=0.1, freq_over_h=1e4)
     res = distill(DistillationConfig(rounds=faulttol.MAX_ROUNDS, eps=0.1, freq_over_h=1e3))
     assert np.isfinite(res.class_sizes).all()
-    assert abs(res.total_probability - 1.0) < 1e-9
+    assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-9
 
 
 def test_budget_composition():

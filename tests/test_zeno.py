@@ -64,6 +64,9 @@ def test_cycle_spec_validation():
         NoisyCycleSpec(AQ, HEISENBERG, (("q", noisy_init(0.1)),))
     with pytest.raises(ValueError):
         period_count(-1.0, 1e4)
+    # the period count of a phase gate at f = 1e308 overflows a float
+    with pytest.raises(ValueError, match=r"duration 1\.9\d* at freq_over_h 1e\+308"):
+        period_count(np.pi / (2.0 * 0.8), 1e308)
 
 
 def test_period_count_exact_multiples():
