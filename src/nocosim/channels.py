@@ -1,8 +1,11 @@
-"""Quantum channels as dense superoperators built from Kraus operators.
+"""Quantum channels as dense superoperator arrays built from Kraus operators.
 
-All superoperators act on column-stacked density matrices (see qcore.vec),
-so a conjugation rho -> A rho B has matrix kron(B.T, A) and a Kraus set
-{K_m} has matrix sum_m kron(conj(K_m), K_m).
+A channel on n qubits is a plain d^2 x d^2 numpy array with d = 2^n; the
+shape is the only record of n.  Superoperators act on column-stacked
+density matrices (see qcore.vec), so a conjugation rho -> A rho B has
+matrix kron(B.T, A) and a Kraus set {K_m} has matrix
+sum_m kron(conj(K_m), K_m).  ``check_cptp`` tests such an array for trace
+preservation and complete positivity.
 
 The Choi matrix, used by the CPTP check, follows the convention
 C = sum_ij |i><j| (x) E(|i><j|), which has trace d for a trace-preserving
@@ -16,35 +19,25 @@ import numpy as np
 from .qcore import I2, SX, SY, SZ, pauli_string_operator, pauli_strings, unvec, vec
 
 
-@dataclass
-class Channel:
-    """A completely positive map stored as a superoperator matrix."""
+def _nqubits(s) -> int:
+    """Qubit count n of a 4^n x 4^n superoperator; refuse any other shape."""
+    shape = np.shape(s)
+    n = int(round(np.log2(shape[0]) / 2.0)) if len(shape) == 2 and shape[0] else 0
+    if shape != (4 ** n, 4 ** n):
+        raise ValueError(f"superoperator shape {shape} is not d^2 x d^2 with d = 2^n")
+    return n
 
-    smatrix: np.ndarray
-    nqubits: int
 
-    def __post_init__(self):
-        d = 2 ** self.nqubits
-        if self.smatrix.shape != (d * d, d * d):
-            raise ValueError(
-                f"superoperator shape {self.smatrix.shape} does not match "
-                f"{self.nqubits} qubits"
-            )
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.nqubits
-
-    def validate(self, atol: float = 1e-9) -> None:
-        """Check trace preservation and complete positivity; raise if violated."""
-        d = self.dim
-        ident = vec(np.eye(d, dtype=complex))
-        defect = np.linalg.norm(self.smatrix.conj().T @ ident - ident)
-        if defect > atol:
-            raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
-        w = np.linalg.eigvalsh(superop_to_choi(self.smatrix))
-        if w.min() < -atol:
-            raise ValueError(f"Choi matrix has negative eigenvalue {w.min():.3e}")
+def check_cptp(s, atol: float = 1e-9) -> None:
+    """Check trace preservation and complete positivity; raise if violated."""
+    d = 2 ** _nqubits(s)
+    ident = vec(np.eye(d, dtype=complex))
+    defect = np.linalg.norm(s.conj().T @ ident - ident)
+    if defect > atol:
+        raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
+    w = np.linalg.eigvalsh(superop_to_choi(s))
+    if w.min() < -atol:
+        raise ValueError(f"Choi matrix has negative eigenvalue {w.min():.3e}")
 
 
 def kraus_to_superop(kraus_ops) -> np.ndarray:
@@ -56,23 +49,16 @@ def kraus_to_superop(kraus_ops) -> np.ndarray:
     return s
 
 
-def channel_from_kraus(kraus_ops) -> Channel:
-    ks = list(kraus_ops)
-    d = np.asarray(ks[0]).shape[0]
-    return Channel(kraus_to_superop(ks), int(round(np.log2(d))))
-
-
-def unitary_channel(u) -> Channel:
+def unitary_channel(u) -> np.ndarray:
     um = np.asarray(u, dtype=complex)
-    n = int(round(np.log2(um.shape[0])))
-    return Channel(np.kron(um.conj(), um), n)
+    return np.kron(um.conj(), um)
 
 
-def depolarizing(eps: float) -> Channel:
+def depolarizing(eps: float) -> np.ndarray:
     """Single-qubit depolarizing map with Kraus weights (1 - 3e/4, e/4, e/4, e/4)."""
     if not 0.0 <= eps <= 4.0 / 3.0:
         raise ValueError(f"depolarizing rate {eps} outside [0, 4/3]")
-    return channel_from_kraus(depolarizing_kraus(eps))
+    return kraus_to_superop(depolarizing_kraus(eps))
 
 
 def depolarizing_kraus(eps: float) -> list[np.ndarray]:
@@ -93,8 +79,9 @@ def initialization_kraus() -> list[np.ndarray]:
     return [k0, k1]
 
 
-def apply_channel(ch: Channel, rho) -> np.ndarray:
-    return unvec(ch.smatrix @ vec(rho), ch.dim)
+def apply_channel(s: np.ndarray, rho) -> np.ndarray:
+    d = 2 ** _nqubits(s)
+    return unvec(s @ vec(rho), d)
 
 
 def superop_to_choi(s: np.ndarray) -> np.ndarray:
@@ -104,17 +91,17 @@ def superop_to_choi(s: np.ndarray) -> np.ndarray:
     return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
 
 
-def entanglement_fidelity(ch: Channel, target_unitary) -> float:
+def entanglement_fidelity(s: np.ndarray, target_unitary) -> float:
     """Overlap of the channel with a target unitary.
 
     Equal to (1/d^2) sum_m |Tr(U^dag K_m)|^2 in any Kraus decomposition.
     """
     u = np.asarray(target_unitary, dtype=complex)
     d = u.shape[0]
-    if ch.dim != d:
+    if 2 ** _nqubits(s) != d:
         raise ValueError("channel and target act on different dimensions")
     su = np.kron(u.conj(), u)
-    return float(np.real(np.vdot(su, ch.smatrix)) / d ** 2)
+    return float(np.real(np.vdot(su, s)) / d ** 2)
 
 
 @dataclass
@@ -122,7 +109,6 @@ class PauliErrorDistribution:
     """Pauli-twirled channel probabilities keyed by strings over I, X, Y, Z."""
 
     probs: dict[str, float]
-    nqubits: int
 
     def marginal(self, qubit: int, axis: str) -> float:
         """Probability of a Pauli component that flips eigenstates of ``axis``.
@@ -137,17 +123,17 @@ class PauliErrorDistribution:
         return sum(p for s, p in self.probs.items() if s[qubit] in bad)
 
 
-def pauli_twirl(ch: Channel) -> PauliErrorDistribution:
+def pauli_twirl(s: np.ndarray) -> PauliErrorDistribution:
     """Project a channel onto the Pauli channel with the same Pauli fidelities.
 
     p_P = Tr(S_P^dag S) / d^2 where S_P is the superoperator of conjugation
     by the Pauli string P.  For a CPTP channel the probabilities are real
     and sum to one.
     """
-    d = ch.dim
+    n = _nqubits(s)
     probs = {}
-    for s in pauli_strings(ch.nqubits):
-        p = pauli_string_operator(s)
+    for string in pauli_strings(n):
+        p = pauli_string_operator(string)
         sp = np.kron(p.conj(), p)
-        probs[s] = float(np.real(np.vdot(sp, ch.smatrix)) / d ** 2)
-    return PauliErrorDistribution(probs, ch.nqubits)
+        probs[string] = float(np.real(np.vdot(sp, s)) / 4 ** n)
+    return PauliErrorDistribution(probs)

@@ -215,7 +215,7 @@ def _eff_h_columns(cfg):
 
 def _gate_error_row(gate, eps, f):
     run = gates.realized_channel(gate, eps, f)
-    infid = 1.0 - entanglement_fidelity(run.channel, gates.recipe(gate).target)
+    infid = 1.0 - entanglement_fidelity(run.superop, gates.recipe(gate).target)
     return [fmt(eps), fmt(f), fmt(infid), str(run.n_periods)]
 
 
@@ -342,7 +342,7 @@ def main(argv=None) -> int:
             sys.stdout.write(table)
             print(summary, file=sys.stderr)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, OverflowError) as exc:  # overflow: 2^53+ drive periods
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnknownGateError as exc:

@@ -91,12 +91,12 @@ def _round_rates(config: DistillationConfig) -> np.ndarray:
     anc = apply_channel(depolarizing(eps), plus) if config.noisy_init else plus
 
     if config.noisy_gate:
-        s_gate = realized_channel("rzz_prime", eps, config.freq_over_h).channel.smatrix
+        s_gate = realized_channel("rzz_prime", eps, config.freq_over_h).superop
     else:
-        s_gate = unitary_channel(RZZ_PRIME_TARGET).smatrix
+        s_gate = unitary_channel(RZZ_PRIME_TARGET)
     if config.noisy_meas:
         # depolarizing on the ancilla factor of the (dq, aq) pair
-        s_meas = embed_superop(depolarizing(eps).smatrix, (1,), 2)
+        s_meas = embed_superop(depolarizing(eps), (1,), 2)
     else:
         s_meas = np.eye(16, dtype=complex)
 
@@ -182,7 +182,7 @@ def _idle_marginal(interaction: str, duration: float, freq_over_h: float) -> flo
     """Y/Z weight on the data qubit after twirl-decoupling an interaction."""
     name = {"heisenberg": "decouple_heisenberg", "ising": "decouple_ising"}[interaction]
     run = realized_channel(name, 0.0, freq_over_h, duration=duration)
-    return pauli_twirl(run.channel).marginal(0, "x")
+    return pauli_twirl(run.superop).marginal(0, "x")
 
 
 def vacuum_error_budget(

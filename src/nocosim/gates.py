@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    Channel,
     depolarizing_kraus,
     entanglement_fidelity,
     initialization_kraus,
@@ -192,17 +191,15 @@ def infidelity_surface(eps_values, freq_values, gate_name: str):
     for i, eps in enumerate(eps_values):
         for j, f in enumerate(freq_values):
             run = realized_channel(gate_name, eps, f)
-            infid[i, j] = 1.0 - entanglement_fidelity(run.channel, target)
+            infid[i, j] = 1.0 - entanglement_fidelity(run.superop, target)
             counts[i, j] = run.n_periods
     return infid, counts
 
 
-def gate_error_channel(name: str, eps: float, freq_over_h: float) -> Channel:
+def gate_error_channel(name: str, eps: float, freq_over_h: float) -> np.ndarray:
     """Error channel E with realized = E o ideal."""
-    rec = recipe(name)
     run = realized_channel(name, eps, freq_over_h)
-    s_target = unitary_channel(rec.target).smatrix
-    return Channel(run.channel.smatrix @ s_target.conj().T, run.channel.nqubits)
+    return run.superop @ unitary_channel(recipe(name).target).conj().T
 
 
 SWAP_2Q = np.array(
@@ -238,48 +235,19 @@ def swap_identity_check() -> SwapIdentityCheck:
     return SwapIdentityCheck(deviation=dev, halftime_deviation=half)
 
 
-def _state_matrix(state) -> np.ndarray:
-    m = np.asarray(state, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("expected a single-qubit state")
-    return m
-
-
-def transfer_cphase_circuit(
-    initial_p2,
-    initial_a,
-    mode: str = "ideal",
-    eps: float = 0.0,
-    freq_over_h: float | None = None,
-) -> Channel:
-    """Channel induced on (c1, c2) by swap-evolve, phase gate, swap-evolve.
+def transfer_cphase_circuit(gate: np.ndarray) -> np.ndarray:
+    """Swap-evolve, phase gate, swap-evolve on labels (a, c1, p2, c2).
 
     The XY ring carries qubit c1 and the passive qubit p2 around actuator a;
-    a two-qubit phase gate acts locally on (c2, p2) between the two halves
-    of the ring evolution.  In "ideal" mode everything is an exact unitary;
-    in "finite_frequency" mode the phase gate is replaced by its realized
-    channel at (eps, freq_over_h).  Returns the reduced channel on (c1, c2),
-    which in the ideal case is independent of the p2 and a initial states.
+    the two-qubit phase gate superoperator ``gate`` (ideal or realized RZZ)
+    acts locally on (c2, p2) between the two halves of the ring evolution.
+    Reduced to (c1, c2) against fixed a and p2 states, the circuit gives
+    the transfer channel, which for the ideal gate is independent of them.
     """
-    rho_p2 = _state_matrix(initial_p2)
-    rho_a = _state_matrix(initial_a)
-    nq = 4  # label order (a, c1, p2, c2)
-
+    nq = 4
     ring = unitary_channel(unitary_evolution(_xy_h(), _SWAP_EVOLUTION_TIME))
-    s_ring = embed_superop(ring.smatrix, (0, 1, 2), nq)
-
-    if mode == "ideal":
-        gate = unitary_channel(RZZ_TARGET)
-    elif mode == "finite_frequency":
-        if freq_over_h is None:
-            raise ValueError("finite_frequency mode needs freq_over_h")
-        gate = realized_channel("rzz", eps, freq_over_h).channel
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    s_tot = s_ring @ embed_superop(gate.smatrix, (3, 2), nq) @ s_ring
-    # reduce to (c1, c2) against the fixed a and p2 states
-    return Channel(reduce_superop(s_tot, nq, (1, 3), kron(rho_a, rho_p2)), 2)
+    s_ring = embed_superop(ring, (0, 1, 2), nq)
+    return s_ring @ embed_superop(gate, (3, 2), nq) @ s_ring
 
 
 TRANSFER_PROBE_STATES = (
@@ -306,22 +274,30 @@ class TransferIndependenceReport:
 def transfer_independence_report(
     mode: str = "ideal", eps: float = 0.0, freq_over_h: float | None = None
 ) -> TransferIndependenceReport:
-    """Spread of the (c1, c2) transfer channel over probe initial states."""
+    """Spread of the (c1, c2) transfer channel over probe initial states.
+
+    In "ideal" mode the phase gate is the exact RZZ; in "finite_frequency"
+    mode it is the realized rzz channel at (eps, freq_over_h).
+    """
+    s_rzz = unitary_channel(RZZ_TARGET)
+    if mode == "ideal":
+        gate = s_rzz
+    elif mode == "finite_frequency":
+        if freq_over_h is None:
+            raise ValueError("finite_frequency mode needs freq_over_h")
+        gate = realized_channel("rzz", eps, freq_over_h).superop
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    circuit = transfer_cphase_circuit(gate)
     chans = [
-        transfer_cphase_circuit(
-            _probe_state(p2), _probe_state(a), mode, eps, freq_over_h
-        )
+        reduce_superop(circuit, 4, (1, 3), kron(_probe_state(a), _probe_state(p2)))
         for p2, a in TRANSFER_PROBE_STATES
     ]
     pair = 0.0
     for i in range(len(chans)):
         for j in range(i + 1, len(chans)):
-            pair = max(pair, float(np.linalg.norm(
-                chans[i].smatrix - chans[j].smatrix)))
-    s_rzz = unitary_channel(RZZ_TARGET).smatrix
-    to_rzz = max(
-        float(np.linalg.norm(ch.smatrix - s_rzz)) for ch in chans
-    )
+            pair = max(pair, float(np.linalg.norm(chans[i] - chans[j])))
+    to_rzz = max(float(np.linalg.norm(ch - s_rzz)) for ch in chans)
     return TransferIndependenceReport(
         mode=mode, max_pair_distance=pair, max_distance_to_rzz=to_rzz
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, kraus_to_superop
+from .channels import kraus_to_superop
 from .qcore import (
     SystemLayout,
     embed_superop,
@@ -35,16 +35,20 @@ _PERIOD_COUNT_NUDGE = 1e-9
 
 
 def period_count(duration: float, freq_over_h: float) -> int:
-    """Number of whole drive periods inside ``duration`` internal time units."""
+    """Number of whole drive periods inside ``duration`` internal time units.
+
+    Raises OverflowError from 2^53 periods up (non-finite counts included),
+    where a double no longer holds every whole count exactly.
+    """
     if duration < 0 or freq_over_h <= 0:
         raise ValueError("need duration >= 0 and a positive frequency")
-    drive_phase = duration * freq_over_h
-    if not np.isfinite(drive_phase):
-        raise ValueError(
-            f"duration {duration} at freq_over_h {freq_over_h} holds more drive "
-            "periods than a float can count"
+    periods = duration * freq_over_h / (2.0 * np.pi)
+    if not periods < 2.0 ** 53:
+        raise OverflowError(
+            f"duration {duration} at freq_over_h {freq_over_h} spans {periods:.3g} "
+            "drive periods; counts from 2^53 up are not exact in a float"
         )
-    return int(np.floor(drive_phase / (2.0 * np.pi) + _PERIOD_COUNT_NUDGE))
+    return int(np.floor(periods + _PERIOD_COUNT_NUDGE))
 
 
 @dataclass(frozen=True)
@@ -70,25 +74,21 @@ class NoisyCycleSpec:
                 raise ValueError(f"period op on {label!r}, which is not an actuator")
 
 
-def _ops_superop(spec: NoisyCycleSpec, positions_of, nqubits: int) -> np.ndarray:
-    """Superoperator of the per-period operations on ``nqubits`` qubits."""
-    s = np.eye(4 ** nqubits, dtype=complex)
+def actuator_superop(spec: NoisyCycleSpec) -> np.ndarray:
+    """Per-period operations on the actuator factor."""
+    acts = spec.layout.actuators
+    if not acts:
+        raise ValueError("cycle has no actuators")
+    s = np.eye(4 ** len(acts), dtype=complex)
     for label, kraus in spec.period_ops:
-        s = embed_superop(kraus_to_superop(kraus), (positions_of(label),), nqubits) @ s
+        s = embed_superop(kraus_to_superop(kraus), (acts.index(label),), len(acts)) @ s
     return s
 
 
 def cycle_superop(spec: NoisyCycleSpec) -> np.ndarray:
     """Per-period actuator operations on the full system (no free flight)."""
-    return _ops_superop(spec, spec.layout.position, spec.layout.nqubits)
-
-
-def actuator_superop(spec: NoisyCycleSpec) -> np.ndarray:
-    """Per-period operations restricted to the actuator factor."""
-    acts = spec.layout.actuators
-    if not acts:
-        raise ValueError("cycle has no actuators")
-    return _ops_superop(spec, acts.index, len(acts))
+    na = len(spec.layout.actuators)
+    return embed_superop(actuator_superop(spec), range(na), spec.layout.nqubits)
 
 
 @dataclass
@@ -149,8 +149,7 @@ def period_superop(spec: NoisyCycleSpec, period: float) -> np.ndarray:
 class NocoResult:
     """Realized register channel of a frequently driven cycle."""
 
-    channel: Channel
-    registers: tuple
+    superop: np.ndarray
     n_periods: int
     residual_time: float
 
@@ -171,8 +170,7 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
     prop = matrix_power_int(period_superop(spec, dt), n)
     s_reg = reduce_superop(prop, nq, range(na, nq), np.eye(da, dtype=complex) / da)
     return NocoResult(
-        channel=Channel(s_reg, nq - na),
-        registers=spec.layout.registers,
+        superop=s_reg,
         n_periods=n,
         residual_time=duration - n * dt,
     )

@@ -166,7 +166,7 @@ def test_criterion_6_oracle_equivalence():
             for _ in range(n):
                 sigma = s_flight @ (s_ops @ sigma)
             stepped = partial_trace(unvec(sigma, 4), 2, (1,))
-            dev = np.max(np.abs(apply_channel(run.channel, rho) - stepped))
+            dev = np.max(np.abs(apply_channel(run.superop, rho) - stepped))
             worst_prop = max(worst_prop, dev)
 
     worst_distill = 0.0

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from nocosim.channels import (
-    Channel,
     apply_channel,
-    channel_from_kraus,
+    check_cptp,
     depolarizing,
     depolarizing_kraus,
     entanglement_fidelity,
@@ -26,13 +25,16 @@ def random_kraus_channel(rng, d, n_ops=3):
 def test_unitary_channel_superop():
     u = unitary_evolution(SX, 0.6)
     ch = unitary_channel(u)
-    assert np.allclose(ch.smatrix, np.kron(u.conj(), u))
-    ch.validate()
+    assert np.allclose(ch, np.kron(u.conj(), u))
+    check_cptp(ch)
 
 
 def test_channel_shape_validation():
-    with pytest.raises(ValueError):
-        Channel(np.eye(4), 2)
+    # a superoperator must be d^2 x d^2 with d = 2^n; 8 x 8 is neither
+    for refuse in (check_cptp, pauli_twirl, lambda s: apply_channel(s, I2),
+                   lambda s: entanglement_fidelity(s, I2)):
+        with pytest.raises(ValueError, match="not d\\^2 x d\\^2"):
+            refuse(np.eye(8))
 
 
 def test_depolarizing_action_and_fidelity():
@@ -52,7 +54,7 @@ def test_depolarizing_action_and_fidelity():
 def test_depolarizing_kraus_matches_superop():
     eps = 0.42
     assert np.allclose(
-        kraus_to_superop(depolarizing_kraus(eps)), depolarizing(eps).smatrix, atol=1e-12
+        kraus_to_superop(depolarizing_kraus(eps)), depolarizing(eps), atol=1e-12
     )
 
 
@@ -76,7 +78,7 @@ def test_kraus_round_trip():
     for d in (2, 4):
         ks = random_kraus_channel(rng, d)
         s = kraus_to_superop(ks)
-        Channel(s, int(np.log2(d))).validate()
+        check_cptp(s)
         choi = superop_to_choi(s)
         assert np.isclose(np.trace(choi).real, d, atol=1e-10)
 
@@ -84,7 +86,7 @@ def test_kraus_round_trip():
 def test_channel_from_kraus_validates():
     bad = [np.eye(2) * 0.5]
     with pytest.raises(ValueError):
-        channel_from_kraus(bad).validate()
+        check_cptp(kraus_to_superop(bad))
 
 
 def test_entanglement_fidelity_unitary():
@@ -124,7 +126,7 @@ def test_pauli_twirl_two_qubit_keys():
 def test_apply_channel_matches_kraus_sum():
     rng = np.random.default_rng(23)
     ks = random_kraus_channel(rng, 2)
-    ch = channel_from_kraus(ks)
+    ch = kraus_to_superop(ks)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = m @ m.conj().T
     rho /= np.trace(rho)
@@ -135,4 +137,4 @@ def test_apply_channel_matches_kraus_sum():
 def test_trace_preservation_check():
     ident = vec(np.eye(2, dtype=complex))
     ch = depolarizing(0.7)
-    assert np.allclose(ch.smatrix.conj().T @ ident, ident, atol=1e-12)
+    assert np.allclose(ch.conj().T @ ident, ident, atol=1e-12)

@@ -145,8 +145,13 @@ def test_no_threshold_exit_code():
 
 def test_period_count_overflow_exit_code(capsys):
     # pi / 1.6 * 1e308 overflows: a clear error, not int(inf)
-    assert run(["gate-error", "--freq_over_h", "1e308"]) == 1
+    assert run(["gate-error", "--freq_over_h", "1e308"]) == 2
     assert "freq_over_h 1e+308" in capsys.readouterr().err
+    # rz's finite but astronomical count used to print a nan row
+    assert run(["gate-error", "--gate", "rz", "--freq_over_h", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert "freq_over_h 1e+308" in captured.err
+    assert captured.out == ""
 
 
 def test_unwritable_output_exit_code():

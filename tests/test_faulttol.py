@@ -37,9 +37,9 @@ def naive_distill(config: DistillationConfig):
     if config.noisy_init:
         anc = sum(k @ anc @ k.conj().T for k in depolarizing_kraus(eps))
     if config.noisy_gate:
-        s_gate = realized_channel("rzz_prime", eps, config.freq_over_h).channel.smatrix
+        s_gate = realized_channel("rzz_prime", eps, config.freq_over_h).superop
     else:
-        s_gate = unitary_channel(RZZ_PRIME_TARGET).smatrix
+        s_gate = unitary_channel(RZZ_PRIME_TARGET)
     if config.noisy_meas:
         meas_kraus = [np.kron(I2, k) for k in depolarizing_kraus(eps)]
     else:
@@ -101,7 +101,7 @@ def test_distill_rejects_non_diagonal_round(monkeypatch):
     # a data-qubit x rotation after the gate breaks the per-class sum
     tilted = unitary_channel(np.kron(RX_TARGET, I2) @ RZZ_PRIME_TARGET)
     monkeypatch.setattr(
-        faulttol, "realized_channel", lambda *args, **kwargs: SimpleNamespace(channel=tilted)
+        faulttol, "realized_channel", lambda *args, **kwargs: SimpleNamespace(superop=tilted)
     )
     with pytest.raises(ValueError, match="off the data input"):
         distill(DistillationConfig(rounds=3, eps=0.1, freq_over_h=1e4))

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nocosim.channels import entanglement_fidelity, pauli_twirl, unitary_channel
+from nocosim import gates
+from nocosim.channels import (
+    check_cptp,
+    entanglement_fidelity,
+    pauli_twirl,
+    unitary_channel,
+)
 from nocosim.gates import (
     GATE_NAMES,
     RZ_TARGET,
@@ -23,6 +29,7 @@ from nocosim.qcore import (
     SZ,
     kron,
     projector,
+    reduce_superop,
     unitary_evolution,
 )
 
@@ -48,7 +55,7 @@ def test_duration_rules():
 def test_noiseless_high_frequency_limit():
     for name in ("rz", "phase_z", "rx", "rzz", "rzz_prime"):
         run = realized_channel(name, 0.0, 1e6)
-        fid = entanglement_fidelity(run.channel, recipe(name).target)
+        fid = entanglement_fidelity(run.superop, recipe(name).target)
         assert fid > 1.0 - 1e-4, name
 
 
@@ -56,7 +63,7 @@ def test_noisy_duration_compensation():
     # the stretched duration compensates the polarization loss: the noisy
     # gate still converges to the same target as the frequency grows
     run = realized_channel("rz", 0.4, 1e6)
-    assert entanglement_fidelity(run.channel, RZ_TARGET) > 1.0 - 1e-3
+    assert entanglement_fidelity(run.superop, RZ_TARGET) > 1.0 - 1e-3
 
 
 def test_swap_identity():
@@ -97,14 +104,14 @@ def test_rzz_prime_hamiltonian_shape():
     st.floats(3e2, 3e3),
 )
 def test_realized_channels_stay_cptp(name, eps, f):
-    realized_channel(name, eps, f).channel.validate()
-    gate_error_channel(name, eps, f).validate()
+    check_cptp(realized_channel(name, eps, f).superop)
+    check_cptp(gate_error_channel(name, eps, f))
 
 
 def test_gate_error_channel_is_small_at_low_noise():
     err = gate_error_channel("rz", 0.0, 1e5)
     assert entanglement_fidelity(err, I2) > 1.0 - 1e-3
-    err.validate()
+    check_cptp(err)
 
 
 def test_decouple_single_period_residuals():
@@ -114,13 +121,13 @@ def test_decouple_single_period_residuals():
     # twirl weight is sin^2(dt)
     run = realized_channel("decouple_ising", 0.0, f, duration=dt)
     assert run.n_periods == 1
-    dist = pauli_twirl(run.channel)
+    dist = pauli_twirl(run.superop)
     assert np.isclose(dist.probs["ZZ"], np.sin(dt) ** 2, atol=1e-12)
     assert np.isclose(dist.probs["II"], np.cos(dt) ** 2, atol=1e-12)
     assert np.isclose(dist.marginal(0, "x"), np.sin(dt) ** 2, atol=1e-12)
     # twirled exchange coupling: one period depolarizes at sin^2(2 dt)
     run = realized_channel("decouple_heisenberg", 0.0, f, duration=dt)
-    dist = pauli_twirl(run.channel)
+    dist = pauli_twirl(run.superop)
     s = np.sin(2.0 * dt) ** 2
     for p in "XYZ":
         assert np.isclose(dist.probs[p], s / 4.0, atol=1e-12)
@@ -139,23 +146,36 @@ def test_transfer_finite_frequency():
     # independent of the parked states even though it deviates from ideal
     assert rep.max_pair_distance < 1e-8
     assert 1e-3 < rep.max_distance_to_rzz < 0.1
-    ch = transfer_cphase_circuit(
-        projector("+"), I2 / 2.0, "finite_frequency", 0.2, 1e3
-    )
-    ch.validate()
+    circuit = transfer_cphase_circuit(realized_channel("rzz", 0.2, 1e3).superop)
+    check_cptp(reduce_superop(circuit, 4, (1, 3), kron(I2 / 2.0, projector("+"))))
+
+
+def test_transfer_report_realizes_the_gate_once(monkeypatch):
+    # the realized gate does not depend on the probe states
+    calls = []
+    original = gates.realized_channel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "realized_channel", counting)
+    transfer_independence_report("finite_frequency", 0.2, 1e3)
+    assert calls == [("rzz", 0.2, 1e3)]
 
 
 def test_transfer_mode_validation():
     with pytest.raises(ValueError):
-        transfer_cphase_circuit(projector("0"), projector("0"), "finite_frequency")
+        transfer_independence_report("finite_frequency")
     with pytest.raises(ValueError):
-        transfer_cphase_circuit(projector("0"), projector("0"), "bogus")
+        transfer_independence_report("bogus")
 
 
 def test_transfer_ideal_matches_rzz_unitary():
-    ch = transfer_cphase_circuit(projector("1"), projector("+"), "ideal")
-    s_rzz = unitary_channel(RZZ_TARGET).smatrix
-    assert np.linalg.norm(ch.smatrix - s_rzz) < 1e-10
+    s_rzz = unitary_channel(RZZ_TARGET)
+    circuit = transfer_cphase_circuit(s_rzz)
+    ch = reduce_superop(circuit, 4, (1, 3), kron(projector("+"), projector("1")))
+    assert np.linalg.norm(ch - s_rzz) < 1e-10
 
 
 def test_depolarizing_fixed_states_forms():
@@ -193,5 +213,5 @@ def test_effective_rotation_angle_tracks_duration():
     full = realized_channel("rz", 0.0, 1e5)
     half = realized_channel("rz", 0.0, 1e5, duration=recipe("rz").duration(0.0) / 2)
     u_half = unitary_evolution(SZ, np.pi / 8.0)
-    assert entanglement_fidelity(half.channel, u_half) > 1.0 - 1e-4
-    assert entanglement_fidelity(full.channel, u_half) < 0.99
+    assert entanglement_fidelity(half.superop, u_half) > 1.0 - 1e-4
+    assert entanglement_fidelity(full.superop, u_half) < 0.99

@@ -3,6 +3,7 @@ import pytest
 
 from nocosim.channels import (
     apply_channel,
+    check_cptp,
     depolarizing_kraus,
     initialization_kraus,
 )
@@ -65,7 +66,7 @@ def test_cycle_spec_validation():
     with pytest.raises(ValueError):
         period_count(-1.0, 1e4)
     # the period count of a phase gate at f = 1e308 overflows a float
-    with pytest.raises(ValueError, match=r"duration 1\.9\d* at freq_over_h 1e\+308"):
+    with pytest.raises(OverflowError, match=r"duration 1\.9\d* at freq_over_h 1e\+308"):
         period_count(np.pi / (2.0 * 0.8), 1e308)
 
 
@@ -157,13 +158,13 @@ def test_noco_channel_matches_step_propagation():
         for _ in range(n):
             sigma = s_flight @ (s_ops @ sigma)
         expected = partial_trace(unvec(sigma, 4), 2, (1,))
-        assert np.allclose(apply_channel(run.channel, rho_r), expected, atol=1e-10)
+        assert np.allclose(apply_channel(run.superop, rho_r), expected, atol=1e-10)
 
 
 def test_noco_channel_is_trace_preserving():
     run = noco_channel(init_cycle(0.4), 1.3, 500.0)
-    run.channel.validate()
-    assert run.registers == ("q",)
+    check_cptp(run.superop)
+    assert run.superop.shape == (4, 4)  # the one register qubit "q"
 
 
 def test_period_superop_composition_order():
