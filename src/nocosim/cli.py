@@ -175,13 +175,14 @@ def _map_tasks(fn, tasks, workers: int):
     Spawned workers read the thread variables when numpy loads, so they are
     set only while the pool starts and restored afterwards.
     """
-    if workers <= 1 or len(tasks) <= 1:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes <= 1:
         return [fn(*t) for t in tasks]
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         ctx = multiprocessing.get_context("spawn")
-        pool = ctx.Pool(processes=min(workers, len(tasks)))
+        pool = ctx.Pool(processes=processes)
     finally:
         for var, value in saved.items():
             if value is None:

@@ -8,6 +8,7 @@ times scale like 1/(1 - eps).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,17 +166,25 @@ def recipe(name: str) -> GateRecipe:
     return _RECIPES[name]
 
 
+@lru_cache()
 def realized_channel(
     name: str,
     eps: float,
     freq_over_h: float,
     duration: float | None = None,
 ) -> NocoResult:
-    """Finite-frequency register channel of a catalog gate."""
+    """Finite-frequency register channel of a catalog gate.
+
+    Remembers its last 128 channels: a threshold search asks for the same
+    channels at every round count.  Callers share the cached result, so its
+    superoperator is read-only.
+    """
     rec = recipe(name)
     if duration is None:
         duration = rec.duration(eps)
-    return noco_channel(rec.cycle(eps), duration, freq_over_h)
+    run = noco_channel(rec.cycle(eps), duration, freq_over_h)
+    run.superop.setflags(write=False)
+    return run
 
 
 def infidelity_surface(eps_values, freq_values, gate_name: str):

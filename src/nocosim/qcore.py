@@ -221,15 +221,22 @@ def matrix_power_int(m: np.ndarray, n: int) -> np.ndarray:
     """m**n for integer n >= 0 by squaring."""
     if n < 0 or n != int(n):
         raise ValueError(f"exponent must be a non-negative integer, got {n}")
-    result = np.eye(m.shape[0], dtype=complex)
-    base = np.asarray(m, dtype=complex)
     n = int(n)
+    if n == 0:
+        return np.eye(m.shape[0], dtype=complex)
+    base = np.array(m, dtype=complex)
+    # start from the lowest set bit: a product with the identity costs a
+    # full multiply and changes no bit
+    while not n & 1:
+        base = base @ base
+        n >>= 1
+    result = base
+    n >>= 1
     while n:
+        base = base @ base
         if n & 1:
             result = result @ base
         n >>= 1
-        if n:
-            base = base @ base
     return result
 
 

@@ -145,7 +145,7 @@ def period_superop(spec: NoisyCycleSpec, period: float) -> np.ndarray:
     return flight @ cycle_superop(spec)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NocoResult:
     """Realized register channel of a frequently driven cycle."""
 

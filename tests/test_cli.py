@@ -81,8 +81,15 @@ def test_pool_is_no_larger_than_task_list(monkeypatch):
         Pool = SerialPool
 
     monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: SerialContext)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     assert cli._map_tasks(pow, [(2, 3), (3, 2)], workers=64) == [8, 9]
     assert started == [2]
+    # nor larger than the machine: one worker per CPU
+    started.clear()
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    tasks = [(2, k) for k in range(10)]
+    assert cli._map_tasks(pow, tasks, workers=64) == [2 ** k for k in range(10)]
+    assert started == [3]
 
 
 def test_stdout_mode(capsys):

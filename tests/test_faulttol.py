@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nocosim import faulttol
+from nocosim import faulttol, gates
 from nocosim.cli import _map_tasks
 from nocosim.channels import depolarizing_kraus, unitary_channel
 from nocosim.faulttol import (
@@ -259,3 +259,34 @@ def test_threshold_sweep_workers_agree():
     parallel = _map_tasks(threshold, tasks, workers=2)
     assert [p.eps_star for p in serial] == [p.eps_star for p in parallel]
     assert [(p.freq_over_h, p.rounds) for p in serial] == [(1e3, 1), (1e3, 3)]
+
+
+def test_threshold_builds_each_channel_once(monkeypatch):
+    # the rzz_prime, rx and rzz channels of a budget do not depend on rounds
+    gates.realized_channel.cache_clear()
+    builds = []
+    original_build = gates.noco_channel
+    original_budget = faulttol.vacuum_error_budget
+
+    def counting_build(*args):
+        builds.append(args)
+        return original_build(*args)
+
+    seen = set()
+
+    def recording_budget(eps, *args):
+        seen.add(float(eps))
+        return original_budget(eps, *args)
+
+    monkeypatch.setattr(gates, "noco_channel", counting_build)
+    monkeypatch.setattr(faulttol, "vacuum_error_budget", recording_budget)
+    for n in (15, 17):
+        threshold(1e3, n, bisect_tol=1e-3)
+    assert len(builds) == 3 * len(seen)
+
+    run = realized_channel("rx", 0.2, 1e3)
+    assert realized_channel("rx", 0.2, 1e3) is run
+    with pytest.raises(ValueError):
+        run.superop[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        run.n_periods = 0

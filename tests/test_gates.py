@@ -1,9 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nocosim import gates
+from nocosim import faulttol, gates
 from nocosim.channels import (
     check_cptp,
     entanglement_fidelity,
@@ -162,6 +164,14 @@ def test_transfer_report_realizes_the_gate_once(monkeypatch):
     monkeypatch.setattr(gates, "realized_channel", counting)
     transfer_independence_report("finite_frequency", 0.2, 1e3)
     assert calls == [("rzz", 0.2, 1e3)]
+
+
+def test_realized_channel_stays_traceable():
+    # a span tracer binds realized_channel's arguments to read the gate name,
+    # and rebinds the function by identity in every module that imports it
+    bound = inspect.signature(gates.realized_channel).bind("rzz", 0.2, 1e3)
+    assert bound.arguments["name"] == "rzz"
+    assert faulttol.realized_channel is gates.realized_channel
 
 
 def test_transfer_mode_validation():

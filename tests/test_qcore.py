@@ -144,8 +144,13 @@ def test_vec_column_stacking():
 def test_matrix_power_int():
     rng = np.random.default_rng(12)
     m = rng.normal(size=(5, 5)) / 3.0
+    z = m + 1j * rng.normal(size=(5, 5)) / 3.0
     for n in (0, 1, 2, 7, 64):
         assert np.allclose(matrix_power_int(m, n), np.linalg.matrix_power(m, n), atol=1e-10)
+        assert np.allclose(matrix_power_int(z, n), np.linalg.matrix_power(z, n), atol=1e-10)
+    assert np.array_equal(matrix_power_int(z, 0), np.eye(5))
+    one = matrix_power_int(z, 1)
+    assert one is not z and np.array_equal(one, z)
 
 
 def test_pauli_string_operator():
