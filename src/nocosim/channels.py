@@ -19,7 +19,7 @@ import numpy as np
 from .qcore import I2, SX, SY, SZ, pauli_string_operator, pauli_strings, unvec, vec
 
 
-def _nqubits(s) -> int:
+def channel_nqubits(s) -> int:
     """Qubit count n of a 4^n x 4^n superoperator; refuse any other shape."""
     shape = np.shape(s)
     n = int(round(np.log2(shape[0]) / 2.0)) if len(shape) == 2 and shape[0] else 0
@@ -30,7 +30,7 @@ def _nqubits(s) -> int:
 
 def check_cptp(s, atol: float = 1e-9) -> None:
     """Check trace preservation and complete positivity; raise if violated."""
-    d = 2 ** _nqubits(s)
+    d = 2 ** channel_nqubits(s)
     ident = vec(np.eye(d, dtype=complex))
     defect = np.linalg.norm(s.conj().T @ ident - ident)
     if defect > atol:
@@ -80,7 +80,7 @@ def initialization_kraus() -> list[np.ndarray]:
 
 
 def apply_channel(s: np.ndarray, rho) -> np.ndarray:
-    d = 2 ** _nqubits(s)
+    d = 2 ** channel_nqubits(s)
     return unvec(s @ vec(rho), d)
 
 
@@ -98,7 +98,7 @@ def entanglement_fidelity(s: np.ndarray, target_unitary) -> float:
     """
     u = np.asarray(target_unitary, dtype=complex)
     d = u.shape[0]
-    if 2 ** _nqubits(s) != d:
+    if 2 ** channel_nqubits(s) != d:
         raise ValueError("channel and target act on different dimensions")
     su = np.kron(u.conj(), u)
     return float(np.real(np.vdot(su, s)) / d ** 2)
@@ -130,7 +130,7 @@ def pauli_twirl(s: np.ndarray) -> PauliErrorDistribution:
     by the Pauli string P.  For a CPTP channel the probabilities are real
     and sum to one.
     """
-    n = _nqubits(s)
+    n = channel_nqubits(s)
     probs = {}
     for string in pauli_strings(n):
         p = pauli_string_operator(string)

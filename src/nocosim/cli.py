@@ -98,19 +98,23 @@ CONFIG = {
 
 
 def read_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -210,7 +214,8 @@ def _eff_h_row(gate, eps):
 
 
 def _eff_h_columns(cfg):
-    nregisters = len(gates.recipe(cfg["gate"]).layout.registers)
+    spec = gates.recipe(cfg["gate"]).cycle(0.0)
+    nregisters = spec.nqubits - spec.n_actuators
     return ["epsilon_i", "epsilon_h"] + [f"c_{s}" for s in pauli_strings(nregisters)]
 
 
@@ -278,7 +283,7 @@ def _check_command(command: str, cfg: dict) -> None:
     gate = cfg["gate"]
     if "gate" in COMMANDS[command][1] and gate not in gates.GATE_NAMES:
         raise UnknownGateError(f"unknown gate {gate!r}; known: {', '.join(gates.GATE_NAMES)}")
-    if command == "fixed-state" and len(gates.recipe(gate).layout.actuators) != 1:
+    if command == "fixed-state" and gates.recipe(gate).cycle(0.0).n_actuators != 1:
         raise ConfigError("fixed-state output is defined for single-actuator gates")
     if command == "gate-error" and gates.recipe(gate).duration_rule is None:
         raise ConfigError("gate-error needs a gate with a duration rule")

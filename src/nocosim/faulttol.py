@@ -20,7 +20,7 @@ until that budget hits the correcting code's tolerance.
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, log
 
 import numpy as np
 
@@ -122,24 +122,34 @@ def _round_rates(config: DistillationConfig) -> np.ndarray:
     return rates
 
 
+def _log_power(rate: float, k: np.ndarray) -> np.ndarray:
+    """log(rate ** k) for each entry of k, with 0 ** 0 = 1."""
+    if rate > 0.0:
+        return k * log(rate)
+    return np.where(k == 0, 0.0, -np.inf)
+
+
 def distill(config: DistillationConfig) -> DistillationResult:
     """Score the Bayes failure rate of n-round distillation by record class.
 
     A record with k "-" outcomes has likelihood a_x^(n-k) b_x^k under input
     |x>, where a_x and b_x are the per-round "+" and "-" rates, so
-    p_fail = 1/2 sum_k C(n, k) min(p0_k, p1_k).
+    p_fail = 1/2 sum_k C(n, k) min(p0_k, p1_k).  The sum runs in log space:
+    a_x^(n-k) b_x^k underflows at large n long before C(n, k) a_x^(n-k) b_x^k.
     """
     n = config.rounds
     rates = _round_rates(config)
     k = np.arange(n + 1)
-    p0, p1 = rates[:, :1] ** (n - k) * rates[:, 1:] ** k
+    log0, log1 = (_log_power(a, n - k) + _log_power(b, k) for a, b in rates)
     sizes = np.array([float(comb(n, j)) for j in k])
-    p_sum = p0 + p1
-    posteriors = np.divide(p0, p_sum, out=np.full_like(p_sum, 0.5), where=p_sum > 0)
+    log_sum = np.logaddexp(log0, log1)
+    live = log_sum > -np.inf
+    posteriors = np.full(n + 1, 0.5)
+    posteriors[live] = np.exp(log0[live] - log_sum[live])
     return DistillationResult(
-        p_fail=float(0.5 * np.dot(sizes, np.minimum(p0, p1))),
+        p_fail=float(0.5 * np.exp(np.log(sizes) + np.minimum(log0, log1)).sum()),
         class_sizes=sizes,
-        class_probs=0.5 * p_sum,
+        class_probs=0.5 * np.exp(log_sum),
         posteriors=posteriors,
         rounds=n,
     )

@@ -1,7 +1,7 @@
 """Interaction Hamiltonians, driven-gate recipes, and circuit identities.
 
 Each recipe pairs an interaction Hamiltonian with the per-period actuator
-operations that freeze the actuator, the drive duration that realizes a
+channel that freezes the actuator, the drive duration that realizes a
 target register unitary, and that target.  Durations compensate the noise
 rate: a depolarized reset leaves actuator polarization (1 - eps), so gate
 times scale like 1/(1 - eps).
@@ -13,9 +13,11 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import (
+    depolarizing,
     depolarizing_kraus,
     entanglement_fidelity,
     initialization_kraus,
+    kraus_to_superop,
     unitary_channel,
 )
 from .qcore import (
@@ -23,7 +25,6 @@ from .qcore import (
     SX,
     SY,
     SZ,
-    SystemLayout,
     bloch_vector,
     embed_operator,
     embed_superop,
@@ -36,12 +37,9 @@ from .zeno import NocoResult, NoisyCycleSpec, fixed_state, noco_channel
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
-LAYOUTS = {
-    "heisenberg": SystemLayout(("a", "q"), actuators=("a",)),
-    "ising3": SystemLayout(("a", "q1", "q2"), actuators=("a",)),
-    "xy": SystemLayout(("a", "c1", "p2"), actuators=("a",)),
-    "rzz_prime": SystemLayout(("ta", "sa", "dq", "aq"), actuators=("ta", "sa")),
-}
+# Qubit order, actuators first: heisenberg (a, q), ising3 (a, q1, q2),
+# xy (a, c1, p2), rzz_prime (triangle actuator ta, square actuator sa,
+# data dq, ancilla aq).
 
 
 def _heisenberg_h() -> np.ndarray:
@@ -80,7 +78,7 @@ RZ_TARGET = (I2 - 1j * SZ) / np.sqrt(2.0)
 RX_TARGET = (I2 - 1j * SX) / np.sqrt(2.0)
 PHASE_Z_TARGET = unitary_evolution(SZ, np.pi / 2.0)
 RZZ_TARGET = (np.eye(4, dtype=complex) - 1j * kron(SZ, SZ)) / np.sqrt(2.0)
-# phase gate on the ancilla conditioned on the data qubit, on labels (dq, aq)
+# phase gate on the ancilla conditioned on the data qubit, on (dq, aq)
 RZZ_PRIME_TARGET = unitary_evolution(kron(I2, SZ) + kron(SZ, SZ), np.pi / 4.0)
 
 
@@ -89,9 +87,8 @@ class GateRecipe:
     """A driven gate: cycle template, duration rule, and ideal target."""
 
     name: str
-    layout: SystemLayout
     hamiltonian: np.ndarray
-    ops_builder: object        # eps -> period_ops tuple
+    actuator: object           # eps -> actuator superoperator of one period
     duration_rule: object      # eps -> float, or None for decoupling
     target: np.ndarray
 
@@ -106,52 +103,43 @@ class GateRecipe:
         return self.duration_rule(eps)
 
     def cycle(self, eps: float) -> NoisyCycleSpec:
-        return NoisyCycleSpec(self.layout, self.hamiltonian, self.ops_builder(eps))
+        return NoisyCycleSpec(self.hamiltonian, self.actuator(eps))
 
 
 def _recipes() -> dict:
-    heis = LAYOUTS["heisenberg"]
-    ising = LAYOUTS["ising3"]
-    xy = LAYOUTS["xy"]
-    rzzp = LAYOUTS["rzz_prime"]
-    tw = tuple(depolarizing_kraus(1.0))
+    def init(eps):
+        return kraus_to_superop(noisy_initialization_kraus(eps))
 
-    def init_ops(eps):
-        return (("a", noisy_initialization_kraus(eps)),)
+    def init_hadamard(eps):
+        return kraus_to_superop(noisy_hadamard_kraus(eps)) @ init(eps)
 
-    def init_hadamard_ops(eps):
-        return (("a", noisy_initialization_kraus(eps)),
-                ("a", noisy_hadamard_kraus(eps)))
+    def init_both(eps):
+        s = init(eps)
+        return embed_superop(s, (1,), 2) @ embed_superop(s, (0,), 2)
 
-    def rzzp_ops(eps):
-        ni = noisy_initialization_kraus(eps)
-        return (("ta", ni), ("sa", ni))
+    def twirl(_eps):
+        return depolarizing(1.0)
 
+    heis, ising, xy = _heisenberg_h(), _ising3_h(), _xy_h()
     return {
         "rz": GateRecipe(
-            "rz", heis, _heisenberg_h(), init_ops,
-            lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
+            "rz", heis, init, lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
         "phase_z": GateRecipe(
-            "phase_z", heis, _heisenberg_h(), init_ops,
-            lambda e: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
+            "phase_z", heis, init, lambda e: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
         "rx": GateRecipe(
-            "rx", heis, _heisenberg_h(), init_hadamard_ops,
+            "rx", heis, init_hadamard,
             lambda e: np.pi / (4.0 * (1.0 - e) * (1.0 - e)), RX_TARGET),
         "rzz": GateRecipe(
-            "rzz", ising, _ising3_h(), init_ops,
-            lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
+            "rzz", ising, init, lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
         "rzz_prime": GateRecipe(
-            "rzz_prime", rzzp, _rzz_prime_h(), rzzp_ops,
+            "rzz_prime", _rzz_prime_h(), init_both,
             lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_PRIME_TARGET),
         "decouple_heisenberg": GateRecipe(
-            "decouple_heisenberg", heis, _heisenberg_h(),
-            lambda e: (("a", tw),), None, np.eye(2, dtype=complex)),
+            "decouple_heisenberg", heis, twirl, None, np.eye(2, dtype=complex)),
         "decouple_ising": GateRecipe(
-            "decouple_ising", ising, _ising3_h(),
-            lambda e: (("a", tw),), None, np.eye(4, dtype=complex)),
+            "decouple_ising", ising, twirl, None, np.eye(4, dtype=complex)),
         "decouple_xy": GateRecipe(
-            "decouple_xy", xy, _xy_h(),
-            lambda e: (("a", tw),), None, np.eye(4, dtype=complex)),
+            "decouple_xy", xy, twirl, None, np.eye(4, dtype=complex)),
     }
 
 

@@ -1,4 +1,4 @@
-"""Dense operator algebra for small labeled multi-qubit systems.
+"""Dense operator algebra for small multi-qubit systems.
 
 Everything works on explicit numpy arrays; dimensions stay small (at most
 a handful of qubits), so there is no sparsity or symmetry exploitation.
@@ -6,9 +6,8 @@ Internal units set hbar = J = 1.
 
 Conventions used throughout the package:
 
-* Tensor order follows the label order of a ``SystemLayout``; the leftmost
-  label is the most significant factor, i.e. ``kron(A, B)`` puts ``A`` on
-  the first label.
+* Qubit 0 is the most significant tensor factor, i.e. ``kron(A, B)`` puts
+  ``A`` on qubit 0; in a driven cycle the actuator qubits come first.
 * Superoperators use column stacking, ``vec(A @ rho @ B) ==
   kron(B.T, A) @ vec(rho)``, with ``vec(rho) = rho.flatten(order="F")``.
   The index of ``vec(rho)`` then runs over the column qubits first and the
@@ -22,7 +21,6 @@ Conventions used throughout the package:
   then induces sum_k 2 p_k(rho) sigma_k on the register.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -66,45 +64,6 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op, dtype=complex))
     return out
-
-
-@dataclass(frozen=True)
-class SystemLayout:
-    """Ordered qubit labels with a designated actuator subset.
-
-    ``labels`` fixes the tensor order; ``actuators`` marks which labels are
-    actuator qubits (frozen by the noisy cycle), the rest are register
-    qubits.  Contractions in the simulator assume all actuator labels come
-    before all register labels.
-    """
-
-    labels: tuple[str, ...]
-    actuators: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate labels in {self.labels}")
-        for a in self.actuators:
-            if a not in self.labels:
-                raise ValueError(f"actuator {a!r} not among labels {self.labels}")
-        n_act = len(self.actuators)
-        if self.labels[:n_act] != tuple(self.actuators):
-            raise ValueError("actuator labels must form a prefix of the layout")
-
-    @property
-    def nqubits(self) -> int:
-        return len(self.labels)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** len(self.labels)
-
-    @property
-    def registers(self) -> tuple[str, ...]:
-        return tuple(l for l in self.labels if l not in self.actuators)
-
-    def position(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 def partial_trace(mat, nqubits: int, keep) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Register dynamics under frequently repeated noisy actuator operations.
 
-A cycle is one period of the drive: a fixed sequence of noisy operations on
-actuator qubits followed by free evolution of the whole system for one
+A cycle is one period of the drive: one noisy channel on the actuator
+qubits, then free evolution of the whole system for the rest of the
 period.  Repeated fast enough, the actuator is pinned to the fixed state of
 the per-period operation and the register evolves under an effective
 Hamiltonian obtained by averaging the interaction over that state.  At
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import kraus_to_superop
+from .channels import channel_nqubits
 from .qcore import (
-    SystemLayout,
     embed_superop,
     matrix_power_int,
     reduce_superop,
@@ -53,42 +52,39 @@ def period_count(duration: float, freq_over_h: float) -> int:
 
 @dataclass(frozen=True)
 class NoisyCycleSpec:
-    """One drive period: labeled actuator operations, then free flight.
+    """One drive period: the actuator channel, then free flight.
 
-    ``period_ops`` lists (actuator label, Kraus operators) pairs applied in
-    order at the start of each period.  The Hamiltonian acts on the full
-    layout and generates the free flight for the rest of the period.
+    ``actuator`` is the superoperator of one period's noisy operations on
+    the leading ``n_actuators`` qubits.  The Hamiltonian acts on all
+    ``nqubits`` qubits, actuators first, and generates the free flight for
+    the rest of the period.
     """
 
-    layout: SystemLayout
     hamiltonian: np.ndarray
-    period_ops: tuple
+    actuator: np.ndarray
 
     def __post_init__(self):
-        d = self.layout.dim
-        h = np.asarray(self.hamiltonian)
-        if h.shape != (d, d):
-            raise ValueError(f"hamiltonian shape {h.shape} does not match layout dim {d}")
-        for label, _ in self.period_ops:
-            if label not in self.layout.actuators:
-                raise ValueError(f"period op on {label!r}, which is not an actuator")
+        shape = np.shape(self.hamiltonian)
+        if len(shape) != 2 or not shape[0] or shape != (2 ** self.nqubits,) * 2:
+            raise ValueError(f"hamiltonian shape {shape} is not 2^n x 2^n")
+        if self.nqubits <= self.n_actuators:
+            raise ValueError(
+                f"cycle has no register qubit: {self.n_actuators} actuator qubits "
+                f"of {self.nqubits}"
+            )
 
+    @property
+    def n_actuators(self) -> int:
+        return channel_nqubits(self.actuator)
 
-def actuator_superop(spec: NoisyCycleSpec) -> np.ndarray:
-    """Per-period operations on the actuator factor."""
-    acts = spec.layout.actuators
-    if not acts:
-        raise ValueError("cycle has no actuators")
-    s = np.eye(4 ** len(acts), dtype=complex)
-    for label, kraus in spec.period_ops:
-        s = embed_superop(kraus_to_superop(kraus), (acts.index(label),), len(acts)) @ s
-    return s
+    @property
+    def nqubits(self) -> int:
+        return int(np.log2(len(self.hamiltonian)))
 
 
 def cycle_superop(spec: NoisyCycleSpec) -> np.ndarray:
     """Per-period actuator operations on the full system (no free flight)."""
-    na = len(spec.layout.actuators)
-    return embed_superop(actuator_superop(spec), range(na), spec.layout.nqubits)
+    return embed_superop(spec.actuator, range(spec.n_actuators), spec.nqubits)
 
 
 @dataclass
@@ -106,8 +102,8 @@ def fixed_state(spec: NoisyCycleSpec) -> FixedState:
     actuator state; the defect reports how far the result is from being a
     true fixed point.
     """
-    s = actuator_superop(spec)
-    da = 2 ** len(spec.layout.actuators)
+    s = spec.actuator
+    da = 2 ** spec.n_actuators
     rho = unvec(s @ vec(np.eye(da, dtype=complex) / da), da)
     defect = float(np.linalg.norm(s @ vec(rho) - vec(rho)))
     return FixedState(rho=rho, defect=defect)
@@ -120,7 +116,7 @@ def verify_projector(spec: NoisyCycleSpec, atol: float = 1e-10):
     Idempotence is what makes the frozen-actuator picture exact: every
     period re-projects the actuator onto the same state.
     """
-    s = actuator_superop(spec)
+    s = spec.actuator
     defect = float(np.linalg.norm(s @ s - s))
     return defect <= atol, defect
 
@@ -131,9 +127,8 @@ def effective_hamiltonian(spec: NoisyCycleSpec) -> np.ndarray:
     Tr_A[(rho_U (x) id_R) H] with rho_U the fixed state of the cycle.
     """
     rho = fixed_state(spec).rho
-    na = len(spec.layout.actuators)
-    da = 2 ** na
-    dr = spec.layout.dim // da
+    da = 2 ** spec.n_actuators
+    dr = 2 ** spec.nqubits // da
     h4 = np.asarray(spec.hamiltonian, dtype=complex).reshape(da, dr, da, dr)
     return np.einsum("ac,cras->rs", rho, h4)
 
@@ -164,8 +159,7 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
     """
     n = period_count(duration, freq_over_h)
     dt = 2.0 * np.pi / freq_over_h
-    na = len(spec.layout.actuators)
-    nq = spec.layout.nqubits
+    na, nq = spec.n_actuators, spec.nqubits
     da = 2 ** na
     prop = matrix_power_int(period_superop(spec, dt), n)
     s_reg = reduce_superop(prop, nq, range(na, nq), np.eye(da, dtype=complex) / da)

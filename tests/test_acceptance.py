@@ -14,6 +14,7 @@ from nocosim.channels import (
     apply_channel,
     depolarizing_kraus,
     initialization_kraus,
+    kraus_to_superop,
 )
 from nocosim.cli import main as cli_main
 from nocosim.faulttol import (
@@ -36,7 +37,6 @@ from nocosim.qcore import (
     SX,
     SY,
     SZ,
-    SystemLayout,
     kron,
     partial_trace,
     unitary_evolution,
@@ -60,29 +60,29 @@ def check(label, ok, detail):
 
 
 def _noisy_init(eps):
-    return tuple(d @ k for k in initialization_kraus() for d in depolarizing_kraus(eps))
+    return kraus_to_superop(
+        [d @ k for k in initialization_kraus() for d in depolarizing_kraus(eps)]
+    )
 
 
 def _noisy_h(eps):
-    return tuple(d @ HADAMARD for d in depolarizing_kraus(eps))
+    return kraus_to_superop([d @ HADAMARD for d in depolarizing_kraus(eps)])
 
 
 H_HEIS = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
 H_ISING = kron(SZ, SZ, SZ)
-AQ = SystemLayout(("a", "q"), actuators=("a",))
-AQQ = SystemLayout(("a", "q1", "q2"), actuators=("a",))
 
 
 def _init_cycle(eps):
-    return NoisyCycleSpec(AQ, H_HEIS, (("a", _noisy_init(eps)),))
+    return NoisyCycleSpec(H_HEIS, _noisy_init(eps))
 
 
 def _init_h_cycle(eps_i, eps_h):
-    return NoisyCycleSpec(AQ, H_HEIS, (("a", _noisy_init(eps_i)), ("a", _noisy_h(eps_h))))
+    return NoisyCycleSpec(H_HEIS, _noisy_h(eps_h) @ _noisy_init(eps_i))
 
 
 def _ising_cycle(eps):
-    return NoisyCycleSpec(AQQ, H_ISING, (("a", _noisy_init(eps)),))
+    return NoisyCycleSpec(H_ISING, _noisy_init(eps))
 
 
 def test_criterion_1_effective_hamiltonian_closed_forms():

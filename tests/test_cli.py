@@ -169,6 +169,15 @@ def test_missing_config_file_exit_code(tmp_path):
     assert run(["distill", "--config", str(tmp_path / "absent.cfg")]) == 5
 
 
+def test_non_utf8_config_file_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"gate = rx\n# \xff\n")
+    assert run(["fixed-state", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not UTF-8" in captured.err
+
+
 def test_noise_check_reports_failures_with_exit_zero(capsys):
     assert run(["noise-check", "--epsilon", "0.2,1.0"]) == 0
     out = capsys.readouterr().out

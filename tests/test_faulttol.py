@@ -1,3 +1,4 @@
+from decimal import Context
 from itertools import product
 from math import comb
 from types import SimpleNamespace
@@ -95,6 +96,34 @@ def test_distill_matches_leaf_enumeration():
         # a record's probability depends only on its count of "-" outcomes
         for idx, p in probs_naive.items():
             assert abs(res.class_probs[bin(idx).count("1")] - p) < 1e-12
+
+
+def decimal_p_fail(config: DistillationConfig) -> float:
+    """p_fail from the float per-round rates, summed in 60-digit decimal.
+
+    Every C(n, k) is exact and the decimal exponent range reaches far below
+    a double's, so no class term underflows.
+    """
+    ctx = Context(prec=60, Emin=-999999)
+    n = config.rounds
+    (a0, b0), (a1, b1) = ([ctx.create_decimal(float(r)) for r in row]
+                          for row in faulttol._round_rates(config))
+    total = sum(
+        comb(n, k) * min(ctx.multiply(ctx.power(a0, n - k), ctx.power(b0, k)),
+                         ctx.multiply(ctx.power(a1, n - k), ctx.power(b1, k)))
+        for k in range(n + 1)
+    )
+    return float(total / 2)
+
+
+def test_distill_large_rounds_against_decimal_oracle():
+    # single class terms underflow a double long before p_fail does
+    for n, eps in ((473, 0.05), (757, 0.2), (1029, 0.5)):
+        config = DistillationConfig(rounds=n, eps=eps, freq_over_h=1e4)
+        expected = decimal_p_fail(config)
+        assert expected > 0.0
+        got = distill(config).p_fail
+        assert abs(got - expected) <= 1e-10 * expected, (n, eps, got, expected)
 
 
 def test_distill_rejects_non_diagonal_round(monkeypatch):

@@ -33,7 +33,9 @@ from nocosim.qcore import (
     projector,
     reduce_superop,
     unitary_evolution,
+    vec,
 )
+from nocosim.zeno import fixed_state
 
 
 def test_gate_catalog():
@@ -95,9 +97,19 @@ def test_rzz_prime_hamiltonian_shape():
     h = recipe("rzz_prime").hamiltonian
     assert h.shape == (16, 16)
     assert np.allclose(h, h.conj().T)
-    lay = recipe("rzz_prime").layout
-    assert lay.actuators == ("ta", "sa")
-    assert lay.registers == ("dq", "aq")
+    spec = recipe("rzz_prime").cycle(0.0)
+    assert (spec.n_actuators, spec.nqubits) == (2, 4)
+
+
+def test_actuator_maps_replace_the_actuator_state():
+    # every catalog cycle forgets the actuator's input: S = vec(rho_U) vec(I)^dag
+    for name in GATE_NAMES:
+        for eps in (0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999):
+            spec = recipe(name).cycle(eps)
+            rho = fixed_state(spec).rho
+            ident = np.eye(2 ** spec.n_actuators, dtype=complex)
+            replacement = np.outer(vec(rho), vec(ident).conj())
+            assert np.max(np.abs(spec.actuator - replacement)) <= 1e-15, (name, eps)
 
 
 @given(

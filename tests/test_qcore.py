@@ -9,7 +9,6 @@ from nocosim.qcore import (
     SX,
     SY,
     SZ,
-    SystemLayout,
     bloch_vector,
     embed_operator,
     embed_superop,
@@ -57,20 +56,6 @@ def test_kron_variadic():
     c = np.diag([5.0, 6.0])
     assert np.allclose(kron(a, b, c), np.kron(a, np.kron(b, c)))
     assert np.allclose(kron(a), a)
-
-
-def test_system_layout():
-    lay = SystemLayout(("a", "b", "q1", "q2"), actuators=("a", "b"))
-    assert lay.nqubits == 4
-    assert lay.dim == 16
-    assert lay.registers == ("q1", "q2")
-    assert lay.position("q1") == 2
-    with pytest.raises(ValueError):
-        SystemLayout(("a", "a"))
-    with pytest.raises(ValueError):
-        SystemLayout(("q", "a"), actuators=("a",))  # not a prefix
-    with pytest.raises(ValueError):
-        SystemLayout(("q",), actuators=("a",))
 
 
 def test_partial_trace_product_states():

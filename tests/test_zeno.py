@@ -4,8 +4,10 @@ import pytest
 from nocosim.channels import (
     apply_channel,
     check_cptp,
+    depolarizing,
     depolarizing_kraus,
     initialization_kraus,
+    kraus_to_superop,
 )
 from nocosim.gates import infidelity_surface
 from nocosim.qcore import (
@@ -13,7 +15,6 @@ from nocosim.qcore import (
     SX,
     SY,
     SZ,
-    SystemLayout,
     kron,
     partial_trace,
     projector,
@@ -36,33 +37,39 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 HEISENBERG = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
 
-AQ = SystemLayout(("a", "q"), actuators=("a",))
-AQQ = SystemLayout(("a", "q1", "q2"), actuators=("a",))
 
 
 def noisy_init(eps):
-    return tuple(d @ k for k in initialization_kraus() for d in depolarizing_kraus(eps))
-
-
-def noisy_hadamard(eps):
-    return tuple(d @ HADAMARD for d in depolarizing_kraus(eps))
-
-
-def init_cycle(eps):
-    return NoisyCycleSpec(AQ, HEISENBERG, (("a", noisy_init(eps)),))
-
-
-def init_hadamard_cycle(eps_i, eps_h):
-    return NoisyCycleSpec(
-        AQ, HEISENBERG, (("a", noisy_init(eps_i)), ("a", noisy_hadamard(eps_h)))
+    return kraus_to_superop(
+        [d @ k for k in initialization_kraus() for d in depolarizing_kraus(eps)]
     )
 
 
+def noisy_hadamard(eps):
+    return kraus_to_superop([d @ HADAMARD for d in depolarizing_kraus(eps)])
+
+
+def init_cycle(eps):
+    return NoisyCycleSpec(HEISENBERG, noisy_init(eps))
+
+
+def init_hadamard_cycle(eps_i, eps_h):
+    return NoisyCycleSpec(HEISENBERG, noisy_hadamard(eps_h) @ noisy_init(eps_i))
+
+
 def test_cycle_spec_validation():
-    with pytest.raises(ValueError):
-        NoisyCycleSpec(AQ, np.eye(2, dtype=complex), (("a", noisy_init(0.1)),))
-    with pytest.raises(ValueError):
-        NoisyCycleSpec(AQ, HEISENBERG, (("q", noisy_init(0.1)),))
+    spec = NoisyCycleSpec(kron(SZ, SZ, SZ), noisy_init(0.1))
+    assert (spec.n_actuators, spec.nqubits) == (1, 3)
+    with pytest.raises(ValueError, match="hamiltonian shape"):
+        NoisyCycleSpec(np.eye(6, dtype=complex), noisy_init(0.1))
+    with pytest.raises(ValueError, match="hamiltonian shape"):
+        NoisyCycleSpec(np.eye(4, dtype=complex)[:, :2], noisy_init(0.1))
+    with pytest.raises(ValueError, match="superoperator shape"):
+        NoisyCycleSpec(HEISENBERG, np.eye(8, dtype=complex))
+    with pytest.raises(ValueError, match="no register qubit"):
+        NoisyCycleSpec(np.eye(2, dtype=complex), noisy_init(0.1))
+    with pytest.raises(ValueError, match="no register qubit"):
+        NoisyCycleSpec(HEISENBERG, np.eye(16, dtype=complex))
     with pytest.raises(ValueError):
         period_count(-1.0, 1e4)
     # the period count of a phase gate at f = 1e308 overflows a float
@@ -108,7 +115,7 @@ def test_fixed_state_hadamard_cycle():
 
 
 def test_fixed_state_twirl_flag():
-    spec = NoisyCycleSpec(AQ, HEISENBERG, (("a", tuple(depolarizing_kraus(1.0))),))
+    spec = NoisyCycleSpec(HEISENBERG, depolarizing(1.0))
     assert np.allclose(fixed_state(spec).rho, I2 / 2.0, atol=1e-12)
 
 
@@ -120,7 +127,7 @@ def test_verify_projector():
         ok, defect = verify_projector(init_hadamard_cycle(eps, 1.0 - eps))
         assert ok and defect < 1e-12
     # partial depolarizing alone is not idempotent
-    spec = NoisyCycleSpec(AQ, HEISENBERG, (("a", tuple(depolarizing_kraus(0.5))),))
+    spec = NoisyCycleSpec(HEISENBERG, depolarizing(0.5))
     ok, defect = verify_projector(spec)
     assert not ok and defect > 1e-3
 
@@ -133,7 +140,7 @@ def test_effective_hamiltonian_closed_forms():
         assert np.allclose(hq, (1 - eps_i) * SZ, atol=1e-12)
         hq = effective_hamiltonian(init_hadamard_cycle(eps_i, eps_h))
         assert np.allclose(hq, (1 - eps_i) * (1 - eps_h) * SX, atol=1e-12)
-        spec = NoisyCycleSpec(AQQ, ising, (("a", noisy_init(eps_i)),))
+        spec = NoisyCycleSpec(ising, noisy_init(eps_i))
         hq = effective_hamiltonian(spec)
         assert np.allclose(hq, (1 - eps_i) * kron(SZ, SZ), atol=1e-12)
 
@@ -164,7 +171,7 @@ def test_noco_channel_matches_step_propagation():
 def test_noco_channel_is_trace_preserving():
     run = noco_channel(init_cycle(0.4), 1.3, 500.0)
     check_cptp(run.superop)
-    assert run.superop.shape == (4, 4)  # the one register qubit "q"
+    assert run.superop.shape == (4, 4)  # the one register qubit
 
 
 def test_period_superop_composition_order():
