@@ -1,12 +1,12 @@
 """Command-line front end: parameter sweeps written as deterministic CSV.
 
-Every command resolves its configuration from built-in defaults, an
-optional flat key=value config file, and command-line overrides (highest
-precedence), then writes a comma-separated table with '#'-prefixed
-provenance lines: package version, command, the fully resolved
-configuration, and its hash.  No timestamps or environment data are
-recorded, so identical configurations produce byte-identical tables, also
-when computed with a worker pool.
+Every command takes only the config keys its COMMANDS grid names, plus
+workers and out.  It resolves them from built-in defaults, an optional flat
+key=value config file, and command-line overrides (highest precedence),
+then writes a comma-separated table with '#'-prefixed provenance lines:
+package version, command, the resolved keys, and their hash.  No
+timestamps or environment data are recorded, so identical configurations
+produce byte-identical tables, also when computed with a worker pool.
 """
 
 import argparse
@@ -118,47 +118,52 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+# workers and out steer execution, not results: every command takes them, and
+# provenance leaves them out, so a rerun on another pool size is byte-identical
+RUN_KEYS = ("workers", "out")
+
+
+def _command_keys(command: str) -> list:
+    """The config keys a command takes: the keys its grid names, then RUN_KEYS."""
+    return [key for key in CONFIG if key in COMMANDS[command][1] or key in RUN_KEYS]
+
+
 def resolve_config(command: str, args) -> dict:
-    raw = {key: default for key, (default, _) in CONFIG.items()}
+    keys = _command_keys(command)
+    raw = {key: CONFIG[key][0] for key in keys}
     raw.update(COMMAND_DEFAULTS.get(command, {}))
-    if args.config:
-        raw.update(read_config_file(args.config))
-    for key in CONFIG:
-        override = getattr(args, key, None)
+    if args.config:  # a file may serve several commands: keys this one does not read are ignored
+        raw.update((k, v) for k, v in read_config_file(args.config).items() if k in raw)
+    for key in keys:
+        override = getattr(args, key)
         if override is not None:
             raw[key] = override
 
-    cfg = {key: parse(raw[key], key) for key, (_, parse) in CONFIG.items()}
-    for eps in cfg["epsilon"]:
+    cfg = {key: CONFIG[key][1](raw[key], key) for key in keys}
+    for eps in cfg.get("epsilon", ()):
         if not 0.0 <= eps <= 1.0:
             raise ConfigError(f"epsilon {eps} outside [0, 1]")
         if eps == 1.0 and command in DURATION_COMMANDS:
             raise ConfigError(f"{command} needs epsilon below 1: gate durations diverge at 1")
-    for f in cfg["freq_over_h"]:
+    for f in cfg.get("freq_over_h", ()):
         if f <= 0:
             raise ConfigError(f"freq_over_h {f} must be positive")
-    for n in cfg["rounds"]:
+    for n in cfg.get("rounds", ()):
         if n < 1 or n % 2 == 0:
             raise ConfigError(f"rounds must be positive odd integers, got {n}")
         if n > faulttol.MAX_ROUNDS:
             raise ConfigError(f"rounds must be at most {faulttol.MAX_ROUNDS}, got {n}")
-    if cfg["budget"] <= 0:
-        raise ConfigError("budget must be positive")
-    if cfg["bisect_tol"] <= 0:
-        raise ConfigError("bisect_tol must be positive")
+    for key in ("budget", "bisect_tol"):
+        if key in cfg and cfg[key] <= 0:
+            raise ConfigError(f"{key} must be positive")
     if cfg["workers"] < 1:
         raise ConfigError("workers must be >= 1")
     return cfg
 
 
-# out and workers steer execution, not results; keep them out of provenance
-# so reruns with a different pool size stay byte-identical
-PROVENANCE_KEYS = tuple(k for k in CONFIG if k not in ("workers", "out"))
-
-
 def _canonical_config(command: str, cfg: dict) -> str:
     parts = [f"command={command}"]
-    for key in sorted(PROVENANCE_KEYS):
+    for key in sorted(k for k in cfg if k not in RUN_KEYS):
         val = cfg[key]
         if isinstance(val, list):
             text = ",".join(repr(v) for v in val)
@@ -280,8 +285,8 @@ COMMANDS = {
 
 def _check_command(command: str, cfg: dict) -> None:
     """Refuse a configuration the command's rows cannot be computed for."""
-    gate = cfg["gate"]
-    if "gate" in COMMANDS[command][1] and gate not in gates.GATE_NAMES:
+    gate = cfg.get("gate")
+    if gate is not None and gate not in gates.GATE_NAMES:
         raise UnknownGateError(f"unknown gate {gate!r}; known: {', '.join(gates.GATE_NAMES)}")
     if command == "fixed-state" and gates.recipe(gate).cycle(0.0).n_actuators != 1:
         raise ConfigError("fixed-state output is defined for single-actuator gates")
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value file")
-        for key in CONFIG:
+        for key in _command_keys(name):
             p.add_argument(f"--{key}", default=None)
     return parser
 

@@ -20,7 +20,7 @@ until that budget hits the correcting code's tolerance.
 """
 
 from dataclasses import dataclass
-from math import comb, log
+from math import comb, isfinite, log
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class DistillationConfig:
             raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {self.eps}")
-        if self.freq_over_h <= 0:
-            raise ValueError("freq_over_h must be positive")
+        if not (isfinite(self.freq_over_h) and self.freq_over_h > 0):
+            raise ValueError(f"freq_over_h must be finite and positive, got {self.freq_over_h}")
 
 
 @dataclass
@@ -304,6 +304,9 @@ def threshold(
     then narrows the bracket to ``bisect_tol``, or to adjacent doubles if
     that comes first.
     """
+    for name, value in (("budget", budget), ("bisect_tol", bisect_tol)):
+        if not (isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def p_phase(eps: float) -> float:
         return vacuum_error_budget(eps, freq_over_h, rounds, include_decoupling).p_phase

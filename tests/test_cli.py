@@ -1,3 +1,4 @@
+import argparse
 import os
 
 import numpy as np
@@ -5,9 +6,24 @@ import numpy as np
 from nocosim import cli
 from nocosim.cli import main
 
+# the config keys each command reads; every command also takes workers and out
+READS = {
+    "fixed-state": {"gate", "epsilon"},
+    "eff-h": {"gate", "epsilon"},
+    "gate-error": {"gate", "epsilon", "freq_over_h"},
+    "swap-check": set(),
+    "transfer-check": {"epsilon", "freq_over_h"},
+    "distill": {"rounds", "epsilon", "freq_over_h"},
+    "threshold": {"freq_over_h", "rounds", "budget", "bisect_tol", "include_decoupling"},
+    "noise-check": {"epsilon"},
+}
+
 
 def run(argv):
-    return main(argv)
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors, such as a flag the command does not take
+        return exc.code
 
 
 def read(path):
@@ -133,11 +149,46 @@ def test_invalid_config_exit_codes(tmp_path):
     # transfer-check computes one point; a grid is refused, not truncated
     assert run(["transfer-check", "--epsilon", "0.1,0.2"]) == 2
     assert run(["transfer-check", "--freq_over_h", "1e3,1e4"]) == 2
+    # a flag the command does not take is a usage error
+    assert run(["swap-check", "--rounds", "3"]) == 2
+    assert run(["distill", "--gate", "rx"]) == 2
+    assert run(["threshold", "--epsilon", "0.5"]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 1\n", encoding="utf-8")
     assert run(["distill", "--config", str(bad)]) == 2
     bad.write_text("no equals sign here\n", encoding="utf-8")
     assert run(["distill", "--config", str(bad)]) == 2
+
+
+def test_each_command_takes_only_the_keys_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(READS)
+    for command, parser in sub.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert options == {"--config", "--workers", "--out"} | {f"--{k}" for k in READS[command]}
+        assert set(cli.COMMAND_DEFAULTS.get(command, {})) <= READS[command]
+    assert set(cli.COMMAND_DEFAULTS) <= set(READS)
+
+
+def test_one_config_file_serves_every_command(tmp_path):
+    # a file may hold every key; each command reads and records only its own
+    out, plain = tmp_path / "out.csv", tmp_path / "plain.csv"
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "epsilon = 0.2\nfreq_over_h = 1e4\nrounds = 1\ngate = rx\nbudget = 0.03\n"
+        f"bisect_tol = 1e-3\ninclude_decoupling = false\nworkers = 1\nout = {out}\n",
+        encoding="utf-8",
+    )
+    assert set(cli.read_config_file(str(cfg))) == set(cli.CONFIG)
+    tables = {}
+    for command, reads in READS.items():
+        assert run([command, "--config", str(cfg)]) == 0
+        tables[command] = read(out)
+        recorded = tables[command].splitlines()[1].split()[2:]
+        assert {field.partition("=")[0] for field in recorded} == reads
+    assert run(["swap-check", "--out", str(plain)]) == 0
+    assert tables["swap-check"] == read(plain)
 
 
 def test_unknown_gate_exit_code():

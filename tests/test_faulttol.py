@@ -196,8 +196,9 @@ def test_distill_validation():
         DistillationConfig(rounds=2, eps=0.1, freq_over_h=1e4)
     with pytest.raises(ValueError):
         DistillationConfig(rounds=3, eps=1.2, freq_over_h=1e4)
-    with pytest.raises(ValueError):
-        DistillationConfig(rounds=3, eps=0.1, freq_over_h=0.0)
+    for f in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DistillationConfig(rounds=3, eps=0.1, freq_over_h=f)
     # C(1030, 515) overflows a double; every C(1029, k) still fits
     with pytest.raises(ValueError):
         DistillationConfig(rounds=1031, eps=0.1, freq_over_h=1e4)
@@ -279,6 +280,15 @@ def test_threshold_no_crossing():
         threshold(1e3, 1, budget=1e-9)
     with pytest.raises(NoThresholdError):
         threshold(1e3, 1, budget=10.0)
+
+
+def test_threshold_validation():
+    # a nan bisect_tol used to return the coarse bracket's midpoint after 0 steps
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="budget"):
+            threshold(1e3, 1, budget=bad)
+        with pytest.raises(ValueError, match="bisect_tol"):
+            threshold(1e3, 1, bisect_tol=bad)
 
 
 def test_threshold_sweep_workers_agree():
