@@ -12,8 +12,6 @@ C = sum_ij |i><j| (x) E(|i><j|), which has trace d for a trace-preserving
 channel on a d-dimensional system.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qcore import I2, SX, SY, SZ, pauli_string_operator, pauli_strings, unvec, vec
@@ -104,31 +102,12 @@ def entanglement_fidelity(s: np.ndarray, target_unitary) -> float:
     return float(np.real(np.vdot(su, s)) / d ** 2)
 
 
-@dataclass
-class PauliErrorDistribution:
-    """Pauli-twirled channel probabilities keyed by strings over I, X, Y, Z."""
-
-    probs: dict[str, float]
-
-    def marginal(self, qubit: int, axis: str) -> float:
-        """Probability of a Pauli component that flips eigenstates of ``axis``.
-
-        axis "x" counts strings with Y or Z on ``qubit``; "z" counts X or Y;
-        "y" counts X or Z.
-        """
-        flips = {"x": ("Y", "Z"), "y": ("X", "Z"), "z": ("X", "Y")}
-        if axis not in flips:
-            raise ValueError(f"unknown axis {axis!r}")
-        bad = flips[axis]
-        return sum(p for s, p in self.probs.items() if s[qubit] in bad)
-
-
-def pauli_twirl(s: np.ndarray) -> PauliErrorDistribution:
+def pauli_twirl(s: np.ndarray) -> dict[str, float]:
     """Project a channel onto the Pauli channel with the same Pauli fidelities.
 
     p_P = Tr(S_P^dag S) / d^2 where S_P is the superoperator of conjugation
     by the Pauli string P.  For a CPTP channel the probabilities are real
-    and sum to one.
+    and sum to one.  Keys are strings over I, X, Y, Z, qubit 0 first.
     """
     n = channel_nqubits(s)
     probs = {}
@@ -136,4 +115,9 @@ def pauli_twirl(s: np.ndarray) -> PauliErrorDistribution:
         p = pauli_string_operator(string)
         sp = np.kron(p.conj(), p)
         probs[string] = float(np.real(np.vdot(sp, s)) / 4 ** n)
-    return PauliErrorDistribution(probs)
+    return probs
+
+
+def phase_flip_weight(probs: dict[str, float]) -> float:
+    """Weight of the Pauli strings with Y or Z on qubit 0, which flip its x basis."""
+    return sum(p for string, p in probs.items() if string[0] in "YZ")

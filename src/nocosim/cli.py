@@ -249,7 +249,7 @@ def _distill_row(n, eps, f):
 
 def _threshold_row(f, n, budget, bisect_tol, include_decoupling):
     p = faulttol.threshold(f, n, budget, bisect_tol, include_decoupling)
-    return [fmt(p.freq_over_h), str(p.rounds), fmt(p.eps_star), str(p.iterations)]
+    return [fmt(f), str(n), fmt(p.eps_star), str(p.iterations)]
 
 
 def _noise_check_row(eps):

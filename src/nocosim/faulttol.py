@@ -28,6 +28,7 @@ from .channels import (
     apply_channel,
     depolarizing,
     pauli_twirl,
+    phase_flip_weight,
     unitary_channel,
 )
 from .gates import RZZ_PRIME_TARGET, gate_error_channel, realized_channel, recipe
@@ -77,7 +78,6 @@ class DistillationResult:
     class_sizes: np.ndarray
     class_probs: np.ndarray
     posteriors: np.ndarray
-    rounds: int
 
 
 def _round_rates(config: DistillationConfig) -> np.ndarray:
@@ -151,48 +151,47 @@ def distill(config: DistillationConfig) -> DistillationResult:
         class_sizes=sizes,
         class_probs=0.5 * np.exp(log_sum),
         posteriors=posteriors,
-        rounds=n,
     )
 
 
-@dataclass
-class IdleContribution:
-    """Dephasing weight the data qubit picks up from one decoupled interaction."""
-
-    slot: str
-    interaction: str
-    count: int
-    duration: float
-    marginal: float
-
-    @property
-    def weight(self) -> float:
-        return self.count * self.marginal
+# The prepare-and-measure schedule of one data qubit, slot by slot:
+# (slot, gate, how many of that gate's errors reach the data qubit,
+# ((idle interaction, multiplicity), ...)).  "distill" is n rounds of the
+# readout circuit (initialization, then measurement); the rzz slot runs
+# four two-qubit phase gates at once, so its duration counts once.
+SCHEDULE = (
+    ("init_distill", "distill", 1, (("heisenberg", 1), ("ising", 4))),
+    ("rx_1", "rx", 1, (("ising", 4),)),
+    ("rzz", "rzz", 4, (("heisenberg", 1),)),
+    ("rx_2", "rx", 1, (("ising", 4),)),
+    ("meas_distill", "distill", 1, (("heisenberg", 1), ("ising", 4))),
+)
 
 
 @dataclass
 class ErrorBudget:
-    """Additive per-data-qubit phase error budget over the full schedule."""
+    """Per-data-qubit phase error budget over ``SCHEDULE``, term by term.
 
-    eps: float
-    freq_over_h: float
-    rounds: int
-    p_init: float
-    p_meas: float
-    rx_marginals: tuple
-    rzz_marginals: tuple
-    idle_terms: tuple
-    include_decoupling: bool
+    ``gate_weights[gate]`` is the weight of one occurrence of a gate: the
+    distillation failure probability, or the Y/Z weight on the data qubit
+    of the gate's twirled error channel.  ``idle_weights[slot, interaction]``
+    is multiplicity times the twirl-decoupled residual of that idle
+    interaction over the slot.  ``duration`` is in internal time units.
+    """
+
+    gate_weights: dict
+    idle_weights: dict
     p_phase: float
-    duration_internal: float
-    duration_over_h: float
+    duration: float
 
 
-def _idle_marginal(interaction: str, duration: float, freq_over_h: float) -> float:
-    """Y/Z weight on the data qubit after twirl-decoupling an interaction."""
-    name = {"heisenberg": "decouple_heisenberg", "ising": "decouple_ising"}[interaction]
-    run = realized_channel(name, 0.0, freq_over_h, duration=duration)
-    return pauli_twirl(run.superop).marginal(0, "x")
+def _gate_term(gate: str, eps: float, freq_over_h: float, rounds: int):
+    """(duration, weight) of one occurrence of a schedule gate."""
+    if gate == "distill":
+        config = DistillationConfig(rounds=rounds, eps=eps, freq_over_h=freq_over_h)
+        return rounds * recipe("rzz_prime").duration(eps), distill(config).p_fail
+    error = gate_error_channel(gate, eps, freq_over_h)
+    return recipe(gate).duration(eps), phase_flip_weight(pauli_twirl(error))
 
 
 def vacuum_error_budget(
@@ -203,65 +202,40 @@ def vacuum_error_budget(
 ) -> ErrorBudget:
     """Phase-error budget of one data qubit over the prepare-and-measure schedule.
 
-    The schedule is: n distillation rounds (initialization), a single-qubit
-    x rotation, the slot of four simultaneous two-qubit phase gates, a
-    second x rotation, and n more distillation rounds (measurement).  Gate
-    contributions are the Y/Z marginals of each gate's Pauli-twirled error
-    channel on the data qubit; the two distillations contribute their
-    failure probabilities.  With ``include_decoupling`` the twirl-decoupled
-    residuals of every idle interaction (one exchange coupling and four
-    neighbor Ising couplings) are added for each slot they idle through.
-    By default they are excluded; the exchange residual alone would exceed
-    any useful budget at low drive frequency, and idle dephasing during the
-    z-basis distillation segments is largely harmless there anyway.
+    ``SCHEDULE`` is the schedule's only description; the duration, the gate
+    counts and the idle terms all come from it.  With ``include_decoupling``
+    the twirl-decoupled residuals of the idle interactions are added for
+    each slot they idle through.  By default they are excluded; the
+    exchange residual alone would exceed any useful budget at low drive
+    frequency, and idle dephasing during the z-basis distillation segments
+    is largely harmless there anyway.
+
+    Gate weights are summed by total count in the order each gate first
+    appears in the schedule, then the idle terms in schedule order.
     """
-    dconf = DistillationConfig(rounds=rounds, eps=eps, freq_over_h=freq_over_h)
-    p_f = distill(dconf).p_fail
+    durations, gate_weights = {}, {}
+    for gate in dict.fromkeys(gate for _, gate, _, _ in SCHEDULE):
+        durations[gate], gate_weights[gate] = _gate_term(gate, eps, freq_over_h, rounds)
 
-    rx_marg = pauli_twirl(gate_error_channel("rx", eps, freq_over_h)).marginal(0, "x")
-    rzz_marg = pauli_twirl(gate_error_channel("rzz", eps, freq_over_h)).marginal(0, "x")
-
-    t_round = recipe("rzz_prime").duration(eps)
-    t_rx = recipe("rx").duration(eps)
-    t_rzz = recipe("rzz").duration(eps)
-    duration = 2 * rounds * t_round + 2 * t_rx + t_rzz
-
-    idle_terms = ()
+    idle_weights = {}
     if include_decoupling:
-        t_distill = rounds * t_round
-        heis_distill = _idle_marginal("heisenberg", t_distill, freq_over_h)
-        ising_distill = _idle_marginal("ising", t_distill, freq_over_h)
-        ising_rx = _idle_marginal("ising", t_rx, freq_over_h)
-        heis_rzz = _idle_marginal("heisenberg", t_rzz, freq_over_h)
-        idle_terms = (
-            IdleContribution("init_distill", "heisenberg", 1, t_distill, heis_distill),
-            IdleContribution("init_distill", "ising", 4, t_distill, ising_distill),
-            IdleContribution("rx_1", "ising", 4, t_rx, ising_rx),
-            IdleContribution("rzz", "heisenberg", 1, t_rzz, heis_rzz),
-            IdleContribution("rx_2", "ising", 4, t_rx, ising_rx),
-            IdleContribution("meas_distill", "heisenberg", 1, t_distill, heis_distill),
-            IdleContribution("meas_distill", "ising", 4, t_distill, ising_distill),
-        )
+        for slot, gate, _, idles in SCHEDULE:
+            for interaction, count in idles:
+                run = realized_channel(
+                    f"decouple_{interaction}", 0.0, freq_over_h, duration=durations[gate]
+                )
+                idle_weights[slot, interaction] = count * phase_flip_weight(
+                    pauli_twirl(run.superop)
+                )
 
-    p_phase = (
-        2.0 * p_f
-        + 2.0 * rx_marg
-        + 4.0 * rzz_marg
-        + sum(term.weight for term in idle_terms)
-    )
+    p_phase = 0.0
+    for gate, weight in gate_weights.items():
+        p_phase += sum(count for _, g, count, _ in SCHEDULE if g == gate) * weight
     return ErrorBudget(
-        eps=eps,
-        freq_over_h=freq_over_h,
-        rounds=rounds,
-        p_init=p_f,
-        p_meas=p_f,
-        rx_marginals=(rx_marg, rx_marg),
-        rzz_marginals=(rzz_marg,) * 4,
-        idle_terms=idle_terms,
-        include_decoupling=include_decoupling,
-        p_phase=float(p_phase),
-        duration_internal=float(duration),
-        duration_over_h=float(duration / (2.0 * np.pi)),
+        gate_weights=gate_weights,
+        idle_weights=idle_weights,
+        p_phase=float(p_phase + sum(idle_weights.values())),
+        duration=float(sum(durations[gate] for _, gate, _, _ in SCHEDULE)),
     )
 
 
@@ -279,14 +253,14 @@ class NonMonotoneBudgetError(ThresholdError):
 
 @dataclass
 class ThresholdPoint:
-    """Bisection result: largest tolerable depolarizing rate at (freq, rounds)."""
+    """Bisection result: largest tolerable depolarizing rate at (freq, rounds).
 
-    freq_over_h: float
-    rounds: int
+    ``history`` holds the bracket before the first step and after each one;
+    its last entry is the final bracket.
+    """
+
     eps_star: float
-    target: float
     iterations: int
-    bracket: tuple
     history: tuple
 
 
@@ -350,13 +324,7 @@ def threshold(
         history.append((lo, hi))
 
     return ThresholdPoint(
-        freq_over_h=freq_over_h,
-        rounds=rounds,
-        eps_star=0.5 * (lo + hi),
-        target=budget,
-        iterations=iterations,
-        bracket=(lo, hi),
-        history=tuple(history),
+        eps_star=0.5 * (lo + hi), iterations=iterations, history=tuple(history)
     )
 
 

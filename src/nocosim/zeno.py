@@ -16,6 +16,7 @@ units are internal durations divided by 2*pi.
 """
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -36,11 +37,16 @@ _PERIOD_COUNT_NUDGE = 1e-9
 def period_count(duration: float, freq_over_h: float) -> int:
     """Number of whole drive periods inside ``duration`` internal time units.
 
-    Raises OverflowError from 2^53 periods up (non-finite counts included),
-    where a double no longer holds every whole count exactly.
+    Raises ValueError for a negative or non-finite duration or a
+    non-positive or non-finite frequency, and OverflowError from 2^53
+    periods up (an infinite product of finite inputs included), where a
+    double no longer holds every whole count exactly.
     """
-    if duration < 0 or freq_over_h <= 0:
-        raise ValueError("need duration >= 0 and a positive frequency")
+    if not (isfinite(duration) and isfinite(freq_over_h) and duration >= 0 and freq_over_h > 0):
+        raise ValueError(
+            f"need a finite duration >= 0 and a finite positive frequency, got "
+            f"duration {duration} at freq_over_h {freq_over_h}"
+        )
     periods = duration * freq_over_h / (2.0 * np.pi)
     if not periods < 2.0 ** 53:
         raise OverflowError(

@@ -235,6 +235,35 @@ def test_criterion_8b_threshold_orderings():
           f"in frequency {[f'{s:.4f}' for s in by_freq]}")
 
 
+def _ideal_gate_eps_star(rounds, budget=0.03):
+    """Threshold with ideal gates, f -> infinity: 2 P(majority of n rounds flips) = budget.
+
+    A round then flips only through the noisy |+> preparation and readout,
+    eps/2 each, so q = eps - eps^2/2.
+    """
+    def p_phase(eps):
+        q = eps - eps * eps / 2.0
+        return 2.0 * sum(comb(rounds, k) * q ** k * (1.0 - q) ** (rounds - k)
+                         for k in range(rounds // 2 + 1, rounds + 1))
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if p_phase(mid) < budget else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_threshold_below_ideal_gate_limit():
+    # finite-frequency gates only add error, so each threshold lies below the
+    # ideal-gate one (up to the bisection tolerance 1e-4), closer as f grows
+    limits = {n: _ideal_gate_eps_star(n) for n in (9, 11, 13, 15, 17)}
+    points = [(1e4, n) for n in limits] + [(1e3, 17), (1e5, 17)]
+    over = {p: _eps_star(*p) - limits[p[1]] for p in points}
+    assert all(d < 1e-4 for d in over.values()), over
+    gaps = [limits[17] - _eps_star(f, 17) for f in (1e3, 1e4, 1e5)]
+    assert gaps[0] > gaps[1] > gaps[2], gaps
+
+
 def test_criterion_9_error_rate_mapping():
     got = error_rate_mapping(0.201)
     ok = got == (0.1005, 0.15075)
@@ -242,9 +271,9 @@ def test_criterion_9_error_rate_mapping():
 
 
 def test_criterion_10_schedule_duration():
-    b = vacuum_error_budget(0.201, 1e4, 17)
-    ok = b.duration_over_h <= 7.0
-    check(10, ok, f"schedule duration {b.duration_over_h:.4f} inverse drive units (<= 7)")
+    duration_over_h = vacuum_error_budget(0.201, 1e4, 17).duration / (2.0 * np.pi)
+    ok = duration_over_h <= 7.0
+    check(10, ok, f"schedule duration {duration_over_h:.4f} inverse drive units (<= 7)")
 
 
 def test_criterion_11_noise_admissibility():

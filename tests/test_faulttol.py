@@ -8,7 +8,7 @@ import pytest
 
 from nocosim import faulttol, gates
 from nocosim.cli import _map_tasks
-from nocosim.channels import depolarizing_kraus, unitary_channel
+from nocosim.channels import depolarizing_kraus, pauli_twirl, unitary_channel
 from nocosim.faulttol import (
     DistillationConfig,
     NoThresholdError,
@@ -17,7 +17,13 @@ from nocosim.faulttol import (
     threshold,
     vacuum_error_budget,
 )
-from nocosim.gates import RX_TARGET, RZZ_PRIME_TARGET, realized_channel, recipe
+from nocosim.gates import (
+    RX_TARGET,
+    RZZ_PRIME_TARGET,
+    gate_error_channel,
+    realized_channel,
+    recipe,
+)
 from nocosim.qcore import I2, partial_trace, projector, unvec, vec
 
 
@@ -167,7 +173,7 @@ def test_distill_bookkeeping():
     assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-9
     assert 0.0 <= res.p_fail <= 0.5
     assert np.all(res.posteriors >= 0.0) and np.all(res.posteriors <= 1.0)
-    assert res.rounds == 5
+    assert len(res.class_sizes) == 6
     assert res.class_sizes.sum() == 2 ** 5
 
 
@@ -209,31 +215,39 @@ def test_distill_validation():
 
 def test_budget_composition():
     b = vacuum_error_budget(0.2, 1e4, 3)
-    assert not b.include_decoupling
-    assert b.idle_terms == ()
-    assert b.p_init == b.p_meas
-    recon = 2 * b.p_init + sum(b.rx_marginals) + sum(b.rzz_marginals)
+    assert b.idle_weights == {}
+    w = b.gate_weights
+    assert list(w) == ["distill", "rx", "rzz"]
+    assert w["distill"] == distill(DistillationConfig(rounds=3, eps=0.2, freq_over_h=1e4)).p_fail
+    for gate in ("rx", "rzz"):
+        probs = pauli_twirl(gate_error_channel(gate, 0.2, 1e4))
+        assert w[gate] == sum(p for s, p in probs.items() if s[0] in "YZ")
+    # two distillations, two x rotations, four phase gates on the data qubit
+    recon = 2 * w["distill"] + 2 * w["rx"] + 4 * w["rzz"]
     assert abs(b.p_phase - recon) < 1e-15
     t = 2 * 3 * recipe("rzz_prime").duration(0.2) \
         + 2 * recipe("rx").duration(0.2) + recipe("rzz").duration(0.2)
-    assert abs(b.duration_internal - t) < 1e-12
-    assert abs(b.duration_over_h - t / (2 * np.pi)) < 1e-12
+    assert abs(b.duration - t) < 1e-12
 
 
 def test_budget_with_decoupling_terms():
     b = vacuum_error_budget(0.2, 1e4, 3, include_decoupling=True)
-    assert b.include_decoupling
-    assert len(b.idle_terms) == 7
-    for term in b.idle_terms:
-        assert term.count == (1 if term.interaction == "heisenberg" else 4)
-        assert term.marginal >= 0.0
-        assert abs(term.weight - term.count * term.marginal) < 1e-15
-    slots = {t.slot for t in b.idle_terms}
-    assert slots == {"init_distill", "rx_1", "rzz", "rx_2", "meas_distill"}
-    base = vacuum_error_budget(0.2, 1e4, 3).p_phase
-    extra = sum(t.weight for t in b.idle_terms)
-    assert abs(b.p_phase - (base + extra)) < 1e-15
-    assert b.p_phase > base
+    base = vacuum_error_budget(0.2, 1e4, 3)
+    assert b.gate_weights == base.gate_weights
+    assert list(b.idle_weights) == [
+        ("init_distill", "heisenberg"), ("init_distill", "ising"), ("rx_1", "ising"),
+        ("rzz", "heisenberg"), ("rx_2", "ising"),
+        ("meas_distill", "heisenberg"), ("meas_distill", "ising"),
+    ]
+    assert all(weight >= 0.0 for weight in b.idle_weights.values())
+    # four Ising neighbors idle through each x rotation
+    run = realized_channel("decouple_ising", 0.0, 1e4, duration=recipe("rx").duration(0.2))
+    probs = pauli_twirl(run.superop)
+    residual = sum(p for s, p in probs.items() if s[0] in "YZ")
+    assert b.idle_weights["rx_1", "ising"] == b.idle_weights["rx_2", "ising"] == 4 * residual
+    extra = sum(b.idle_weights.values())
+    assert abs(b.p_phase - (base.p_phase + extra)) < 1e-15
+    assert b.p_phase > base.p_phase
 
 
 def test_budget_grows_with_noise():
@@ -251,13 +265,13 @@ def test_error_rate_mapping():
 
 def test_threshold_bracketing():
     point = threshold(1e4, 3)
-    lo, hi = point.bracket
+    lo, hi = point.history[-1]
     assert hi - lo <= 1e-4
     assert lo <= point.eps_star <= hi
     assert point.iterations == len(point.history) - 1
     below = vacuum_error_budget(lo, 1e4, 3).p_phase
     above = vacuum_error_budget(hi, 1e4, 3).p_phase
-    assert below < point.target <= above
+    assert below < 0.03 <= above
 
 
 def test_threshold_ends_at_adjacent_doubles(monkeypatch):
@@ -270,7 +284,7 @@ def test_threshold_ends_at_adjacent_doubles(monkeypatch):
         return SimpleNamespace(p_phase=eps / 10.0)
 
     monkeypatch.setattr(faulttol, "vacuum_error_budget", budget)
-    lo, hi = threshold(1e3, 1, bisect_tol=1e-20).bracket
+    lo, hi = threshold(1e3, 1, bisect_tol=1e-20).history[-1]
     assert lo < hi == np.nextafter(lo, 1.0)
     assert lo / 10.0 < 0.03 <= hi / 10.0
 
@@ -296,8 +310,8 @@ def test_threshold_sweep_workers_agree():
     tasks = [(1e3, n, 0.03, 1e-3) for n in (1, 3)]
     serial = _map_tasks(threshold, tasks, workers=1)
     parallel = _map_tasks(threshold, tasks, workers=2)
-    assert [p.eps_star for p in serial] == [p.eps_star for p in parallel]
-    assert [(p.freq_over_h, p.rounds) for p in serial] == [(1e3, 1), (1e3, 3)]
+    assert serial == parallel
+    assert serial[0].eps_star < serial[1].eps_star
 
 
 def test_threshold_builds_each_channel_once(monkeypatch):

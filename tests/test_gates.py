@@ -10,6 +10,7 @@ from nocosim.channels import (
     check_cptp,
     entanglement_fidelity,
     pauli_twirl,
+    phase_flip_weight,
     unitary_channel,
 )
 from nocosim.gates import (
@@ -135,17 +136,17 @@ def test_decouple_single_period_residuals():
     # twirl weight is sin^2(dt)
     run = realized_channel("decouple_ising", 0.0, f, duration=dt)
     assert run.n_periods == 1
-    dist = pauli_twirl(run.superop)
-    assert np.isclose(dist.probs["ZZ"], np.sin(dt) ** 2, atol=1e-12)
-    assert np.isclose(dist.probs["II"], np.cos(dt) ** 2, atol=1e-12)
-    assert np.isclose(dist.marginal(0, "x"), np.sin(dt) ** 2, atol=1e-12)
+    probs = pauli_twirl(run.superop)
+    assert np.isclose(probs["ZZ"], np.sin(dt) ** 2, atol=1e-12)
+    assert np.isclose(probs["II"], np.cos(dt) ** 2, atol=1e-12)
+    assert np.isclose(phase_flip_weight(probs), np.sin(dt) ** 2, atol=1e-12)
     # twirled exchange coupling: one period depolarizes at sin^2(2 dt)
     run = realized_channel("decouple_heisenberg", 0.0, f, duration=dt)
-    dist = pauli_twirl(run.superop)
+    probs = pauli_twirl(run.superop)
     s = np.sin(2.0 * dt) ** 2
     for p in "XYZ":
-        assert np.isclose(dist.probs[p], s / 4.0, atol=1e-12)
-    assert np.isclose(dist.marginal(0, "x"), s / 2.0, atol=1e-12)
+        assert np.isclose(probs[p], s / 4.0, atol=1e-12)
+    assert np.isclose(phase_flip_weight(probs), s / 2.0, atol=1e-12)
 
 
 def test_transfer_ideal_independence():

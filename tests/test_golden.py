@@ -33,6 +33,10 @@ COMMANDS = {
     "distill.csv": ["distill"],
     # the default 25-point sweep takes tens of seconds; one point covers it
     "threshold.csv": ["threshold", "--freq_over_h", "1e3", "--rounds", "9"],
+    # the only table with idle terms in the budget
+    "threshold-decoupling.csv": [
+        "threshold", "--freq_over_h", "1e4", "--rounds", "3", "--include_decoupling", "true",
+    ],
     "noise-check.csv": ["noise-check"],
 }
 

@@ -9,7 +9,7 @@ from nocosim.channels import (
     initialization_kraus,
     kraus_to_superop,
 )
-from nocosim.gates import infidelity_surface
+from nocosim.gates import infidelity_surface, realized_channel
 from nocosim.qcore import (
     I2,
     SX,
@@ -75,6 +75,16 @@ def test_cycle_spec_validation():
     # the period count of a phase gate at f = 1e308 overflows a float
     with pytest.raises(OverflowError, match=r"duration 1\.9\d* at freq_over_h 1e\+308"):
         period_count(np.pi / (2.0 * 0.8), 1e308)
+
+
+def test_period_count_refuses_non_finite_input():
+    # a nan count used to fail the 2^53 test and be reported as an overflow
+    nan, inf = float("nan"), float("inf")
+    for duration, f in ((nan, 1e4), (1.0, nan), (inf, 1e4), (1.0, inf)):
+        with pytest.raises(ValueError, match="finite"):
+            period_count(duration, f)
+    with pytest.raises(ValueError, match="duration nan"):
+        realized_channel("rz", nan, 1e3)
 
 
 def test_period_count_exact_multiples():
