@@ -26,15 +26,19 @@ def channel_nqubits(s) -> int:
     return n
 
 
-def check_cptp(s, atol: float = 1e-9) -> None:
+# largest trace defect and negative Choi eigenvalue check_cptp lets pass
+CPTP_ATOL = 1e-9
+
+
+def check_cptp(s) -> None:
     """Check trace preservation and complete positivity; raise if violated."""
     d = 2 ** channel_nqubits(s)
     ident = vec(np.eye(d, dtype=complex))
     defect = np.linalg.norm(s.conj().T @ ident - ident)
-    if defect > atol:
+    if defect > CPTP_ATOL:
         raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
     w = np.linalg.eigvalsh(superop_to_choi(s))
-    if w.min() < -atol:
+    if w.min() < -CPTP_ATOL:
         raise ValueError(f"Choi matrix has negative eigenvalue {w.min():.3e}")
 
 
@@ -54,12 +58,12 @@ def unitary_channel(u) -> np.ndarray:
 
 def depolarizing(eps: float) -> np.ndarray:
     """Single-qubit depolarizing map with Kraus weights (1 - 3e/4, e/4, e/4, e/4)."""
-    if not 0.0 <= eps <= 4.0 / 3.0:
-        raise ValueError(f"depolarizing rate {eps} outside [0, 4/3]")
     return kraus_to_superop(depolarizing_kraus(eps))
 
 
 def depolarizing_kraus(eps: float) -> list[np.ndarray]:
+    if not 0.0 <= eps <= 4.0 / 3.0:
+        raise ValueError(f"depolarizing rate {eps} outside [0, 4/3]")
     return [
         np.sqrt(1.0 - 3.0 * eps / 4.0) * I2,
         np.sqrt(eps / 4.0) * SX,

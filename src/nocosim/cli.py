@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__, faulttol, gates, zeno
-from .channels import entanglement_fidelity
+from .channels import entanglement_fidelity, unitary_channel
 from .qcore import bloch_vector, pauli_coefficients, pauli_strings
 
 COMMAND_DEFAULTS = {
@@ -236,10 +236,12 @@ def _swap_check_row():
 
 
 def _transfer_check_row(mode, eps, f):
-    rep = gates.transfer_independence_report(mode, eps, f)
-    noisy = mode == "finite_frequency"
-    return [mode, fmt(eps if noisy else 0.0), fmt(f if noisy else 0.0),
-            fmt(rep.max_pair_distance), fmt(rep.max_distance_to_rzz)]
+    if mode == "ideal":
+        gate, eps, f = unitary_channel(gates.RZZ_TARGET), 0.0, 0.0
+    else:
+        gate = gates.realized_channel("rzz", eps, f).superop
+    rep = gates.transfer_independence_report(gate)
+    return [mode, fmt(eps), fmt(f), fmt(rep.max_pair_distance), fmt(rep.max_distance_to_rzz)]
 
 
 def _distill_row(n, eps, f):

@@ -24,17 +24,11 @@ from math import comb, isfinite, log
 
 import numpy as np
 
-from .channels import (
-    apply_channel,
-    depolarizing,
-    pauli_twirl,
-    phase_flip_weight,
-    unitary_channel,
-)
+from .channels import depolarizing, pauli_twirl, phase_flip_weight, unitary_channel
 from .gates import RZZ_PRIME_TARGET, gate_error_channel, realized_channel, recipe
-from .qcore import embed_superop, projector, unvec, vec
+from .qcore import projector, unvec, vec
 
-# largest weight a conditional data state may keep off |x><x|
+# largest entry a round's output may keep off the data input's |x><x| block
 DIAGONAL_TOLERANCE = 1e-12
 
 # largest odd round count whose binomials C(n, k) all fit in a double
@@ -83,42 +77,37 @@ class DistillationResult:
 def _round_rates(config: DistillationConfig) -> np.ndarray:
     """Per-round outcome rates: ``rates[x, o]`` for data input |x> and outcome o.
 
-    Outcome 0 is "+" and 1 is "-".  Raises if a round moves any weight off
-    the data input, which would break the per-class sum in ``distill``.
+    Outcome 0 is "+" and 1 is "-".  The gate is applied once per data bit
+    to |x><x| (x) anc, and its output, reshaped to the axes (data column,
+    ancilla column, data row, ancilla row), must vanish off the ``[x, :, x, :]``
+    block: the round then leaves |x><x| in place, as the per-class sum in
+    ``distill`` needs, and the block is the vec of the conditional ancilla
+    state that the (noisy) x-basis readout rows score.
     """
     eps = config.eps
     plus = projector("+")
-    anc = apply_channel(depolarizing(eps), plus) if config.noisy_init else plus
+    anc = unvec(depolarizing(eps) @ vec(plus), 2) if config.noisy_init else plus
 
     if config.noisy_gate:
         s_gate = realized_channel("rzz_prime", eps, config.freq_over_h).superop
     else:
         s_gate = unitary_channel(RZZ_PRIME_TARGET)
+    readout = np.stack([vec(projector(outcome)) for outcome in "+-"])
     if config.noisy_meas:
-        # depolarizing on the ancilla factor of the (dq, aq) pair
-        s_meas = embed_superop(depolarizing(eps), (1,), 2)
-    else:
-        s_meas = np.eye(16, dtype=complex)
+        readout = readout @ depolarizing(eps)
 
     rates = np.empty((2, 2))
-    for o, outcome in enumerate("+-"):
-        # row i + 2j reads entry (i, j) of the data-qubit state the outcome
-        # leaves: Tr[(|j><i| (x) P) rho].  The rows meet the channels before
-        # the input state does; that order fixes the last-bit rounding of
-        # the small rates, which the printed tables resolve.
-        rows = np.stack([vec(np.kron(unvec(e, 2), projector(outcome))) for e in np.eye(4)])
-        readout = rows @ s_meas @ s_gate
-        for x in (0, 1):
-            data = unvec(readout @ vec(np.kron(projector(str(x)), anc)), 2)
-            off = np.abs(data)
-            off[x, x] = 0.0
-            if off.max() > DIAGONAL_TOLERANCE:
-                raise ValueError(
-                    f"round map moves weight {off.max():.3e} off the data input "
-                    f"|{x}> (outcome {outcome}); distillation needs a gate that "
-                    "commutes with Z on the data qubit"
-                )
-            rates[x, o] = np.trace(data).real
+    for x in (0, 1):
+        out = (s_gate @ vec(np.kron(projector(str(x)), anc))).reshape(2, 2, 2, 2)
+        block = out[x, :, x, :].copy()
+        out[x, :, x, :] = 0.0
+        off = np.abs(out).max()
+        if off > DIAGONAL_TOLERANCE:
+            raise ValueError(
+                f"round map moves weight {off:.3e} off the data input |{x}>; "
+                "distillation needs a gate that commutes with Z on the data qubit"
+            )
+        rates[x] = (readout @ block.reshape(4)).real
     return rates
 
 
@@ -243,14 +232,6 @@ class ThresholdError(RuntimeError):
     """Threshold search failed (no crossing or non-monotone budget)."""
 
 
-class NoThresholdError(ThresholdError):
-    pass
-
-
-class NonMonotoneBudgetError(ThresholdError):
-    pass
-
-
 @dataclass
 class ThresholdPoint:
     """Bisection result: largest tolerable depolarizing rate at (freq, rounds).
@@ -291,13 +272,13 @@ def threshold(
     for eps in grid:
         val = p_phase(eps)
         if prev_val is not None and val < prev_val - 1e-12:
-            raise NonMonotoneBudgetError(
+            raise ThresholdError(
                 f"budget decreases between eps={lo:.4f} and eps={eps:.4f} "
                 f"({prev_val:.6e} -> {val:.6e}) at freq={freq_over_h}, n={rounds}"
             )
         if val >= budget:
             if prev_val is None:
-                raise NoThresholdError(
+                raise ThresholdError(
                     f"budget {val:.4e} already above target {budget} at eps=0 "
                     f"(freq={freq_over_h}, n={rounds})"
                 )
@@ -305,7 +286,7 @@ def threshold(
             break
         lo, prev_val = eps, val
     if hi is None:
-        raise NoThresholdError(
+        raise ThresholdError(
             f"budget stays below target {budget} up to eps=0.99 "
             f"(freq={freq_over_h}, n={rounds})"
         )

@@ -33,7 +33,7 @@ from .qcore import (
     reduce_superop,
     unitary_evolution,
 )
-from .zeno import NocoResult, NoisyCycleSpec, fixed_state, noco_channel
+from .zeno import NocoResult, NoisyCycleSpec, fixed_state, noco_channel, period_count
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -170,6 +170,7 @@ def realized_channel(
     rec = recipe(name)
     if duration is None:
         duration = rec.duration(eps)
+    period_count(duration, freq_over_h)  # refuse a bad duration before the cycle's rate
     run = noco_channel(rec.cycle(eps), duration, freq_over_h)
     run.superop.setflags(write=False)
     return run
@@ -263,28 +264,16 @@ def _probe_state(symbol: str) -> np.ndarray:
 
 @dataclass
 class TransferIndependenceReport:
-    mode: str
     max_pair_distance: float
     max_distance_to_rzz: float
 
 
-def transfer_independence_report(
-    mode: str = "ideal", eps: float = 0.0, freq_over_h: float | None = None
-) -> TransferIndependenceReport:
+def transfer_independence_report(gate: np.ndarray) -> TransferIndependenceReport:
     """Spread of the (c1, c2) transfer channel over probe initial states.
 
-    In "ideal" mode the phase gate is the exact RZZ; in "finite_frequency"
-    mode it is the realized rzz channel at (eps, freq_over_h).
+    ``gate`` is the two-qubit phase-gate superoperator: the exact RZZ, or a
+    realized rzz channel.
     """
-    s_rzz = unitary_channel(RZZ_TARGET)
-    if mode == "ideal":
-        gate = s_rzz
-    elif mode == "finite_frequency":
-        if freq_over_h is None:
-            raise ValueError("finite_frequency mode needs freq_over_h")
-        gate = realized_channel("rzz", eps, freq_over_h).superop
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     circuit = transfer_cphase_circuit(gate)
     chans = [
         reduce_superop(circuit, 4, (1, 3), kron(_probe_state(a), _probe_state(p2)))
@@ -294,10 +283,9 @@ def transfer_independence_report(
     for i in range(len(chans)):
         for j in range(i + 1, len(chans)):
             pair = max(pair, float(np.linalg.norm(chans[i] - chans[j])))
+    s_rzz = unitary_channel(RZZ_TARGET)
     to_rzz = max(float(np.linalg.norm(ch - s_rzz)) for ch in chans)
-    return TransferIndependenceReport(
-        mode=mode, max_pair_distance=pair, max_distance_to_rzz=to_rzz
-    )
+    return TransferIndependenceReport(max_pair_distance=pair, max_distance_to_rzz=to_rzz)
 
 
 @dataclass
@@ -310,7 +298,11 @@ class NoiseAdmissibility:
     pass_c2: bool
 
 
-def noise_conditions(rho_i, rho_h, rho_s, tol: float = 1e-9) -> NoiseAdmissibility:
+# smallest cross product norm and z polarization counted as nonzero
+NOISE_CONDITION_TOL = 1e-9
+
+
+def noise_conditions(rho_i, rho_h, rho_s) -> NoiseAdmissibility:
     """Evaluate the two polarization conditions on frozen actuator states.
 
     The first requires the reset-cycle and the reset+Hadamard-cycle fixed
@@ -323,8 +315,8 @@ def noise_conditions(rho_i, rho_h, rho_s, tol: float = 1e-9) -> NoiseAdmissibili
     return NoiseAdmissibility(
         cross_norm=cross_norm,
         trz_s=trz,
-        pass_c1=cross_norm > tol,
-        pass_c2=abs(trz) > tol,
+        pass_c1=cross_norm > NOISE_CONDITION_TOL,
+        pass_c2=abs(trz) > NOISE_CONDITION_TOL,
     )
 
 

@@ -214,15 +214,14 @@ def pauli_strings(nqubits: int):
     return ("".join(chars) for chars in product(PAULI_NAMES, repeat=nqubits))
 
 
-def pauli_coefficients(op, nqubits: int | None = None) -> dict[str, float]:
+def pauli_coefficients(op) -> dict[str, float]:
     """Expansion coefficients of a Hermitian operator in the Pauli basis.
 
     Returns {string: c} with op = sum_s c_s * P_s and c_s real,
     c_s = Tr(P_s op) / 2**n.
     """
     m = np.asarray(op, dtype=complex)
-    if nqubits is None:
-        nqubits = int(round(np.log2(m.shape[0])))
+    nqubits = int(round(np.log2(m.shape[0])))
     d = 2 ** nqubits
     return {
         s: float(np.trace(pauli_string_operator(s) @ m).real / d)

@@ -115,7 +115,11 @@ def fixed_state(spec: NoisyCycleSpec) -> FixedState:
     return FixedState(rho=rho, defect=defect)
 
 
-def verify_projector(spec: NoisyCycleSpec, atol: float = 1e-10):
+# largest idempotence defect verify_projector accepts
+PROJECTOR_ATOL = 1e-10
+
+
+def verify_projector(spec: NoisyCycleSpec):
     """Check that one period's actuator operation is idempotent.
 
     Returns (ok, defect) where defect = ||S@S - S||_F on the actuator factor.
@@ -124,7 +128,7 @@ def verify_projector(spec: NoisyCycleSpec, atol: float = 1e-10):
     """
     s = spec.actuator
     defect = float(np.linalg.norm(s @ s - s))
-    return defect <= atol, defect
+    return defect <= PROJECTOR_ATOL, defect
 
 
 def effective_hamiltonian(spec: NoisyCycleSpec) -> np.ndarray:

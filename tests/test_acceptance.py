@@ -15,6 +15,7 @@ from nocosim.channels import (
     depolarizing_kraus,
     initialization_kraus,
     kraus_to_superop,
+    unitary_channel,
 )
 from nocosim.cli import main as cli_main
 from nocosim.faulttol import (
@@ -26,6 +27,7 @@ from nocosim.faulttol import (
 )
 from nocosim.gates import (
     HADAMARD,
+    RZZ_TARGET,
     depolarizing_fixed_states,
     infidelity_surface,
     noise_conditions,
@@ -137,7 +139,7 @@ def test_criterion_4_inverse_frequency_convergence():
 
 def test_criterion_5_swap_and_transfer():
     chk = swap_identity_check()
-    rep = transfer_independence_report("ideal")
+    rep = transfer_independence_report(unitary_channel(RZZ_TARGET))
     ok = (chk.deviation <= 1e-10
           and rep.max_pair_distance <= 1e-10
           and rep.max_distance_to_rzz <= 1e-10)

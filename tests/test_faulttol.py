@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from nocosim import faulttol, gates
-from nocosim.cli import _map_tasks
+from nocosim.cli import _map_tasks, main
 from nocosim.channels import depolarizing_kraus, pauli_twirl, unitary_channel
 from nocosim.faulttol import (
     DistillationConfig,
-    NoThresholdError,
+    ThresholdError,
     error_rate_mapping,
     distill,
     threshold,
@@ -94,6 +94,13 @@ def test_distill_matches_leaf_enumeration():
         DistillationConfig(rounds=3, eps=0.25, freq_over_h=1e3),
         DistillationConfig(rounds=7, eps=0.15, freq_over_h=1e3, noisy_meas=False),
         DistillationConfig(rounds=9, eps=0.2, freq_over_h=1e4),
+        # the remaining combinations of the three noise sources
+        *(
+            DistillationConfig(rounds=3, eps=0.2, freq_over_h=1e3, noisy_init=init,
+                               noisy_gate=gate, noisy_meas=meas)
+            for init, gate, meas in product((False, True), repeat=3)
+            if not (init and gate)
+        ),
     ):
         res = distill(config)
         p_naive, probs_naive = naive_distill(config)
@@ -290,10 +297,22 @@ def test_threshold_ends_at_adjacent_doubles(monkeypatch):
 
 
 def test_threshold_no_crossing():
-    with pytest.raises(NoThresholdError):
+    with pytest.raises(ThresholdError):
         threshold(1e3, 1, budget=1e-9)
-    with pytest.raises(NoThresholdError):
+    with pytest.raises(ThresholdError):
         threshold(1e3, 1, budget=10.0)
+
+
+def test_threshold_non_monotone_budget(monkeypatch, capsys):
+    # a budget that dips between two points of the 0.05 scan grid
+    def budget(eps, *_args):
+        return SimpleNamespace(p_phase=0.02 if 0.07 < eps < 0.12 else 0.01)
+
+    monkeypatch.setattr(faulttol, "vacuum_error_budget", budget)
+    with pytest.raises(ThresholdError, match="decreases"):
+        threshold(1e3, 1)
+    assert main(["threshold", "--freq_over_h", "1e3", "--rounds", "1"]) == 4
+    assert "decreases" in capsys.readouterr().err
 
 
 def test_threshold_validation():

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nocosim import faulttol, gates
+from nocosim.cli import _transfer_check_row
 from nocosim.channels import (
     check_cptp,
     entanglement_fidelity,
@@ -113,6 +114,14 @@ def test_actuator_maps_replace_the_actuator_state():
             assert np.max(np.abs(spec.actuator - replacement)) <= 1e-15, (name, eps)
 
 
+def test_driven_cycles_refuse_rates_outside_the_depolarizing_range():
+    # the actuators build their Kraus sets directly, so the range check sits there
+    for name in ("rz", "phase_z", "rx", "rzz", "rzz_prime"):
+        for eps in (-0.1, 1.4):
+            with pytest.raises(ValueError, match="depolarizing rate"):
+                recipe(name).cycle(eps)
+
+
 @given(
     st.sampled_from(("rz", "phase_z", "rx", "rzz", "rzz_prime")),
     st.floats(0.0, 0.9),
@@ -150,13 +159,13 @@ def test_decouple_single_period_residuals():
 
 
 def test_transfer_ideal_independence():
-    rep = transfer_independence_report("ideal")
+    rep = transfer_independence_report(unitary_channel(RZZ_TARGET))
     assert rep.max_pair_distance < 1e-10
     assert rep.max_distance_to_rzz < 1e-10
 
 
 def test_transfer_finite_frequency():
-    rep = transfer_independence_report("finite_frequency", eps=0.2, freq_over_h=1e3)
+    rep = transfer_independence_report(realized_channel("rzz", 0.2, 1e3).superop)
     # the realized phase gate is z-diagonal, so the reduced channel stays
     # independent of the parked states even though it deviates from ideal
     assert rep.max_pair_distance < 1e-8
@@ -175,7 +184,7 @@ def test_transfer_report_realizes_the_gate_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(gates, "realized_channel", counting)
-    transfer_independence_report("finite_frequency", 0.2, 1e3)
+    _transfer_check_row("finite_frequency", 0.2, 1e3)
     assert calls == [("rzz", 0.2, 1e3)]
 
 
@@ -185,13 +194,6 @@ def test_realized_channel_stays_traceable():
     bound = inspect.signature(gates.realized_channel).bind("rzz", 0.2, 1e3)
     assert bound.arguments["name"] == "rzz"
     assert faulttol.realized_channel is gates.realized_channel
-
-
-def test_transfer_mode_validation():
-    with pytest.raises(ValueError):
-        transfer_independence_report("finite_frequency")
-    with pytest.raises(ValueError):
-        transfer_independence_report("bogus")
 
 
 def test_transfer_ideal_matches_rzz_unitary():

@@ -31,6 +31,10 @@ COMMANDS = {
     "swap-check.csv": ["swap-check"],
     "transfer-check.csv": ["transfer-check"],
     "distill.csv": ["distill"],
+    # three round counts up to MAX_ROUNDS, ideal and noisy drive, two frequencies
+    "distill-grid.csv": [
+        "distill", "--rounds", "3,101,1029", "--epsilon", "0,0.3", "--freq_over_h", "1e3,1e4",
+    ],
     # the default 25-point sweep takes tens of seconds; one point covers it
     "threshold.csv": ["threshold", "--freq_over_h", "1e3", "--rounds", "9"],
     # the only table with idle terms in the budget
