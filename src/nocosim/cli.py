@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, faulttol, gates, zeno
 from .channels import entanglement_fidelity, unitary_channel
-from .qcore import bloch_vector, pauli_coefficients, pauli_strings
+from .qcore import pauli_coefficients, pauli_strings
 
 COMMAND_DEFAULTS = {
     "fixed-state": {"gate": "rx"},
@@ -209,8 +209,8 @@ def _map_tasks(fn, tasks, workers: int):
 
 
 def _fixed_state_row(gate, eps):
-    p = bloch_vector(zeno.fixed_state(gates.recipe(gate).cycle(eps)).rho)
-    return [fmt(eps), fmt(eps if gate == "rx" else 0.0), fmt(p[0]), fmt(p[1]), fmt(p[2])]
+    p = pauli_coefficients(zeno.fixed_state(gates.recipe(gate).cycle(eps)).rho)
+    return [fmt(eps), fmt(eps if gate == "rx" else 0.0)] + [fmt(p[k]) for k in "XYZ"]
 
 
 def _eff_h_row(gate, eps):
@@ -292,8 +292,6 @@ def _check_command(command: str, cfg: dict) -> None:
         raise UnknownGateError(f"unknown gate {gate!r}; known: {', '.join(gates.GATE_NAMES)}")
     if command == "fixed-state" and gates.recipe(gate).cycle(0.0).n_actuators != 1:
         raise ConfigError("fixed-state output is defined for single-actuator gates")
-    if command == "gate-error" and gates.recipe(gate).duration_rule is None:
-        raise ConfigError("gate-error needs a gate with a duration rule")
     if command == "transfer-check" and max(len(cfg["epsilon"]), len(cfg["freq_over_h"])) > 1:
         raise ConfigError("transfer-check takes one epsilon and one freq_over_h")
 

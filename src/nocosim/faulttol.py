@@ -25,7 +25,7 @@ from math import comb, isfinite, log
 import numpy as np
 
 from .channels import depolarizing, pauli_twirl, phase_flip_weight, unitary_channel
-from .gates import RZZ_PRIME_TARGET, gate_error_channel, realized_channel, recipe
+from .gates import RZZ_PRIME_TARGET, gate_error_channel, idle_channel, realized_channel, recipe
 from .qcore import projector, unvec, vec
 
 # largest entry a round's output may keep off the data input's |x><x| block
@@ -210,12 +210,9 @@ def vacuum_error_budget(
     if include_decoupling:
         for slot, gate, _, idles in SCHEDULE:
             for interaction, count in idles:
-                run = realized_channel(
-                    f"decouple_{interaction}", 0.0, freq_over_h, duration=durations[gate]
-                )
-                idle_weights[slot, interaction] = count * phase_flip_weight(
-                    pauli_twirl(run.superop)
-                )
+                run = idle_channel(interaction, durations[gate], freq_over_h)
+                weight = phase_flip_weight(pauli_twirl(run.superop))
+                idle_weights[slot, interaction] = count * weight
 
     p_phase = 0.0
     for gate, weight in gate_weights.items():

@@ -4,7 +4,8 @@ Each recipe pairs an interaction Hamiltonian with the per-period actuator
 channel that freezes the actuator, the drive duration that realizes a
 target register unitary, and that target.  Durations compensate the noise
 rate: a depolarized reset leaves actuator polarization (1 - eps), so gate
-times scale like 1/(1 - eps).
+times scale like 1/(1 - eps).  ``idle_channel`` builds the schedule's idle
+couplings under a fully depolarizing actuator.
 """
 
 from dataclasses import dataclass
@@ -25,10 +26,10 @@ from .qcore import (
     SX,
     SY,
     SZ,
-    bloch_vector,
     embed_operator,
     embed_superop,
     kron,
+    pauli_coefficients,
     projector,
     reduce_superop,
     unitary_evolution,
@@ -89,12 +90,10 @@ class GateRecipe:
     name: str
     hamiltonian: np.ndarray
     actuator: object           # eps -> actuator superoperator of one period
-    duration_rule: object      # eps -> float, or None for decoupling
+    duration_rule: object      # eps -> float
     target: np.ndarray
 
     def duration(self, eps: float) -> float:
-        if self.duration_rule is None:
-            raise ValueError(f"{self.name} takes a caller-supplied duration")
         if eps >= 1.0:
             raise ValueError(
                 f"{self.name} duration diverges at depolarizing rate "
@@ -117,10 +116,7 @@ def _recipes() -> dict:
         s = init(eps)
         return embed_superop(s, (1,), 2) @ embed_superop(s, (0,), 2)
 
-    def twirl(_eps):
-        return depolarizing(1.0)
-
-    heis, ising, xy = _heisenberg_h(), _ising3_h(), _xy_h()
+    heis, ising = _heisenberg_h(), _ising3_h()
     return {
         "rz": GateRecipe(
             "rz", heis, init, lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
@@ -134,12 +130,6 @@ def _recipes() -> dict:
         "rzz_prime": GateRecipe(
             "rzz_prime", _rzz_prime_h(), init_both,
             lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_PRIME_TARGET),
-        "decouple_heisenberg": GateRecipe(
-            "decouple_heisenberg", heis, twirl, None, np.eye(2, dtype=complex)),
-        "decouple_ising": GateRecipe(
-            "decouple_ising", ising, twirl, None, np.eye(4, dtype=complex)),
-        "decouple_xy": GateRecipe(
-            "decouple_xy", xy, twirl, None, np.eye(4, dtype=complex)),
     }
 
 
@@ -155,12 +145,7 @@ def recipe(name: str) -> GateRecipe:
 
 
 @lru_cache()
-def realized_channel(
-    name: str,
-    eps: float,
-    freq_over_h: float,
-    duration: float | None = None,
-) -> NocoResult:
+def realized_channel(name: str, eps: float, freq_over_h: float) -> NocoResult:
     """Finite-frequency register channel of a catalog gate.
 
     Remembers its last 128 channels: a threshold search asks for the same
@@ -168,10 +153,26 @@ def realized_channel(
     superoperator is read-only.
     """
     rec = recipe(name)
-    if duration is None:
-        duration = rec.duration(eps)
+    duration = rec.duration(eps)
     period_count(duration, freq_over_h)  # refuse a bad duration before the cycle's rate
     run = noco_channel(rec.cycle(eps), duration, freq_over_h)
+    run.superop.setflags(write=False)
+    return run
+
+
+# the schedule's idle couplings, under the names ``faulttol.SCHEDULE`` gives them
+IDLE_HAMILTONIANS = {"heisenberg": _heisenberg_h(), "ising": _ising3_h()}
+
+
+@lru_cache()
+def idle_channel(interaction: str, duration: float, freq_over_h: float) -> NocoResult:
+    """Register channel of an idle coupling under a fully depolarizing actuator.
+
+    The actuator freezes at I/2, which averages the coupling away and leaves
+    its finite-frequency residual.  Cached and read-only like ``realized_channel``.
+    """
+    spec = NoisyCycleSpec(IDLE_HAMILTONIANS[interaction], depolarizing(1.0))
+    run = noco_channel(spec, duration, freq_over_h)
     run.superop.setflags(write=False)
     return run
 
@@ -310,7 +311,8 @@ def noise_conditions(rho_i, rho_h, rho_s) -> NoiseAdmissibility:
     product of Bloch vectors); the second requires the square-actuator
     fixed state to retain z polarization.
     """
-    cross_norm = float(np.linalg.norm(np.cross(bloch_vector(rho_i), bloch_vector(rho_h))))
+    p_i, p_h = ([pauli_coefficients(rho)[k] for k in "XYZ"] for rho in (rho_i, rho_h))
+    cross_norm = float(np.linalg.norm(np.cross(p_i, p_h)))
     trz = float(np.trace(SZ @ np.asarray(rho_s, dtype=complex)).real)
     return NoiseAdmissibility(
         cross_norm=cross_norm,

@@ -15,10 +15,10 @@ Conventions used throughout the package:
   qubits: position q < n is the column index of qubit q, position n + q
   its row index.  ``embed_superop`` and ``reduce_superop`` work in that
   doubled space.
-* ``bloch_vector`` returns p_k = Tr(sigma_k rho) / 2, so components lie in
-  [-1/2, 1/2].  This is half the textbook Bloch vector; an exchange
-  coupling sum_k sigma_k (x) sigma_k against a frozen actuator state rho
-  then induces sum_k 2 p_k(rho) sigma_k on the register.
+* Bloch components are the X/Y/Z entries of ``pauli_coefficients``,
+  p_k = Tr(sigma_k rho) / 2 in [-1/2, 1/2]: half the textbook Bloch
+  vector.  An exchange coupling sum_k sigma_k (x) sigma_k against a frozen
+  actuator state rho then induces sum_k 2 p_k(rho) sigma_k on the register.
 """
 
 from itertools import product
@@ -119,19 +119,6 @@ def unitary_evolution(hamiltonian, t: float) -> np.ndarray:
     h = np.asarray(hamiltonian, dtype=complex)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def bloch_vector(rho) -> np.ndarray:
-    """Half-normalized Bloch components p_k = Tr(sigma_k rho) / 2.
-
-    Note the factor 1/2: a pure state has |p| = 1/2, not 1.  This is the
-    normalization under which the actuator fixed states come out with
-    rational components, e.g. the reset cycle gives p = (0, 0, (1-eps)/2).
-    """
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("bloch_vector is defined for single-qubit operators")
-    return np.array([np.trace(s @ m).real / 2.0 for s in (SX, SY, SZ)])
 
 
 def embed_operator(op, positions, nqubits: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .qcore import (
     vec,
 )
 
-# tolerates float dust in t * f when the product should be an exact integer
+# float dust tolerated in t * f at a whole count: a few ulps from ~1.1e6 periods up
 _PERIOD_COUNT_NUDGE = 1e-9
 
 
@@ -53,7 +53,8 @@ def period_count(duration: float, freq_over_h: float) -> int:
             f"duration {duration} at freq_over_h {freq_over_h} spans {periods:.3g} "
             "drive periods; counts from 2^53 up are not exact in a float"
         )
-    return int(np.floor(periods + _PERIOD_COUNT_NUDGE))
+    nudge = max(_PERIOD_COUNT_NUDGE, periods * 2.0 ** -50)
+    return int(min(np.floor(periods + nudge), np.ceil(periods)))  # never past the next count
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 ``perfbench/run.py`` reports a traced function that has gone as absent and
 still passes its self-check, so a refactor that deleted one would blank
-that function's metrics without a failing run.  This test reads the
-benchmark's list of traced functions and checks each against the package.
+that function's metrics without a failing run.  These tests read the
+benchmark's list of traced functions and check each against the package,
+and check that its per-gate metrics cover the gate catalog.
 """
 
 import importlib
 import types
 from pathlib import Path
+
+from nocosim import gates
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -16,15 +19,15 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 KNOWN_ABSENT = {("faulttol", "threshold_sweep")}
 
 
-def _traced():
+def _spans():
     # exec the source rather than import it, so nothing is written beside it
     module = types.ModuleType("perfbench_spans")
     exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
-    return module.TRACED
+    return module
 
 
 def test_every_traced_function_exists():
-    traced = [(mod, fn) for mod, fn, _ in _traced()]
+    traced = [(mod, fn) for mod, fn, _ in _spans().TRACED]
     assert len(traced) > len(KNOWN_ABSENT)
     missing = [
         f"{mod}.{fn}"
@@ -33,3 +36,8 @@ def test_every_traced_function_exists():
         and not callable(getattr(importlib.import_module(f"nocosim.{mod}"), fn, None))
     ]
     assert not missing, f"traced by perfbench/spans.py but gone: {missing}"
+
+
+def test_per_gate_metrics_cover_the_catalog():
+    # a gate added to the catalog without per-gate metrics would go unmeasured
+    assert set(_spans().GATES) == set(gates.GATE_NAMES)

@@ -194,6 +194,10 @@ def test_one_config_file_serves_every_command(tmp_path):
 def test_unknown_gate_exit_code():
     assert run(["gate-error", "--gate", "cnot"]) == 3
     assert run(["fixed-state", "--gate", "nope"]) == 3
+    # idle couplings are not catalog gates
+    assert run(["fixed-state", "--gate", "decouple_heisenberg"]) == 3
+    assert run(["eff-h", "--gate", "decouple_xy"]) == 3
+    assert run(["gate-error", "--gate", "decouple_ising"]) == 3
 
 
 def test_no_threshold_exit_code():

@@ -21,6 +21,7 @@ from nocosim.gates import (
     RX_TARGET,
     RZZ_PRIME_TARGET,
     gate_error_channel,
+    idle_channel,
     realized_channel,
     recipe,
 )
@@ -248,7 +249,7 @@ def test_budget_with_decoupling_terms():
     ]
     assert all(weight >= 0.0 for weight in b.idle_weights.values())
     # four Ising neighbors idle through each x rotation
-    run = realized_channel("decouple_ising", 0.0, 1e4, duration=recipe("rx").duration(0.2))
+    run = idle_channel("ising", recipe("rx").duration(0.2), 1e4)
     probs = pauli_twirl(run.superop)
     residual = sum(p for s, p in probs.items() if s[0] in "YZ")
     assert b.idle_weights["rx_1", "ising"] == b.idle_weights["rx_2", "ising"] == 4 * residual

@@ -9,6 +9,7 @@ from nocosim import faulttol, gates
 from nocosim.cli import _transfer_check_row
 from nocosim.channels import (
     check_cptp,
+    depolarizing,
     entanglement_fidelity,
     pauli_twirl,
     phase_flip_weight,
@@ -21,6 +22,7 @@ from nocosim.gates import (
     RZZ_TARGET,
     depolarizing_fixed_states,
     gate_error_channel,
+    idle_channel,
     noise_conditions,
     realized_channel,
     recipe,
@@ -37,13 +39,15 @@ from nocosim.qcore import (
     unitary_evolution,
     vec,
 )
-from nocosim.zeno import fixed_state
+from nocosim.zeno import fixed_state, noco_channel
 
 
 def test_gate_catalog():
-    assert "rz" in GATE_NAMES and "rzz_prime" in GATE_NAMES
-    with pytest.raises(ValueError):
-        recipe("cnot")
+    # only driven gates: idle couplings are built by idle_channel
+    assert GATE_NAMES == ("phase_z", "rx", "rz", "rzz", "rzz_prime")
+    for name in ("cnot", "decouple_ising"):
+        with pytest.raises(ValueError):
+            recipe(name)
 
 
 def test_duration_rules():
@@ -52,8 +56,6 @@ def test_duration_rules():
     assert recipe("rx").duration(0.2) == pytest.approx(np.pi / (4 * 0.8 * 0.8))
     assert recipe("rzz").duration(0.5) == pytest.approx(np.pi / 2.0)
     assert recipe("rzz_prime").duration(0.0) == pytest.approx(np.pi / 4.0)
-    with pytest.raises(ValueError):
-        recipe("decouple_ising").duration(0.1)
     with pytest.raises(ValueError, match="eps=1.0"):
         recipe("rz").duration(1.0)
 
@@ -112,6 +114,9 @@ def test_actuator_maps_replace_the_actuator_state():
             ident = np.eye(2 ** spec.n_actuators, dtype=complex)
             replacement = np.outer(vec(rho), vec(ident).conj())
             assert np.max(np.abs(spec.actuator - replacement)) <= 1e-15, (name, eps)
+    # so is the fully depolarizing actuator of the idle couplings, with rho_U = I/2
+    replacement = np.outer(vec(I2 / 2.0), vec(I2).conj())
+    assert np.max(np.abs(depolarizing(1.0) - replacement)) <= 1e-15
 
 
 def test_driven_cycles_refuse_rates_outside_the_depolarizing_range():
@@ -143,14 +148,14 @@ def test_decouple_single_period_residuals():
     dt = 2.0 * np.pi / f
     # twirled Ising neighbor: one period leaves a ZZ rotation pair whose
     # twirl weight is sin^2(dt)
-    run = realized_channel("decouple_ising", 0.0, f, duration=dt)
+    run = idle_channel("ising", dt, f)
     assert run.n_periods == 1
     probs = pauli_twirl(run.superop)
     assert np.isclose(probs["ZZ"], np.sin(dt) ** 2, atol=1e-12)
     assert np.isclose(probs["II"], np.cos(dt) ** 2, atol=1e-12)
     assert np.isclose(phase_flip_weight(probs), np.sin(dt) ** 2, atol=1e-12)
     # twirled exchange coupling: one period depolarizes at sin^2(2 dt)
-    run = realized_channel("decouple_heisenberg", 0.0, f, duration=dt)
+    run = idle_channel("heisenberg", dt, f)
     probs = pauli_twirl(run.superop)
     s = np.sin(2.0 * dt) ** 2
     for p in "XYZ":
@@ -236,7 +241,7 @@ def test_noise_conditions_degenerate_cases():
 def test_effective_rotation_angle_tracks_duration():
     # halving the drive duration halves the realized rotation angle
     full = realized_channel("rz", 0.0, 1e5)
-    half = realized_channel("rz", 0.0, 1e5, duration=recipe("rz").duration(0.0) / 2)
+    half = noco_channel(recipe("rz").cycle(0.0), recipe("rz").duration(0.0) / 2, 1e5)
     u_half = unitary_evolution(SZ, np.pi / 8.0)
     assert entanglement_fidelity(half.superop, u_half) > 1.0 - 1e-4
     assert entanglement_fidelity(full.superop, u_half) < 0.99

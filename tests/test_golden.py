@@ -41,6 +41,10 @@ COMMANDS = {
     "threshold-decoupling.csv": [
         "threshold", "--freq_over_h", "1e4", "--rounds", "3", "--include_decoupling", "true",
     ],
+    # idle terms at a higher frequency, where the residuals are small next to the gates'
+    "threshold-decoupling-1e5.csv": [
+        "threshold", "--freq_over_h", "1e5", "--rounds", "5", "--include_decoupling", "true",
+    ],
     "noise-check.csv": ["noise-check"],
 }
 

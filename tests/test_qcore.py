@@ -9,7 +9,6 @@ from nocosim.qcore import (
     SX,
     SY,
     SZ,
-    bloch_vector,
     embed_operator,
     embed_superop,
     ket,
@@ -96,10 +95,14 @@ def test_unitary_evolution():
 
 
 def test_bloch_vector_half_normalization():
-    # p_k = tr(sigma_k rho) / 2, so pure states sit at radius 1/2
-    assert np.allclose(bloch_vector(projector("0")), [0.0, 0.0, 0.5])
-    assert np.allclose(bloch_vector(projector("+")), [0.5, 0.0, 0.0])
-    assert np.allclose(bloch_vector(I2 / 2.0), [0.0, 0.0, 0.0])
+    # Bloch components are the X/Y/Z Pauli coefficients p_k = tr(sigma_k rho) / 2,
+    # so pure states sit at radius 1/2
+    def bloch(rho):
+        return [pauli_coefficients(rho)[k] for k in "XYZ"]
+
+    assert np.allclose(bloch(projector("0")), [0.0, 0.0, 0.5])
+    assert np.allclose(bloch(projector("+")), [0.5, 0.0, 0.0])
+    assert np.allclose(bloch(I2 / 2.0), [0.0, 0.0, 0.0])
 
 
 def test_embed_operator():

@@ -9,7 +9,7 @@ from nocosim.channels import (
     initialization_kraus,
     kraus_to_superop,
 )
-from nocosim.gates import infidelity_surface, realized_channel
+from nocosim.gates import infidelity_surface, realized_channel, recipe
 from nocosim.qcore import (
     I2,
     SX,
@@ -96,6 +96,15 @@ def test_period_count_exact_multiples():
         assert period_count(n * dt, f) == n
     assert period_count(12.49 * dt, f) == 12
     assert period_count(0.3 * dt, f) == 0
+    # rz at eps = 0 runs pi/4, so f/8 periods; from about 1.1e6 periods up the
+    # float spacing exceeds an absolute 1e-9 nudge, so the nudge scales with the count
+    t = recipe("rz").duration(0.0)
+    for f in (8e6, 8e7, 8e8, 8e9, 8e10, 8e11, 8e12, 8e13, 8e14):
+        assert period_count(t, f) == f / 8
+    # from 2^50 periods up the relative nudge reaches a whole period; a whole
+    # count still stays put
+    for k in (50, 51, 52):
+        assert period_count(2.0 * np.pi, 2.0 ** k) == 2 ** k
 
 
 def test_period_count_gate_durations():
