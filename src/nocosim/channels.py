@@ -12,6 +12,8 @@ C = sum_ij |i><j| (x) E(|i><j|), which has trace d for a trace-preserving
 channel on a d-dimensional system.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .qcore import I2, SX, SY, SZ, pauli_string_operator, pauli_strings, unvec, vec
@@ -106,6 +108,21 @@ def entanglement_fidelity(s: np.ndarray, target_unitary) -> float:
     return float(np.real(np.vdot(su, s)) / d ** 2)
 
 
+@lru_cache()
+def _pauli_superops(nqubits: int) -> tuple:
+    """(string, superoperator of conjugation by it) for every n-qubit Pauli string.
+
+    Built once per qubit count; the arrays are read-only.
+    """
+    table = []
+    for string in pauli_strings(nqubits):
+        p = pauli_string_operator(string)
+        sp = np.kron(p.conj(), p)
+        sp.setflags(write=False)
+        table.append((string, sp))
+    return tuple(table)
+
+
 def pauli_twirl(s: np.ndarray) -> dict[str, float]:
     """Project a channel onto the Pauli channel with the same Pauli fidelities.
 
@@ -114,12 +131,10 @@ def pauli_twirl(s: np.ndarray) -> dict[str, float]:
     and sum to one.  Keys are strings over I, X, Y, Z, qubit 0 first.
     """
     n = channel_nqubits(s)
-    probs = {}
-    for string in pauli_strings(n):
-        p = pauli_string_operator(string)
-        sp = np.kron(p.conj(), p)
-        probs[string] = float(np.real(np.vdot(sp, s)) / 4 ** n)
-    return probs
+    return {
+        string: float(np.real(np.vdot(sp, s)) / 4 ** n)
+        for string, sp in _pauli_superops(n)
+    }
 
 
 def phase_flip_weight(probs: dict[str, float]) -> float:

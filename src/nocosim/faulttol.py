@@ -19,14 +19,16 @@ of every gate the qubit participates in, and bisects the depolarizing rate
 until that budget hits the correcting code's tolerance.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb, isfinite, log
 
 import numpy as np
 
-from .channels import depolarizing, pauli_twirl, phase_flip_weight, unitary_channel
-from .gates import RZZ_PRIME_TARGET, gate_error_channel, idle_channel, realized_channel, recipe
+from .channels import depolarizing, pauli_twirl, phase_flip_weight
+from .gates import RZZ_PRIME_TARGET, gate_error_channel, idle_channel, recipe
 from .qcore import projector, unvec, vec
+from .zeno import noco_state
 
 # largest entry a round's output may keep off the data input's |x><x| block
 DIAGONAL_TOLERANCE = 1e-12
@@ -74,6 +76,7 @@ class DistillationResult:
     posteriors: np.ndarray
 
 
+@lru_cache()
 def _round_rates(config: DistillationConfig) -> np.ndarray:
     """Per-round outcome rates: ``rates[x, o]`` for data input |x> and outcome o.
 
@@ -82,23 +85,30 @@ def _round_rates(config: DistillationConfig) -> np.ndarray:
     ancilla column, data row, ancilla row), must vanish off the ``[x, :, x, :]``
     block: the round then leaves |x><x| in place, as the per-class sum in
     ``distill`` needs, and the block is the vec of the conditional ancilla
-    state that the (noisy) x-basis readout rows score.
+    state that the (noisy) x-basis readout rows score.  The realized gate
+    is propagated on the two inputs by ``zeno.noco_state``, never built as
+    a channel.  The rates do not depend on ``config.rounds``; ``distill``
+    asks with one round, so a threshold search computes them once per
+    (eps, f).  Cached, so the array is read-only.
     """
     eps = config.eps
     plus = projector("+")
     anc = unvec(depolarizing(eps) @ vec(plus), 2) if config.noisy_init else plus
+    inputs = [np.kron(projector(str(x)), anc) for x in (0, 1)]
 
     if config.noisy_gate:
-        s_gate = realized_channel("rzz_prime", eps, config.freq_over_h).superop
+        rec = recipe("rzz_prime")
+        outputs = noco_state(rec.cycle(eps), rec.duration(eps), config.freq_over_h, inputs)
     else:
-        s_gate = unitary_channel(RZZ_PRIME_TARGET)
+        u = RZZ_PRIME_TARGET
+        outputs = [u @ rho @ u.conj().T for rho in inputs]
     readout = np.stack([vec(projector(outcome)) for outcome in "+-"])
     if config.noisy_meas:
         readout = readout @ depolarizing(eps)
 
     rates = np.empty((2, 2))
     for x in (0, 1):
-        out = (s_gate @ vec(np.kron(projector(str(x)), anc))).reshape(2, 2, 2, 2)
+        out = vec(outputs[x]).reshape(2, 2, 2, 2)
         block = out[x, :, x, :].copy()
         out[x, :, x, :] = 0.0
         off = np.abs(out).max()
@@ -108,6 +118,7 @@ def _round_rates(config: DistillationConfig) -> np.ndarray:
                 "distillation needs a gate that commutes with Z on the data qubit"
             )
         rates[x] = (readout @ block.reshape(4)).real
+    rates.setflags(write=False)
     return rates
 
 
@@ -127,7 +138,7 @@ def distill(config: DistillationConfig) -> DistillationResult:
     a_x^(n-k) b_x^k underflows at large n long before C(n, k) a_x^(n-k) b_x^k.
     """
     n = config.rounds
-    rates = _round_rates(config)
+    rates = _round_rates(replace(config, rounds=1))
     k = np.arange(n + 1)
     log0, log1 = (_log_power(a, n - k) + _log_power(b, k) for a, b in rates)
     sizes = np.array([float(comb(n, j)) for j in k])

@@ -7,7 +7,9 @@ the per-period operation and the register evolves under an effective
 Hamiltonian obtained by averaging the interaction over that state.  At
 finite repetition frequency the register picks up a residual error channel,
 which is what this module computes exactly (for small systems) by
-propagating the full superoperator.
+propagating the full superoperator: as a register channel
+(``noco_channel``), or applied to given register states (``noco_state``),
+which powers only the blocks of the period map that those states occupy.
 
 Units: hbar = J = 1 internally.  User-facing frequencies are quoted in
 J/h; since h = 2*pi*hbar, a drive at ``freq_over_h`` J/h has period
@@ -22,8 +24,10 @@ import numpy as np
 
 from .channels import channel_nqubits
 from .qcore import (
+    diagonal_blocks,
     embed_superop,
     matrix_power_int,
+    partial_trace,
     reduce_superop,
     unitary_evolution,
     unvec,
@@ -179,3 +183,30 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
         n_periods=n,
         residual_time=duration - n * dt,
     )
+
+
+def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float, sigmas) -> list:
+    """Register states Tr_A[P^N (I/d_A (x) sigma)] for each register state sigma.
+
+    The same N whole periods from the maximally mixed actuator as
+    ``noco_channel``, applied to the given states instead of built into a
+    channel.  The period map P is exactly block diagonal on
+    ``qcore.diagonal_blocks(P)``, so only the blocks the inputs occupy are
+    powered; an exact zero adds nothing to a product, so the terms are
+    those of the dense power, summed in another order.
+    """
+    n = period_count(duration, freq_over_h)
+    na, nq = spec.n_actuators, spec.nqubits
+    da, dr = 2 ** na, 2 ** (nq - na)
+    for sigma in sigmas:
+        if np.shape(sigma) != (dr, dr):
+            raise ValueError(f"register state shape {np.shape(sigma)} is not {(dr, dr)}")
+    inputs = np.stack(
+        [vec(np.kron(np.eye(da, dtype=complex) / da, sigma)) for sigma in sigmas], axis=1
+    )
+    p = period_superop(spec, 2.0 * np.pi / freq_over_h)
+    out = np.zeros_like(inputs)
+    for block in diagonal_blocks(p):
+        if inputs[block].any():
+            out[block] = matrix_power_int(p[np.ix_(block, block)], n) @ inputs[block]
+    return [partial_trace(unvec(column), nq, range(na, nq)) for column in out.T]

@@ -13,7 +13,16 @@ from nocosim.channels import (
     superop_to_choi,
     unitary_channel,
 )
-from nocosim.qcore import I2, SX, SZ, projector, unitary_evolution, vec
+from nocosim.qcore import (
+    I2,
+    SX,
+    SZ,
+    pauli_string_operator,
+    pauli_strings,
+    projector,
+    unitary_evolution,
+    vec,
+)
 
 
 def random_kraus_channel(rng, d, n_ops=3):
@@ -123,6 +132,18 @@ def test_pauli_twirl_two_qubit_keys():
     assert probs["II"] == pytest.approx(1.0)
     assert set(len(k) for k in probs) == {2}
     assert len(probs) == 16
+
+
+def test_pauli_twirl_equals_direct_formula():
+    # the cached Pauli table leaves every probability bitwise unchanged
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 1, 2):
+        ch = kraus_to_superop(random_kraus_channel(rng, 2 ** n))
+        direct = {}
+        for string in pauli_strings(n):
+            p = pauli_string_operator(string)
+            direct[string] = float(np.real(np.vdot(np.kron(p.conj(), p), ch)) / 4 ** n)
+        assert pauli_twirl(ch) == direct
 
 
 def test_apply_channel_matches_kraus_sum():

@@ -214,6 +214,9 @@ def test_period_count_overflow_exit_code(capsys):
     captured = capsys.readouterr()
     assert "freq_over_h 1e+308" in captured.err
     assert captured.out == ""
+    # distillation propagates its round inputs; the count is refused first too
+    assert run(["distill", "--freq_over_h", "1e308"]) == 2
+    assert "freq_over_h 1e+308" in capsys.readouterr().err
 
 
 def test_unwritable_output_exit_code():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from decimal import Context
 from itertools import product
 from math import comb
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nocosim import faulttol, gates
+from nocosim import faulttol, gates, zeno
 from nocosim.cli import _map_tasks, main
 from nocosim.channels import depolarizing_kraus, pauli_twirl, unitary_channel
 from nocosim.faulttol import (
@@ -18,14 +19,23 @@ from nocosim.faulttol import (
     vacuum_error_budget,
 )
 from nocosim.gates import (
-    RX_TARGET,
     RZZ_PRIME_TARGET,
     gate_error_channel,
     idle_channel,
     realized_channel,
     recipe,
 )
-from nocosim.qcore import I2, partial_trace, projector, unvec, vec
+from nocosim.qcore import (
+    I2,
+    SX,
+    diagonal_blocks,
+    embed_operator,
+    partial_trace,
+    projector,
+    unvec,
+    vec,
+)
+from nocosim.zeno import period_superop
 
 
 def binomial_p_fail(n: int, q: float) -> float:
@@ -141,11 +151,22 @@ def test_distill_large_rounds_against_decimal_oracle():
 
 
 def test_distill_rejects_non_diagonal_round(monkeypatch):
-    # a data-qubit x rotation after the gate breaks the per-class sum
-    tilted = unitary_channel(np.kron(RX_TARGET, I2) @ RZZ_PRIME_TARGET)
-    monkeypatch.setattr(
-        faulttol, "realized_channel", lambda *args, **kwargs: SimpleNamespace(superop=tilted)
-    )
+    # an x field on the data qubit (qubit 2) breaks the per-class sum: it
+    # couples the data sectors of the period map, so the blocks the round
+    # propagates merge and weight leaves the data input's block
+    rec = recipe("rzz_prime")
+    tilted = replace(rec, hamiltonian=rec.hamiltonian + embed_operator(SX, (2,), 4))
+    anc = projector("+")
+
+    def touched(spec, x):
+        inputs = vec(np.kron(np.eye(4) / 4, np.kron(projector(str(x)), anc)))
+        blocks = diagonal_blocks(period_superop(spec, 2.0 * np.pi / 1e4))
+        return {k for k, block in enumerate(blocks) if inputs[block].any()}
+
+    assert not touched(rec.cycle(0.1), 0) & touched(rec.cycle(0.1), 1)
+    assert touched(tilted.cycle(0.1), 0) & touched(tilted.cycle(0.1), 1)
+    monkeypatch.setitem(gates._RECIPES, "rzz_prime", tilted)
+    faulttol._round_rates.cache_clear()
     with pytest.raises(ValueError, match="off the data input"):
         distill(DistillationConfig(rounds=3, eps=0.1, freq_over_h=1e4))
 
@@ -335,15 +356,21 @@ def test_threshold_sweep_workers_agree():
 
 
 def test_threshold_builds_each_channel_once(monkeypatch):
-    # the rzz_prime, rx and rzz channels of a budget do not depend on rounds
+    # the rx and rzz channels and the round rates of a budget do not depend on rounds
     gates.realized_channel.cache_clear()
-    builds = []
+    faulttol._round_rates.cache_clear()
+    builds, propagations = [], []
     original_build = gates.noco_channel
+    original_state = faulttol.noco_state
     original_budget = faulttol.vacuum_error_budget
 
     def counting_build(*args):
         builds.append(args)
         return original_build(*args)
+
+    def counting_state(*args):
+        propagations.append(args)
+        return original_state(*args)
 
     seen = set()
 
@@ -352,10 +379,14 @@ def test_threshold_builds_each_channel_once(monkeypatch):
         return original_budget(eps, *args)
 
     monkeypatch.setattr(gates, "noco_channel", counting_build)
+    monkeypatch.setattr(faulttol, "noco_state", counting_state)
     monkeypatch.setattr(faulttol, "vacuum_error_budget", recording_budget)
     for n in (15, 17):
         threshold(1e3, n, bisect_tol=1e-3)
-    assert len(builds) == 3 * len(seen)
+    # per distinct eps: one rx (2 qubits) and one rzz (3 qubits) channel,
+    # and one propagation for the round rates
+    assert [spec.nqubits for spec, *_ in builds] == [2, 3] * len(seen)
+    assert len(propagations) == len(seen)
 
     run = realized_channel("rx", 0.2, 1e3)
     assert realized_channel("rx", 0.2, 1e3) is run
@@ -363,3 +394,30 @@ def test_threshold_builds_each_channel_once(monkeypatch):
         run.superop[0, 0] = 0.0
     with pytest.raises(AttributeError):
         run.n_periods = 0
+    rates = faulttol._round_rates(DistillationConfig(rounds=1, eps=0.2, freq_over_h=1e3))
+    with pytest.raises(ValueError):
+        rates[0, 0] = 0.0
+
+
+def test_threshold_powers_no_map_above_64(monkeypatch):
+    # distillation propagates its two inputs through blocks of at most 12;
+    # the largest channel a threshold builds is rzz's 3-qubit 64 x 64 map
+    gates.realized_channel.cache_clear()
+    faulttol._round_rates.cache_clear()
+    sizes, names = [], []
+    original_power = zeno.matrix_power_int
+    original_realized = gates.realized_channel
+
+    def recording_power(m, n):
+        sizes.append(m.shape[0])
+        return original_power(m, n)
+
+    def recording_realized(name, *args):
+        names.append(name)
+        return original_realized(name, *args)
+
+    monkeypatch.setattr(zeno, "matrix_power_int", recording_power)
+    monkeypatch.setattr(gates, "realized_channel", recording_realized)
+    threshold(1e3, 9)
+    assert max(sizes) == 64 and min(sizes) <= 12
+    assert set(names) == {"rx", "rzz"}

@@ -1,11 +1,12 @@
 import inspect
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nocosim import faulttol, gates
+from nocosim import faulttol, gates, zeno
 from nocosim.cli import _transfer_check_row
 from nocosim.channels import (
     check_cptp,
@@ -195,10 +196,15 @@ def test_transfer_report_realizes_the_gate_once(monkeypatch):
 
 def test_realized_channel_stays_traceable():
     # a span tracer binds realized_channel's arguments to read the gate name,
-    # and rebinds the function by identity in every module that imports it
+    # and rebinds a function by identity in every module that imports it:
+    # no module may hold a copy of its own
     bound = inspect.signature(gates.realized_channel).bind("rzz", 0.2, 1e3)
     assert bound.arguments["name"] == "rzz"
-    assert faulttol.realized_channel is gates.realized_channel
+    modules = [m for name, m in sys.modules.items() if name.startswith("nocosim.")]
+    for defining, fn in ((gates, "realized_channel"), (zeno, "noco_state")):
+        holders = [m for m in modules if fn in vars(m)]
+        assert all(vars(m)[fn] is getattr(defining, fn) for m in holders)
+    assert faulttol.noco_state is zeno.noco_state
 
 
 def test_transfer_ideal_matches_rzz_unitary():
