@@ -1,10 +1,7 @@
 """Dense operator algebra for small multi-qubit systems.
 
 Everything works on explicit numpy arrays; dimensions stay small (at most
-a handful of qubits).  The one structure exploited is exact block
-diagonality (``diagonal_blocks``), which a conserved quantity leaves in a
-period map.
-Internal units set hbar = J = 1.
+a handful of qubits).  Internal units set hbar = J = 1.
 
 Conventions used throughout the package:
 
@@ -186,35 +183,6 @@ def matrix_power_int(m: np.ndarray, n: int) -> np.ndarray:
             result = result @ base
         n >>= 1
     return result
-
-
-def diagonal_blocks(m) -> list[np.ndarray]:
-    """Index groups on which a square matrix is exactly block diagonal.
-
-    The groups are the connected components of the symmetrised nonzero
-    pattern, so m[i, j] == 0 whenever i and j lie in different groups, and
-    every power of m is block diagonal on the same groups.  Each group is
-    sorted, and the groups come in order of their smallest index.
-    """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    rows, cols = np.nonzero(a)
-    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    # label propagation: each index takes the smallest label among its
-    # neighbours, then its label's label.  A label is always an index of the
-    # same component and never above its own index, so the fixed point
-    # labels each component by its smallest index.
-    labels = np.arange(a.shape[0])
-    while True:
-        new = labels.copy()
-        np.minimum.at(new, rows, labels[cols])
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def pauli_string_operator(string: str) -> np.ndarray:

@@ -6,10 +6,10 @@ period.  Repeated fast enough, the actuator is pinned to the fixed state of
 the per-period operation and the register evolves under an effective
 Hamiltonian obtained by averaging the interaction over that state.  At
 finite repetition frequency the register picks up a residual error channel,
-which is what this module computes exactly (for small systems) by
-propagating the full superoperator: as a register channel
-(``noco_channel``), or applied to given register states (``noco_state``),
-which powers only the blocks of the period map that those states occupy.
+which is what this module computes exactly (for small systems): as a
+register channel, by powering the full-system period map
+(``noco_channel``), or on given register states, by powering the register
+map of one period (``noco_state``).
 
 Units: hbar = J = 1 internally.  User-facing frequencies are quoted in
 J/h; since h = 2*pi*hbar, a drive at ``freq_over_h`` J/h has period
@@ -24,10 +24,8 @@ import numpy as np
 
 from .channels import channel_nqubits
 from .qcore import (
-    diagonal_blocks,
     embed_superop,
     matrix_power_int,
-    partial_trace,
     reduce_superop,
     unitary_evolution,
     unvec,
@@ -186,14 +184,13 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
 
 
 def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float, sigmas) -> list:
-    """Register states Tr_A[P^N (I/d_A (x) sigma)] for each register state sigma.
+    """Register states T^N(sigma) after N whole periods, for each sigma.
 
-    The same N whole periods from the maximally mixed actuator as
-    ``noco_channel``, applied to the given states instead of built into a
-    channel.  The period map P is exactly block diagonal on
-    ``qcore.diagonal_blocks(P)``, so only the blocks the inputs occupy are
-    powered; an exact zero adds nothing to a product, so the terms are
-    those of the dense power, summed in another order.
+    The same N periods as ``noco_channel``, applied to given states.  The
+    actuator map must re-prepare its fixed state rho_U every period,
+    S = vec(rho_U) vec(I)^dag to ``PROJECTOR_ATOL`` (else ValueError), so N
+    periods act on the register as the N-th power of one period's register
+    map T(sigma) = Tr_A[U (rho_U (x) sigma) U^dag].
     """
     n = period_count(duration, freq_over_h)
     na, nq = spec.n_actuators, spec.nqubits
@@ -201,12 +198,17 @@ def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float, sigmas
     for sigma in sigmas:
         if np.shape(sigma) != (dr, dr):
             raise ValueError(f"register state shape {np.shape(sigma)} is not {(dr, dr)}")
-    inputs = np.stack(
-        [vec(np.kron(np.eye(da, dtype=complex) / da, sigma)) for sigma in sigmas], axis=1
-    )
-    p = period_superop(spec, 2.0 * np.pi / freq_over_h)
-    out = np.zeros_like(inputs)
-    for block in diagonal_blocks(p):
-        if inputs[block].any():
-            out[block] = matrix_power_int(p[np.ix_(block, block)], n) @ inputs[block]
-    return [partial_trace(unvec(column), nq, range(na, nq)) for column in out.T]
+    rho = fixed_state(spec).rho
+    replacement = np.outer(vec(rho), vec(np.eye(da, dtype=complex)))
+    defect = np.abs(spec.actuator - replacement).max()
+    if defect > PROJECTOR_ATOL:
+        raise ValueError(
+            f"actuator map is {defect:.3e} from replacing the actuator state; "
+            "the register map of one period needs a re-prepared actuator"
+        )
+    u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / freq_over_h).reshape(da, dr, da, dr)
+    # T[i + dr j, k + dr l] = sum_abc U[ai, bk] rho_U[b, c] conj(U[aj, cl]), read
+    # off the d x d unitary: the d^2 x d^2 kron(conj U, U) is never formed
+    t = np.einsum("aibk,bc,ajcl->jilk", u, rho, u.conj()).reshape(dr * dr, dr * dr)
+    t_n = matrix_power_int(t, n)
+    return [unvec(t_n @ vec(sigma), dr) for sigma in sigmas]

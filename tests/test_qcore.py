@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from nocosim.channels import kraus_to_superop
@@ -9,7 +9,6 @@ from nocosim.qcore import (
     SX,
     SY,
     SZ,
-    diagonal_blocks,
     embed_operator,
     embed_superop,
     ket,
@@ -214,38 +213,3 @@ def test_embed_superop_matches_embedded_kraus(layout, count, seed):
         kraus_to_superop(embedded),
         atol=1e-13,
     )
-
-
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1))
-@example([12], 0)       # one block
-@example([1] * 10, 0)   # all singletons
-def test_diagonal_blocks_recovers_permuted_blocks(sizes, seed):
-    rng = np.random.default_rng(seed)
-    n = sum(sizes)
-    perm = rng.permutation(n)
-    m = np.zeros((n, n), dtype=complex)
-    expected, start = [], 0
-    for size in sizes:
-        idx = perm[start:start + size]
-        start += size
-        # a random spanning tree with each edge stored in one direction only,
-        # plus random extra entries: connected, but not symmetric
-        for k in range(1, size):
-            i, j = idx[k], idx[rng.integers(k)]
-            if rng.random() < 0.5:
-                i, j = j, i
-            m[i, j] = rng.normal() + 1j * rng.normal()
-        extra = rng.integers(size, size=(size, 2))
-        m[idx[extra[:, 0]], idx[extra[:, 1]]] = rng.normal(size=size) + 1j
-        expected.append(sorted(idx))
-    assert [list(block) for block in diagonal_blocks(m)] == sorted(expected)
-
-
-def test_diagonal_blocks_edges():
-    # a zero row and column is a block of its own; a non-square input is refused
-    assert [list(b) for b in diagonal_blocks(np.zeros((4, 4)))] == [[0], [1], [2], [3]]
-    m = np.zeros((5, 5))
-    m[4, 0] = m[1, 3] = 1.0
-    assert [list(b) for b in diagonal_blocks(m)] == [[0, 4], [1, 3], [2]]
-    with pytest.raises(ValueError, match="square"):
-        diagonal_blocks(np.ones((2, 3)))

@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nocosim import zeno
 
@@ -19,7 +21,6 @@ from nocosim.qcore import (
     SX,
     SY,
     SZ,
-    diagonal_blocks,
     kron,
     partial_trace,
     projector,
@@ -248,29 +249,59 @@ def test_noco_state_matches_dense_channel_and_steps(gate):
             assert np.allclose(got[k], stepped, rtol=0, atol=1e-12)
 
 
-def test_noco_state_powers_only_occupied_blocks(monkeypatch):
-    # the data qubit's z basis is conserved, so the two distillation inputs
-    # occupy 6 of the rzz_prime period map's 156 blocks (188 at eps = 0,
-    # where the actuator resets to a pure state)
+def test_noco_state_powers_one_register_map(monkeypatch):
+    # the rzz_prime actuators are re-prepared every period, so the two
+    # distillation inputs go through one 16 x 16 register map, and the
+    # 256 x 256 period map is never built
     rec = recipe("rzz_prime")
-    sizes = []
+    shapes = []
     original = zeno.matrix_power_int
 
     def recording_power(m, n):
-        sizes.append(m.shape[0])
+        shapes.append(m.shape)
         return original(m, n)
 
+    def refuse(*_args):
+        raise AssertionError("full-system period map built")
+
     monkeypatch.setattr(zeno, "matrix_power_int", recording_power)
-    for eps, f, n_blocks, occupied in (
-        (0.27, 6524.0, 156, [8, 8, 8, 8, 12, 12]),
-        (0.0, 1e3, 188, [5, 5, 5, 5, 10, 10]),
-    ):
-        spec = rec.cycle(eps)
-        assert len(diagonal_blocks(period_superop(spec, 2.0 * np.pi / f))) == n_blocks
-        inputs = [np.kron(projector(x), projector("+")) for x in "01"]
-        sizes.clear()
-        noco_state(spec, rec.duration(eps), f, inputs)
-        assert sorted(sizes) == occupied
+    monkeypatch.setattr(zeno, "period_superop", refuse)
+    inputs = [np.kron(projector(x), projector("+")) for x in "01"]
+    for eps, f in ((0.27, 6524.0), (0.0, 1e3)):
+        shapes.clear()
+        noco_state(rec.cycle(eps), rec.duration(eps), f, inputs)
+        assert shapes == [(16, 16)]
+
+
+def test_noco_state_refuses_an_actuator_that_is_not_re_prepared(monkeypatch):
+    # depolarizing(0.5) keeps part of the actuator's input, so one period's
+    # register map does not compose: refused before any power is taken
+    def refuse(*_args):
+        raise AssertionError("power taken")
+
+    monkeypatch.setattr(zeno, "matrix_power_int", refuse)
+    spec = NoisyCycleSpec(HEISENBERG, depolarizing(0.5))
+    with pytest.raises(ValueError, match="replacing the actuator state"):
+        noco_state(spec, 1.0, 1e3, [projector("0")])
+
+
+@given(st.integers(2, 3), st.integers(0, 2000), st.integers(0, 2 ** 32 - 1))
+@example(3, 2000, 0)
+def test_noco_state_matches_noco_channel_on_random_cycles(nqubits, n_periods, seed):
+    # a random Hamiltonian with a random re-prepared actuator state, off the catalog
+    rng = np.random.default_rng(seed)
+    na = int(rng.integers(1, nqubits))
+    d, da = 2 ** nqubits, 2 ** na
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    actuator = np.outer(vec(random_state(rng, da)), vec(np.eye(da)))
+    spec = NoisyCycleSpec((m + m.conj().T) / 2.0, actuator)
+    f = 1e3
+    duration = (n_periods + 0.5) * 2.0 * np.pi / f
+    assert period_count(duration, f) == n_periods
+    sigma = random_state(rng, d // da)
+    (got,) = noco_state(spec, duration, f, [sigma])
+    expected = apply_channel(noco_channel(spec, duration, f).superop, sigma)
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_noco_state_edges(monkeypatch):
@@ -282,10 +313,10 @@ def test_noco_state_edges(monkeypatch):
     assert np.allclose(got, sigma, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="register state shape"):
         noco_state(spec, 1.0, 1e3, [np.eye(2)])
-    # 2^53 periods and more are refused before any period map is built
+    # 2^53 periods and more are refused before the period's unitary is computed
     def refuse(*_args):
-        raise AssertionError("period map built")
+        raise AssertionError("period unitary computed")
 
-    monkeypatch.setattr(zeno, "period_superop", refuse)
+    monkeypatch.setattr(zeno, "unitary_evolution", refuse)
     with pytest.raises(OverflowError, match="freq_over_h 1e\\+308"):
         noco_state(spec, rec.duration(0.2), 1e308, [sigma])
