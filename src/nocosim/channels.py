@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import I2, SX, SY, SZ, pauli_string_operator, pauli_strings, unvec, vec
+from .qcore import I2, SX, SY, SZ, kron, pauli_string_operator, pauli_strings, unvec, vec
 
 
 def channel_nqubits(s) -> int:
@@ -45,17 +45,21 @@ def check_cptp(s) -> None:
 
 
 def kraus_to_superop(kraus_ops) -> np.ndarray:
-    ks = [np.asarray(k, dtype=complex) for k in kraus_ops]
-    d = ks[0].shape[0]
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in ks:
-        s += np.kron(k.conj(), k)
-    return s
+    """sum_m kron(conj(K_m), K_m) of a sequence of d x d Kraus operators.
+
+    One broadcast product forms every term from the stacked set at once.  The
+    sum over m runs along the leading axis, one term after another, so the
+    result equals the term-by-term sum bit for bit.
+    """
+    ks = np.asarray(kraus_ops, dtype=complex)
+    m, d = ks.shape[:2]
+    terms = ks.conj()[:, :, None, :, None] * ks[:, None, :, None, :]
+    return terms.reshape(m, d * d, d * d).sum(axis=0)
 
 
 def unitary_channel(u) -> np.ndarray:
     um = np.asarray(u, dtype=complex)
-    return np.kron(um.conj(), um)
+    return kron(um.conj(), um)
 
 
 def depolarizing(eps: float) -> np.ndarray:
@@ -104,7 +108,7 @@ def entanglement_fidelity(s: np.ndarray, target_unitary) -> float:
     d = u.shape[0]
     if 2 ** channel_nqubits(s) != d:
         raise ValueError("channel and target act on different dimensions")
-    su = np.kron(u.conj(), u)
+    su = kron(u.conj(), u)
     return float(np.real(np.vdot(su, s)) / d ** 2)
 
 
@@ -117,7 +121,7 @@ def _pauli_superops(nqubits: int) -> tuple:
     table = []
     for string in pauli_strings(nqubits):
         p = pauli_string_operator(string)
-        sp = np.kron(p.conj(), p)
+        sp = kron(p.conj(), p)
         sp.setflags(write=False)
         table.append((string, sp))
     return tuple(table)

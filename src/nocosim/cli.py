@@ -4,7 +4,8 @@ Every command takes only the config keys its COMMANDS grid names, plus
 workers and out.  It resolves them from built-in defaults, an optional flat
 key=value config file, and command-line overrides (highest precedence),
 then writes a comma-separated table with '#'-prefixed provenance lines:
-package version, command, the resolved keys, and their hash.  No
+package version, command, the resolved keys, and their hash.  A threshold
+point without a crossing adds a '# error:' line after the rows.  No
 timestamps or environment data are recorded, so identical configurations
 produce byte-identical tables, also when computed with a worker pool.
 """
@@ -13,7 +14,6 @@ import argparse
 import hashlib
 import itertools
 import math
-import multiprocessing
 import os
 import sys
 
@@ -187,6 +187,8 @@ def _map_tasks(fn, tasks, workers: int):
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     if processes <= 1:
         return [fn(*t) for t in tasks]
+    import multiprocessing  # only here: a serial run does not pay for the import
+
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
@@ -200,6 +202,17 @@ def _map_tasks(fn, tasks, workers: int):
                 os.environ[var] = value
     with pool:
         return pool.starmap(fn, tasks)
+
+
+def _row_or_error(row, *args):
+    """row(*args), or the message of the ThresholdError it raises.
+
+    A threshold point without a crossing costs its own row, not the table.
+    """
+    try:
+        return row(*args)
+    except faulttol.ThresholdError as exc:
+        return str(exc)
 
 
 # Row functions compute one table row from one grid point.  They are module
@@ -303,7 +316,8 @@ def _axis(cfg: dict, entry):
     return value if isinstance(value, list) else [value]
 
 
-def render_table(command: str, cfg: dict, cols, rows) -> str:
+def render_table(command: str, cfg: dict, cols, rows, errors=()) -> str:
+    """Provenance lines, the header, the rows, then one '# error:' line per failed point."""
     canonical = _canonical_config(command, cfg)
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     lines = [
@@ -313,6 +327,7 @@ def render_table(command: str, cfg: dict, cols, rows) -> str:
         ",".join(cols),
     ]
     lines.extend(",".join(row) for row in rows)
+    lines.extend(f"# error: {message}" for message in errors)
     return "\n".join(lines) + "\n"
 
 
@@ -336,10 +351,12 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.command, args)
         _check_command(args.command, cfg)
         row, grid, columns = COMMANDS[args.command]
-        tasks = list(itertools.product(*(_axis(cfg, entry) for entry in grid)))
-        rows = _map_tasks(row, tasks, cfg["workers"])
+        tasks = [(row, *t) for t in itertools.product(*(_axis(cfg, entry) for entry in grid))]
+        results = _map_tasks(_row_or_error, tasks, cfg["workers"])
+        rows = [r for r in results if not isinstance(r, str)]
+        errors = [r for r in results if isinstance(r, str)]
         cols = columns(cfg) if callable(columns) else columns
-        table = render_table(args.command, cfg, cols, rows)
+        table = render_table(args.command, cfg, cols, rows, errors)
         summary = f"{args.command}: {len(rows)} rows"
         if cfg["out"]:
             try:
@@ -352,7 +369,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(table)
             print(summary, file=sys.stderr)
-        return 0
+        for message in errors:
+            print(f"error: {message}", file=sys.stderr)
+        return 4 if errors else 0
     except (ConfigError, OverflowError) as exc:  # overflow: 2^53+ drive periods
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channels import depolarizing, pauli_twirl, phase_flip_weight
 from .gates import RZZ_PRIME_TARGET, gate_error_channel, idle_channel, recipe
-from .qcore import projector, unvec, vec
+from .qcore import kron, projector, unvec, vec
 from .zeno import noco_state
 
 # largest entry a round's output may keep off the data input's |x><x| block
@@ -76,6 +76,13 @@ class DistillationResult:
     posteriors: np.ndarray
 
 
+# the ancilla's |+> preparation, the data qubit's two z inputs, and the x-basis
+# readout rows vec(|+><+|), vec(|-><-|) that score the ancilla
+_PLUS = projector("+")
+_DATA_INPUTS = (projector("0"), projector("1"))
+_READOUT = np.stack([vec(projector(outcome)) for outcome in "+-"])
+
+
 @lru_cache()
 def _round_rates(config: DistillationConfig) -> np.ndarray:
     """Per-round outcome rates: ``rates[x, o]`` for data input |x> and outcome o.
@@ -92,9 +99,9 @@ def _round_rates(config: DistillationConfig) -> np.ndarray:
     (eps, f).  Cached, so the array is read-only.
     """
     eps = config.eps
-    plus = projector("+")
-    anc = unvec(depolarizing(eps) @ vec(plus), 2) if config.noisy_init else plus
-    inputs = [np.kron(projector(str(x)), anc) for x in (0, 1)]
+    noise = depolarizing(eps)
+    anc = unvec(noise @ vec(_PLUS), 2) if config.noisy_init else _PLUS
+    inputs = [kron(p, anc) for p in _DATA_INPUTS]
 
     if config.noisy_gate:
         rec = recipe("rzz_prime")
@@ -102,9 +109,7 @@ def _round_rates(config: DistillationConfig) -> np.ndarray:
     else:
         u = RZZ_PRIME_TARGET
         outputs = [u @ rho @ u.conj().T for rho in inputs]
-    readout = np.stack([vec(projector(outcome)) for outcome in "+-"])
-    if config.noisy_meas:
-        readout = readout @ depolarizing(eps)
+    readout = _READOUT @ noise if config.noisy_meas else _READOUT
 
     rates = np.empty((2, 2))
     for x in (0, 1):

@@ -75,6 +75,18 @@ def noisy_hadamard_kraus(eps: float):
     return tuple(d @ HADAMARD for d in depolarizing_kraus(eps))
 
 
+@lru_cache()
+def noisy_reset(eps: float) -> np.ndarray:
+    """Superoperator of the noisy reset at rate eps, built once per eps.
+
+    Every recipe's actuator starts from it, so the gates a threshold search
+    asks for at one eps share one array.  Shared, so read-only.
+    """
+    s = kraus_to_superop(noisy_initialization_kraus(eps))
+    s.setflags(write=False)
+    return s
+
+
 RZ_TARGET = (I2 - 1j * SZ) / np.sqrt(2.0)
 RX_TARGET = (I2 - 1j * SX) / np.sqrt(2.0)
 PHASE_Z_TARGET = unitary_evolution(SZ, np.pi / 2.0)
@@ -90,6 +102,7 @@ class GateRecipe:
     name: str
     hamiltonian: np.ndarray
     actuator: object           # eps -> actuator superoperator of one period
+                               # (possibly a shared, read-only array)
     duration_rule: object      # eps -> float
     target: np.ndarray
 
@@ -106,27 +119,25 @@ class GateRecipe:
 
 
 def _recipes() -> dict:
-    def init(eps):
-        return kraus_to_superop(noisy_initialization_kraus(eps))
-
     def init_hadamard(eps):
-        return kraus_to_superop(noisy_hadamard_kraus(eps)) @ init(eps)
+        return kraus_to_superop(noisy_hadamard_kraus(eps)) @ noisy_reset(eps)
 
     def init_both(eps):
-        s = init(eps)
+        s = noisy_reset(eps)
         return embed_superop(s, (1,), 2) @ embed_superop(s, (0,), 2)
 
     heis, ising = _heisenberg_h(), _ising3_h()
     return {
         "rz": GateRecipe(
-            "rz", heis, init, lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
+            "rz", heis, noisy_reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
         "phase_z": GateRecipe(
-            "phase_z", heis, init, lambda e: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
+            "phase_z", heis, noisy_reset,
+            lambda e: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
         "rx": GateRecipe(
             "rx", heis, init_hadamard,
             lambda e: np.pi / (4.0 * (1.0 - e) * (1.0 - e)), RX_TARGET),
         "rzz": GateRecipe(
-            "rzz", ising, init, lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
+            "rzz", ising, noisy_reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
         "rzz_prime": GateRecipe(
             "rzz_prime", _rzz_prime_h(), init_both,
             lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_PRIME_TARGET),
@@ -195,10 +206,18 @@ def infidelity_surface(eps_values, freq_values, gate_name: str):
     return infid, counts
 
 
+@lru_cache()
+def _ideal_inverse(name: str) -> np.ndarray:
+    """Superoperator of the inverse of a gate's target, built once; read-only."""
+    inverse = unitary_channel(recipe(name).target).conj().T
+    inverse.setflags(write=False)
+    return inverse
+
+
 def gate_error_channel(name: str, eps: float, freq_over_h: float) -> np.ndarray:
     """Error channel E with realized = E o ideal."""
     run = realized_channel(name, eps, freq_over_h)
-    return run.superop @ unitary_channel(recipe(name).target).conj().T
+    return run.superop @ _ideal_inverse(name)
 
 
 SWAP_2Q = np.array(

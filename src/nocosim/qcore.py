@@ -46,7 +46,7 @@ def ket(spec: str) -> np.ndarray:
     for ch in spec:
         if ch not in _KETS:
             raise ValueError(f"unknown basis symbol {ch!r}")
-        out = np.kron(out, _KETS[ch])
+        out = kron(out, _KETS[ch])
     return out
 
 
@@ -56,12 +56,22 @@ def projector(spec: str) -> np.ndarray:
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more operators, leftmost most significant."""
+    """Kronecker product of one or more operators, leftmost most significant.
+
+    Operators of equal rank (vectors too).  Each factor is one broadcast
+    product, out[i, k, j, l] = a[i, j] * b[k, l]: the same single
+    multiplication per entry that ``np.kron`` makes, so the result equals
+    it bit for bit, without its shape bookkeeping.
+    """
     if not ops:
         raise ValueError("kron needs at least one operator")
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        b = np.asarray(op, dtype=complex)
+        if b.ndim != out.ndim:
+            raise ValueError(f"kron of rank {out.ndim} and rank {b.ndim} operands")
+        prod = out[(slice(None), None) * out.ndim] * b[(None, slice(None)) * b.ndim]
+        out = prod.reshape([m * n for m, n in zip(out.shape, b.shape)])
     return out
 
 
@@ -133,7 +143,7 @@ def embed_operator(op, positions, nqubits: int) -> np.ndarray:
     if len(set(positions)) != k or not all(0 <= p < nqubits for p in positions):
         raise ValueError(f"bad positions {positions} for {nqubits} qubits")
     rest = [q for q in range(nqubits) if q not in positions]
-    full = np.kron(o, np.eye(2 ** len(rest), dtype=complex))
+    full = kron(o, np.eye(2 ** len(rest), dtype=complex))
     # current axis order is list(positions) + rest; permute into 0..n-1
     current = list(positions) + rest
     perm = [current.index(q) for q in range(nqubits)]

@@ -25,6 +25,7 @@ import numpy as np
 from .channels import channel_nqubits
 from .qcore import (
     embed_superop,
+    kron,
     matrix_power_int,
     reduce_superop,
     unitary_evolution,
@@ -149,7 +150,7 @@ def effective_hamiltonian(spec: NoisyCycleSpec) -> np.ndarray:
 def period_superop(spec: NoisyCycleSpec, period: float) -> np.ndarray:
     """Full-system superoperator of one period: ops, then free flight."""
     u = unitary_evolution(spec.hamiltonian, period)
-    flight = np.kron(u.conj(), u)
+    flight = kron(u.conj(), u)
     return flight @ cycle_superop(spec)
 
 

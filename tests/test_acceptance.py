@@ -26,6 +26,7 @@ from nocosim.faulttol import (
     vacuum_error_budget,
 )
 from nocosim.gates import (
+    GATE_NAMES,
     HADAMARD,
     RZZ_TARGET,
     depolarizing_fixed_states,
@@ -270,6 +271,22 @@ def test_criterion_9_error_rate_mapping():
     got = error_rate_mapping(0.201)
     ok = got == (0.1005, 0.15075)
     check(9, ok, f"rate 0.201 maps to {got} (expected exactly (0.1005, 0.15075))")
+
+
+def test_headline_operations_below_ninety_percent_fidelity():
+    # the abstract's claim: at the (1e4, 17) threshold every noisy operation is
+    # below 90% fidelity, while every realized register gate is above 99%
+    star = _eps_star(1e4, 17)
+    p_prep, p_unitary = error_rate_mapping(star)
+    f_prep, f_unitary = 1.0 - p_prep, 1.0 - p_unitary
+    gate_errors = {name: float(infidelity_surface([star], [1e4], name)[0][0, 0])
+                   for name in GATE_NAMES}
+    worst = max(gate_errors, key=gate_errors.get)
+    ok = f_prep < 0.9 and f_unitary < 0.9 and gate_errors[worst] <= 0.01
+    check("9 (headline)", ok,
+          f"at eps* = {star:.5f} (freq 1e4, 17 rounds) preparation/readout fidelity "
+          f"{f_prep:.3f} and unitary fidelity {f_unitary:.3f} (both < 0.9); worst "
+          f"realized gate {worst} 1 - F = {gate_errors[worst]:.2e} (<= 0.01)")
 
 
 def test_criterion_10_schedule_duration():

@@ -39,6 +39,19 @@ def test_unitary_channel_superop():
     check_cptp(ch)
 
 
+def test_kraus_to_superop_equals_the_term_by_term_sum_exactly():
+    rng = np.random.default_rng(11)
+    for d in (2, 4, 8):
+        for n_ops in (1, 2, 5, 11):
+            ks = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                  for _ in range(n_ops)]
+            expected = np.zeros((d * d, d * d), dtype=complex)
+            for k in ks:
+                expected += np.kron(k.conj(), k)
+            assert np.array_equal(kraus_to_superop(ks), expected)
+            assert np.array_equal(kraus_to_superop(tuple(ks)), expected)
+
+
 def test_channel_shape_validation():
     # a superoperator must be d^2 x d^2 with d = 2^n; 8 x 8 is neither
     for refuse in (check_cptp, pauli_twirl, lambda s: apply_channel(s, I2),

@@ -1,4 +1,5 @@
 import argparse
+import multiprocessing
 import os
 
 import numpy as np
@@ -96,7 +97,8 @@ def test_pool_is_no_larger_than_task_list(monkeypatch):
     class SerialContext:
         Pool = SerialPool
 
-    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: SerialContext)
+    # cli imports multiprocessing only when a pool starts, and reads get_context then
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     assert cli._map_tasks(pow, [(2, 3), (3, 2)], workers=64) == [8, 9]
     assert started == [2]
@@ -203,6 +205,32 @@ def test_unknown_gate_exit_code():
 def test_no_threshold_exit_code():
     assert run(["threshold", "--freq_over_h", "1e3", "--rounds", "1",
                 "--budget", "1e-9"]) == 4
+
+
+def test_failed_threshold_point_keeps_the_other_rows(tmp_path, capsys):
+    # (1e4, 5) is over budget already at eps = 0; the other five points have a threshold
+    args = ["threshold", "--include_decoupling", "true", "--freq_over_h", "1e4,1e5,3e5",
+            "--rounds", "3,5"]
+    tables = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert run(args + ["--workers", workers, "--out", str(out)]) == 4
+        tables[workers] = read(out)
+        assert "error: budget 3.6416e-02 already above target 0.03 at eps=0" in (
+            capsys.readouterr().err)
+    assert tables["1"] == tables["2"]
+    lines = tables["1"].splitlines()
+    assert lines[3] == "freq_over_h,rounds,epsilon_star,iterations"
+    # the rows that succeed in grid order, then one error line per failed point
+    assert [l.split(",")[:2] for l in lines[4:9]] == [
+        ["1.00000000000e+04", "3"], ["1.00000000000e+05", "3"], ["1.00000000000e+05", "5"],
+        ["3.00000000000e+05", "3"], ["3.00000000000e+05", "5"]]
+    assert lines[9:] == [
+        "# error: budget 3.6416e-02 already above target 0.03 at eps=0 "
+        "(freq=10000.0, n=5)"]
+    # stdout mode writes the same table
+    assert run(args) == 4
+    assert capsys.readouterr().out == tables["1"]
 
 
 def test_period_count_overflow_exit_code(capsys):

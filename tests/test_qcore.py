@@ -57,6 +57,23 @@ def test_kron_variadic():
     assert np.allclose(kron(a), a)
 
 
+def test_kron_equals_numpy_kron_exactly():
+    rng = np.random.default_rng(7)
+
+    def op(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for da, db in ((1, 2), (2, 2), (2, 4), (4, 8), (8, 2), (16, 16)):
+        a, b = op(da, da), op(db, db)
+        for x, y in ((a, b), (a.T, b), (a, b.conj().T), (a.real, b)):
+            assert np.array_equal(kron(x, y), np.kron(x, y))
+        assert np.array_equal(kron(a, b, a), np.kron(np.kron(a, b), a))
+        v, w = op(da), op(db)
+        assert np.array_equal(kron(v, w), np.kron(v, w))
+    with pytest.raises(ValueError):
+        kron(op(2), op(2, 2))
+
+
 def test_partial_trace_product_states():
     rng = np.random.default_rng(7)
     for _ in range(10):
