@@ -3,4 +3,5 @@ actuator operations, with distillation and threshold analysis on top."""
 
 __version__ = "0.1.0"
 
-from . import channels, cli, faulttol, gates, qcore, zeno  # noqa: F401
+# the CLI and the argparse and hashlib it needs load only with ``nocosim.cli``
+from . import channels, faulttol, gates, qcore, zeno  # noqa: F401

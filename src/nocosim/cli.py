@@ -378,9 +378,6 @@ def main(argv=None) -> int:
     except UnknownGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except faulttol.ThresholdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5

@@ -190,13 +190,30 @@ class ErrorBudget:
     duration: float
 
 
+# A threshold sweep bisects at several round counts per frequency, so the
+# same (eps, f) terms come back; these memos and ``_round_rates`` keep the
+# terms that do not depend on the round count.
+
+
+@lru_cache()
+def _gate_weight(gate: str, eps: float, freq_over_h: float) -> float:
+    """Y/Z weight on the data qubit of a unitary gate's twirled error channel."""
+    return phase_flip_weight(pauli_twirl(gate_error_channel(gate, eps, freq_over_h)))
+
+
+@lru_cache()
+def _idle_weight(interaction: str, duration: float, freq_over_h: float) -> float:
+    """Y/Z weight on the data qubit of an idle coupling's twirled residual."""
+    run = idle_channel(interaction, duration, freq_over_h)
+    return phase_flip_weight(pauli_twirl(run.superop))
+
+
 def _gate_term(gate: str, eps: float, freq_over_h: float, rounds: int):
     """(duration, weight) of one occurrence of a schedule gate."""
     if gate == "distill":
         config = DistillationConfig(rounds=rounds, eps=eps, freq_over_h=freq_over_h)
         return rounds * recipe("rzz_prime").duration(eps), distill(config).p_fail
-    error = gate_error_channel(gate, eps, freq_over_h)
-    return recipe(gate).duration(eps), phase_flip_weight(pauli_twirl(error))
+    return recipe(gate).duration(eps), _gate_weight(gate, eps, freq_over_h)
 
 
 def vacuum_error_budget(
@@ -226,8 +243,7 @@ def vacuum_error_budget(
     if include_decoupling:
         for slot, gate, _, idles in SCHEDULE:
             for interaction, count in idles:
-                run = idle_channel(interaction, durations[gate], freq_over_h)
-                weight = phase_flip_weight(pauli_twirl(run.superop))
+                weight = _idle_weight(interaction, durations[gate], freq_over_h)
                 idle_weights[slot, interaction] = count * weight
 
     p_phase = 0.0

@@ -9,7 +9,6 @@ couplings under a fully depolarizing actuator.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,16 +74,9 @@ def noisy_hadamard_kraus(eps: float):
     return tuple(d @ HADAMARD for d in depolarizing_kraus(eps))
 
 
-@lru_cache()
 def noisy_reset(eps: float) -> np.ndarray:
-    """Superoperator of the noisy reset at rate eps, built once per eps.
-
-    Every recipe's actuator starts from it, so the gates a threshold search
-    asks for at one eps share one array.  Shared, so read-only.
-    """
-    s = kraus_to_superop(noisy_initialization_kraus(eps))
-    s.setflags(write=False)
-    return s
+    """Superoperator of the noisy reset at rate eps; every recipe's actuator starts from it."""
+    return kraus_to_superop(noisy_initialization_kraus(eps))
 
 
 RZ_TARGET = (I2 - 1j * SZ) / np.sqrt(2.0)
@@ -102,7 +94,6 @@ class GateRecipe:
     name: str
     hamiltonian: np.ndarray
     actuator: object           # eps -> actuator superoperator of one period
-                               # (possibly a shared, read-only array)
     duration_rule: object      # eps -> float
     target: np.ndarray
 
@@ -155,37 +146,26 @@ def recipe(name: str) -> GateRecipe:
     return _RECIPES[name]
 
 
-@lru_cache()
 def realized_channel(name: str, eps: float, freq_over_h: float) -> NocoResult:
-    """Finite-frequency register channel of a catalog gate.
-
-    Remembers its last 128 channels: a threshold search asks for the same
-    channels at every round count.  Callers share the cached result, so its
-    superoperator is read-only.
-    """
+    """Finite-frequency register channel of a catalog gate."""
     rec = recipe(name)
     duration = rec.duration(eps)
     period_count(duration, freq_over_h)  # refuse a bad duration before the cycle's rate
-    run = noco_channel(rec.cycle(eps), duration, freq_over_h)
-    run.superop.setflags(write=False)
-    return run
+    return noco_channel(rec.cycle(eps), duration, freq_over_h)
 
 
 # the schedule's idle couplings, under the names ``faulttol.SCHEDULE`` gives them
 IDLE_HAMILTONIANS = {"heisenberg": _heisenberg_h(), "ising": _ising3_h()}
 
 
-@lru_cache()
 def idle_channel(interaction: str, duration: float, freq_over_h: float) -> NocoResult:
     """Register channel of an idle coupling under a fully depolarizing actuator.
 
     The actuator freezes at I/2, which averages the coupling away and leaves
-    its finite-frequency residual.  Cached and read-only like ``realized_channel``.
+    its finite-frequency residual.
     """
     spec = NoisyCycleSpec(IDLE_HAMILTONIANS[interaction], depolarizing(1.0))
-    run = noco_channel(spec, duration, freq_over_h)
-    run.superop.setflags(write=False)
-    return run
+    return noco_channel(spec, duration, freq_over_h)
 
 
 def infidelity_surface(eps_values, freq_values, gate_name: str):
@@ -206,18 +186,10 @@ def infidelity_surface(eps_values, freq_values, gate_name: str):
     return infid, counts
 
 
-@lru_cache()
-def _ideal_inverse(name: str) -> np.ndarray:
-    """Superoperator of the inverse of a gate's target, built once; read-only."""
-    inverse = unitary_channel(recipe(name).target).conj().T
-    inverse.setflags(write=False)
-    return inverse
-
-
 def gate_error_channel(name: str, eps: float, freq_over_h: float) -> np.ndarray:
     """Error channel E with realized = E o ideal."""
     run = realized_channel(name, eps, freq_over_h)
-    return run.superop @ _ideal_inverse(name)
+    return run.superop @ unitary_channel(recipe(name).target).conj().T
 
 
 SWAP_2Q = np.array(

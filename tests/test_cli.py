@@ -1,6 +1,9 @@
 import argparse
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -140,6 +143,12 @@ def test_invalid_config_exit_codes(tmp_path):
     assert run(["threshold", "--budget", "abc"]) == 2
     assert run(["threshold", "--bisect_tol", "abc"]) == 2
     assert run(["gate-error", "--workers", "x"]) == 2
+    assert run(["gate-error", "--workers", "0"]) == 2
+    assert run(["distill", "--rounds", "2.5"]) == 2
+    assert run(["threshold", "--include_decoupling", "maybe"]) == 2
+    # "=" keeps argparse from reading a negative value as a flag
+    for value in ("0", "-1e3"):
+        assert run(["gate-error", f"--freq_over_h={value}"]) == 2
     for value in ("inf", "nan"):
         assert run(["gate-error", "--freq_over_h", value]) == 2
         assert run(["threshold", "--budget", value]) == 2
@@ -205,6 +214,15 @@ def test_unknown_gate_exit_code():
 def test_no_threshold_exit_code():
     assert run(["threshold", "--freq_over_h", "1e3", "--rounds", "1",
                 "--budget", "1e-9"]) == 4
+
+
+def test_unforeseen_error_exit_code(monkeypatch, capsys):
+    def broken(config):
+        raise RuntimeError("distillation broke")
+
+    monkeypatch.setattr(cli.faulttol, "distill", broken)
+    assert run(["distill"]) == 1
+    assert "error: distillation broke" in capsys.readouterr().err.splitlines()
 
 
 def test_failed_threshold_point_keeps_the_other_rows(tmp_path, capsys):
@@ -301,3 +319,30 @@ def test_eff_h_columns(capsys):
     vals = dict(zip(cols, body[1].split(",")))
     assert np.isclose(float(vals["c_ZZ"]), 0.8)
     assert np.isclose(float(vals["c_XX"]), 0.0)
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports nocosim from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_the_cli_unloaded():
+    # a library user pays for neither the CLI nor its argparse and hashlib
+    probe = ("import sys, nocosim; "
+             "print([m for m in ('nocosim.cli', 'argparse', 'hashlib') if m in sys.modules])")
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_python_m_runs_the_cli():
+    proc = _python("-m", "nocosim", "swap-check")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("# nocosim ")
+    assert lines[3] == "deviation,halftime_deviation"
+    assert len(lines) == 5
+    assert proc.stderr == "swap-check: 1 rows\n"

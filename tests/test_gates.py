@@ -128,35 +128,6 @@ def test_driven_cycles_refuse_rates_outside_the_depolarizing_range():
                 recipe(name).cycle(eps)
 
 
-def test_noisy_reset_is_shared_and_read_only():
-    s = gates.noisy_reset(0.3)
-    assert gates.noisy_reset(0.3) is s
-    assert not s.flags.writeable
-    with pytest.raises(ValueError):
-        s[0, 0] = 0.0
-    # the single-actuator reset cycles hold that very array
-    for name in ("rz", "phase_z", "rzz"):
-        assert recipe(name).cycle(0.3).actuator is s
-    assert not gates._ideal_inverse("rx").flags.writeable
-
-
-def test_threshold_point_builds_each_reset_once(monkeypatch):
-    # rx, rzz and the distillation rounds at one eps share one reset
-    seen = []
-    original = faulttol.vacuum_error_budget
-
-    def recording(eps, *args, **kwargs):
-        seen.append(eps)
-        return original(eps, *args, **kwargs)
-
-    monkeypatch.setattr(faulttol, "vacuum_error_budget", recording)
-    for cached in (gates.noisy_reset, gates.realized_channel, faulttol._round_rates):
-        cached.cache_clear()
-    faulttol.threshold(2e3, 3, bisect_tol=1e-3)
-    assert len(set(seen)) > 5
-    assert gates.noisy_reset.cache_info().misses == len(set(seen))
-
-
 @given(
     st.sampled_from(("rz", "phase_z", "rx", "rzz", "rzz_prime")),
     st.floats(0.0, 0.9),
