@@ -222,7 +222,7 @@ def _row_or_error(row, *args):
 
 
 def _fixed_state_row(gate, eps):
-    p = pauli_coefficients(zeno.fixed_state(gates.recipe(gate).cycle(eps)).rho)
+    p = pauli_coefficients(gates.recipe(gate).rho_u(eps))
     return [fmt(eps), fmt(eps if gate == "rx" else 0.0)] + [fmt(p[k]) for k in "XYZ"]
 
 

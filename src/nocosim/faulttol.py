@@ -22,6 +22,7 @@ until that budget hits the correcting code's tolerance.
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, isfinite, log
+from numbers import Integral
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class DistillationConfig:
     noisy_meas: bool = True
 
     def __post_init__(self):
-        if self.rounds < 1 or self.rounds % 2 == 0:
+        if not isinstance(self.rounds, Integral) or self.rounds < 1 or self.rounds % 2 == 0:
             raise ValueError(f"rounds must be a positive odd integer, got {self.rounds}")
         if self.rounds > MAX_ROUNDS:
             raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")

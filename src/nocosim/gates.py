@@ -1,11 +1,11 @@
 """Interaction Hamiltonians, driven-gate recipes, and circuit identities.
 
-Each recipe pairs an interaction Hamiltonian with the per-period actuator
-channel that freezes the actuator, the drive duration that realizes a
-target register unitary, and that target.  Durations compensate the noise
+Each recipe pairs an interaction Hamiltonian with the actuator state that
+each period's noisy operations re-prepare, the drive duration that realizes
+a target register unitary, and that target.  Durations compensate the noise
 rate: a depolarized reset leaves actuator polarization (1 - eps), so gate
 times scale like 1/(1 - eps).  ``idle_channel`` builds the schedule's idle
-couplings under a fully depolarizing actuator.
+couplings under a fully depolarized actuator, re-prepared at I/2.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    depolarizing,
     depolarizing_kraus,
     entanglement_fidelity,
     initialization_kraus,
@@ -32,8 +31,9 @@ from .qcore import (
     projector,
     reduce_superop,
     unitary_evolution,
+    unvec,
 )
-from .zeno import NocoResult, NoisyCycleSpec, fixed_state, noco_channel, period_count
+from .zeno import NocoResult, NoisyCycleSpec, noco_channel, period_count
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -75,7 +75,7 @@ def noisy_hadamard_kraus(eps: float):
 
 
 def noisy_reset(eps: float) -> np.ndarray:
-    """Superoperator of the noisy reset at rate eps; every recipe's actuator starts from it."""
+    """Superoperator of the noisy reset at rate eps."""
     return kraus_to_superop(noisy_initialization_kraus(eps))
 
 
@@ -93,7 +93,7 @@ class GateRecipe:
 
     name: str
     hamiltonian: np.ndarray
-    actuator: object           # eps -> actuator superoperator of one period
+    rho_u: object              # eps -> actuator state one period re-prepares
     duration_rule: object      # eps -> float
     target: np.ndarray
 
@@ -106,31 +106,37 @@ class GateRecipe:
         return self.duration_rule(eps)
 
     def cycle(self, eps: float) -> NoisyCycleSpec:
-        return NoisyCycleSpec(self.hamiltonian, self.actuator(eps))
+        return NoisyCycleSpec(self.hamiltonian, self.rho_u(eps))
 
 
 def _recipes() -> dict:
-    def init_hadamard(eps):
-        return kraus_to_superop(noisy_hadamard_kraus(eps)) @ noisy_reset(eps)
+    # each state is the column for |0><0| of the Kraus-built operations (the
+    # 4 x 4 product for rx, not the Hadamard applied to a state): the pinned
+    # gate-error rows carry the rounding of exactly these products
+    def reset(eps):
+        return unvec(noisy_reset(eps)[:, 0], 2)
 
-    def init_both(eps):
-        s = noisy_reset(eps)
-        return embed_superop(s, (1,), 2) @ embed_superop(s, (0,), 2)
+    def reset_hadamard(eps):
+        return unvec((kraus_to_superop(noisy_hadamard_kraus(eps)) @ noisy_reset(eps))[:, 0], 2)
+
+    def reset_both(eps):
+        rho = reset(eps)
+        return kron(rho, rho)
 
     heis, ising = _heisenberg_h(), _ising3_h()
     return {
         "rz": GateRecipe(
-            "rz", heis, noisy_reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
+            "rz", heis, reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
         "phase_z": GateRecipe(
-            "phase_z", heis, noisy_reset,
+            "phase_z", heis, reset,
             lambda e: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
         "rx": GateRecipe(
-            "rx", heis, init_hadamard,
+            "rx", heis, reset_hadamard,
             lambda e: np.pi / (4.0 * (1.0 - e) * (1.0 - e)), RX_TARGET),
         "rzz": GateRecipe(
-            "rzz", ising, noisy_reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
+            "rzz", ising, reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
         "rzz_prime": GateRecipe(
-            "rzz_prime", _rzz_prime_h(), init_both,
+            "rzz_prime", _rzz_prime_h(), reset_both,
             lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_PRIME_TARGET),
     }
 
@@ -159,12 +165,12 @@ IDLE_HAMILTONIANS = {"heisenberg": _heisenberg_h(), "ising": _ising3_h()}
 
 
 def idle_channel(interaction: str, duration: float, freq_over_h: float) -> NocoResult:
-    """Register channel of an idle coupling under a fully depolarizing actuator.
+    """Register channel of an idle coupling under a fully depolarized actuator.
 
-    The actuator freezes at I/2, which averages the coupling away and leaves
-    its finite-frequency residual.
+    The actuator is re-prepared at I/2, which averages the coupling away and
+    leaves its finite-frequency residual.
     """
-    spec = NoisyCycleSpec(IDLE_HAMILTONIANS[interaction], depolarizing(1.0))
+    spec = NoisyCycleSpec(IDLE_HAMILTONIANS[interaction], I2 / 2.0)
     return noco_channel(spec, duration, freq_over_h)
 
 
@@ -316,4 +322,4 @@ def noise_conditions(rho_i, rho_h, rho_s) -> NoiseAdmissibility:
 def depolarizing_fixed_states(eps: float):
     """Frozen actuator states (reset, reset+Hadamard, square reset) at the
     depolarizing rate eps."""
-    return tuple(fixed_state(recipe(name).cycle(eps)).rho for name in ("rz", "rx", "rzz"))
+    return tuple(recipe(name).rho_u(eps) for name in ("rz", "rx", "rzz"))

@@ -1,15 +1,17 @@
 """Register dynamics under frequently repeated noisy actuator operations.
 
-A cycle is one period of the drive: one noisy channel on the actuator
-qubits, then free evolution of the whole system for the rest of the
-period.  Repeated fast enough, the actuator is pinned to the fixed state of
-the per-period operation and the register evolves under an effective
-Hamiltonian obtained by averaging the interaction over that state.  At
-finite repetition frequency the register picks up a residual error channel,
-which is what this module computes exactly (for small systems): as a
-register channel, by powering the full-system period map
-(``noco_channel``), or on given register states, by powering the register
-map of one period (``noco_state``).
+A cycle is one period of the drive: noisy operations that re-prepare the
+actuator qubits in a fixed state rho_U, whatever they held, then free
+evolution of the whole system for the rest of the period.  A cycle is
+therefore its Hamiltonian and rho_U (``NoisyCycleSpec``); the operations'
+superoperator, the replacement map vec(rho_U) vec(I)^dag, is formed only
+by ``cycle_superop``.  Repeated fast enough, the drive pins the actuator to
+rho_U and the register evolves under an effective Hamiltonian obtained by
+averaging the interaction over that state.  At finite repetition frequency
+the register picks up a residual error channel, which is what this module
+computes exactly (for small systems): as a register channel, by powering
+the full-system period map (``noco_channel``), or on given register
+states, by powering the register map of one period (``noco_state``).
 
 Units: hbar = J = 1 internally.  User-facing frequencies are quoted in
 J/h; since h = 2*pi*hbar, a drive at ``freq_over_h`` J/h has period
@@ -22,7 +24,6 @@ from math import isfinite
 
 import numpy as np
 
-from .channels import channel_nqubits
 from .qcore import (
     embed_superop,
     kron,
@@ -62,21 +63,27 @@ def period_count(duration: float, freq_over_h: float) -> int:
 
 @dataclass(frozen=True)
 class NoisyCycleSpec:
-    """One drive period: the actuator channel, then free flight.
+    """One drive period: the actuators re-prepared, then free flight.
 
-    ``actuator`` is the superoperator of one period's noisy operations on
-    the leading ``n_actuators`` qubits.  The Hamiltonian acts on all
-    ``nqubits`` qubits, actuators first, and generates the free flight for
-    the rest of the period.
+    ``rho_u`` is the state of the leading ``n_actuators`` qubits that one
+    period's noisy operations re-prepare, whatever the actuators held: the
+    operations act as the replacement map vec(rho_U) vec(I)^dag.  The
+    Hermitian ``hamiltonian`` acts on all ``nqubits`` qubits, actuators
+    first, and generates the free flight for the rest of the period.
     """
 
     hamiltonian: np.ndarray
-    actuator: np.ndarray
+    rho_u: np.ndarray
 
     def __post_init__(self):
         shape = np.shape(self.hamiltonian)
         if len(shape) != 2 or not shape[0] or shape != (2 ** self.nqubits,) * 2:
             raise ValueError(f"hamiltonian shape {shape} is not 2^n x 2^n")
+        if not np.array_equal(self.hamiltonian, np.conj(self.hamiltonian).T):
+            raise ValueError("hamiltonian is not Hermitian")
+        shape = np.shape(self.rho_u)
+        if len(shape) != 2 or shape[0] < 2 or shape != (2 ** self.n_actuators,) * 2:
+            raise ValueError(f"actuator state shape {shape} is not 2^k x 2^k with k > 0")
         if self.nqubits <= self.n_actuators:
             raise ValueError(
                 f"cycle has no register qubit: {self.n_actuators} actuator qubits "
@@ -85,7 +92,7 @@ class NoisyCycleSpec:
 
     @property
     def n_actuators(self) -> int:
-        return channel_nqubits(self.actuator)
+        return int(np.log2(len(self.rho_u)))
 
     @property
     def nqubits(self) -> int:
@@ -93,44 +100,27 @@ class NoisyCycleSpec:
 
 
 def cycle_superop(spec: NoisyCycleSpec) -> np.ndarray:
-    """Per-period actuator operations on the full system (no free flight)."""
-    return embed_superop(spec.actuator, range(spec.n_actuators), spec.nqubits)
+    """Per-period actuator operations on the full system (no free flight).
 
-
-@dataclass
-class FixedState:
-    """Fixed point of the per-period actuator operation."""
-
-    rho: np.ndarray
-    defect: float
-
-
-def fixed_state(spec: NoisyCycleSpec) -> FixedState:
-    """Actuator state the drive freezes, with its fixed-point defect.
-
-    Computed by applying one period's operations to the maximally mixed
-    actuator state; the defect reports how far the result is from being a
-    true fixed point.
+    The replacement map vec(rho_U) vec(I)^dag on the actuators: the one
+    place a cycle's operations are formed as a superoperator.
     """
-    s = spec.actuator
-    da = 2 ** spec.n_actuators
-    rho = unvec(s @ vec(np.eye(da, dtype=complex) / da), da)
-    defect = float(np.linalg.norm(s @ vec(rho) - vec(rho)))
-    return FixedState(rho=rho, defect=defect)
+    ident = np.eye(len(spec.rho_u), dtype=complex)
+    replacement = np.outer(vec(spec.rho_u), vec(ident))
+    return embed_superop(replacement, range(spec.n_actuators), spec.nqubits)
 
 
 # largest idempotence defect verify_projector accepts
 PROJECTOR_ATOL = 1e-10
 
 
-def verify_projector(spec: NoisyCycleSpec):
-    """Check that one period's actuator operation is idempotent.
+def verify_projector(s: np.ndarray):
+    """Check that one period's noisy operation, superoperator ``s``, is idempotent.
 
-    Returns (ok, defect) where defect = ||S@S - S||_F on the actuator factor.
-    Idempotence is what makes the frozen-actuator picture exact: every
-    period re-projects the actuator onto the same state.
+    Returns (ok, defect) where defect = ||S@S - S||_F.  Idempotence is what
+    makes the frozen-actuator picture exact: every period re-projects the
+    actuator onto the same state.
     """
-    s = spec.actuator
     defect = float(np.linalg.norm(s @ s - s))
     return defect <= PROJECTOR_ATOL, defect
 
@@ -138,13 +128,12 @@ def verify_projector(spec: NoisyCycleSpec):
 def effective_hamiltonian(spec: NoisyCycleSpec) -> np.ndarray:
     """Register Hamiltonian seen once the actuator is frozen.
 
-    Tr_A[(rho_U (x) id_R) H] with rho_U the fixed state of the cycle.
+    Tr_A[(rho_U (x) id_R) H] with rho_U the re-prepared actuator state.
     """
-    rho = fixed_state(spec).rho
     da = 2 ** spec.n_actuators
     dr = 2 ** spec.nqubits // da
     h4 = np.asarray(spec.hamiltonian, dtype=complex).reshape(da, dr, da, dr)
-    return np.einsum("ac,cras->rs", rho, h4)
+    return np.einsum("ac,cras->rs", spec.rho_u, h4)
 
 
 def period_superop(spec: NoisyCycleSpec, period: float) -> np.ndarray:
@@ -188,10 +177,9 @@ def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float, sigmas
     """Register states T^N(sigma) after N whole periods, for each sigma.
 
     The same N periods as ``noco_channel``, applied to given states.  The
-    actuator map must re-prepare its fixed state rho_U every period,
-    S = vec(rho_U) vec(I)^dag to ``PROJECTOR_ATOL`` (else ValueError), so N
-    periods act on the register as the N-th power of one period's register
-    map T(sigma) = Tr_A[U (rho_U (x) sigma) U^dag].
+    actuators are re-prepared in rho_U every period, so N periods act on the
+    register as the N-th power of one period's register map
+    T(sigma) = Tr_A[U (rho_U (x) sigma) U^dag].
     """
     n = period_count(duration, freq_over_h)
     na, nq = spec.n_actuators, spec.nqubits
@@ -199,17 +187,9 @@ def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float, sigmas
     for sigma in sigmas:
         if np.shape(sigma) != (dr, dr):
             raise ValueError(f"register state shape {np.shape(sigma)} is not {(dr, dr)}")
-    rho = fixed_state(spec).rho
-    replacement = np.outer(vec(rho), vec(np.eye(da, dtype=complex)))
-    defect = np.abs(spec.actuator - replacement).max()
-    if defect > PROJECTOR_ATOL:
-        raise ValueError(
-            f"actuator map is {defect:.3e} from replacing the actuator state; "
-            "the register map of one period needs a re-prepared actuator"
-        )
     u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / freq_over_h).reshape(da, dr, da, dr)
     # T[i + dr j, k + dr l] = sum_abc U[ai, bk] rho_U[b, c] conj(U[aj, cl]), read
     # off the d x d unitary: the d^2 x d^2 kron(conj U, U) is never formed
-    t = np.einsum("aibk,bc,ajcl->jilk", u, rho, u.conj()).reshape(dr * dr, dr * dr)
+    t = np.einsum("aibk,bc,ajcl->jilk", u, spec.rho_u, u.conj()).reshape(dr * dr, dr * dr)
     t_n = matrix_power_int(t, n)
     return [unvec(t_n @ vec(sigma), dr) for sigma in sigmas]

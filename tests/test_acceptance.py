@@ -76,16 +76,21 @@ H_HEIS = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
 H_ISING = kron(SZ, SZ, SZ)
 
 
+def _prepared(ops):
+    # the actuator state one period's operations leave from the maximally mixed state
+    return apply_channel(ops, I2 / 2.0)
+
+
 def _init_cycle(eps):
-    return NoisyCycleSpec(H_HEIS, _noisy_init(eps))
+    return NoisyCycleSpec(H_HEIS, _prepared(_noisy_init(eps)))
 
 
 def _init_h_cycle(eps_i, eps_h):
-    return NoisyCycleSpec(H_HEIS, _noisy_h(eps_h) @ _noisy_init(eps_i))
+    return NoisyCycleSpec(H_HEIS, _prepared(_noisy_h(eps_h) @ _noisy_init(eps_i)))
 
 
 def _ising_cycle(eps):
-    return NoisyCycleSpec(H_ISING, _noisy_init(eps))
+    return NoisyCycleSpec(H_ISING, _prepared(_noisy_init(eps)))
 
 
 def test_criterion_1_effective_hamiltonian_closed_forms():
@@ -109,8 +114,8 @@ def test_criterion_2_projector_property():
     rng = np.random.default_rng(102)
     worst = 0.0
     for eps_i, eps_h in rng.uniform(0.0, 1.0, size=(10, 2)):
-        _, d1 = verify_projector(_init_cycle(eps_i))
-        _, d2 = verify_projector(_init_h_cycle(eps_i, eps_h))
+        _, d1 = verify_projector(_noisy_init(eps_i))
+        _, d2 = verify_projector(_noisy_h(eps_h) @ _noisy_init(eps_i))
         worst = max(worst, d1, d2)
     check(2, worst <= 1e-10,
           f"per-period actuator maps idempotent, worst defect {worst:.2e} (tol 1e-10)")

@@ -215,8 +215,12 @@ def test_distill_weakly_decreasing_in_rounds():
 
 
 def test_distill_validation():
-    with pytest.raises(ValueError):
-        DistillationConfig(rounds=2, eps=0.1, freq_over_h=1e4)
+    # an even count, and a float count whole or not, is refused before math.comb sees it
+    for rounds in (2, 2.5, 3.0):
+        with pytest.raises(ValueError, match="positive odd integer"):
+            DistillationConfig(rounds=rounds, eps=0.1, freq_over_h=1e4)
+    with pytest.raises(ValueError, match="positive odd integer"):
+        threshold(1e3, 2.5)
     with pytest.raises(ValueError):
         DistillationConfig(rounds=3, eps=1.2, freq_over_h=1e4)
     for f in (0.0, float("nan"), float("inf")):

@@ -11,13 +11,18 @@ from nocosim.cli import _transfer_check_row
 from nocosim.channels import (
     check_cptp,
     depolarizing,
+    depolarizing_kraus,
     entanglement_fidelity,
+    initialization_kraus,
+    kraus_to_superop,
     pauli_twirl,
     phase_flip_weight,
     unitary_channel,
 )
 from nocosim.gates import (
     GATE_NAMES,
+    HADAMARD,
+    IDLE_HAMILTONIANS,
     RZ_TARGET,
     RZZ_PRIME_TARGET,
     RZZ_TARGET,
@@ -34,13 +39,13 @@ from nocosim.gates import (
 from nocosim.qcore import (
     I2,
     SZ,
+    embed_superop,
     kron,
     projector,
     reduce_superop,
     unitary_evolution,
-    vec,
 )
-from nocosim.zeno import fixed_state, noco_channel
+from nocosim.zeno import NoisyCycleSpec, cycle_superop, noco_channel
 
 
 def test_gate_catalog():
@@ -106,18 +111,33 @@ def test_rzz_prime_hamiltonian_shape():
     assert (spec.n_actuators, spec.nqubits) == (2, 4)
 
 
+def _kraus_built_operations(name, eps):
+    """One period's noisy operations on a recipe's actuators, from Kraus sets."""
+    reset = kraus_to_superop(
+        [d @ k for k in initialization_kraus() for d in depolarizing_kraus(eps)]
+    )
+    if name == "rx":
+        return kraus_to_superop([d @ HADAMARD for d in depolarizing_kraus(eps)]) @ reset
+    if name == "rzz_prime":
+        return embed_superop(reset, (1,), 2) @ embed_superop(reset, (0,), 2)
+    return reset
+
+
 def test_actuator_maps_replace_the_actuator_state():
-    # every catalog cycle forgets the actuator's input: S = vec(rho_U) vec(I)^dag
+    # every catalog cycle forgets the actuator's input: the replacement map
+    # vec(rho_U) vec(I)^dag of the recipe's state is the Kraus-built operation
+    # bit for bit, and the pinned gate-error rows depend on those bits
     for name in GATE_NAMES:
-        for eps in (0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999):
-            spec = recipe(name).cycle(eps)
-            rho = fixed_state(spec).rho
-            ident = np.eye(2 ** spec.n_actuators, dtype=complex)
-            replacement = np.outer(vec(rho), vec(ident).conj())
-            assert np.max(np.abs(spec.actuator - replacement)) <= 1e-15, (name, eps)
+        rec = recipe(name)
+        for eps in np.linspace(0.0, 0.99, 100):
+            spec = rec.cycle(eps)
+            ops = embed_superop(
+                _kraus_built_operations(name, eps), range(spec.n_actuators), spec.nqubits
+            )
+            assert np.array_equal(cycle_superop(spec), ops), (name, eps)
     # so is the fully depolarizing actuator of the idle couplings, with rho_U = I/2
-    replacement = np.outer(vec(I2 / 2.0), vec(I2).conj())
-    assert np.max(np.abs(depolarizing(1.0) - replacement)) <= 1e-15
+    spec = NoisyCycleSpec(IDLE_HAMILTONIANS["ising"], I2 / 2.0)
+    assert np.array_equal(cycle_superop(spec), embed_superop(depolarizing(1.0), (0,), 3))
 
 
 def test_driven_cycles_refuse_rates_outside_the_depolarizing_range():

@@ -1,0 +1,43 @@
+"""Zeno-limit oracle for the catalog gates, sharing no code with the power path.
+
+Expand one period's register map as T = I + dt L1 + dt^2 L2 + ..., with
+L1 = -i[H_eff, .] and L2 = -1/2 Tr_A[ad_H^2(rho_U (x) .)].  For
+H = sum_k A_k (x) P_k over distinct register Pauli strings, a gate driven
+for time t then has 1 - F = dt t sum_k Var_rhoU(A_k) + O(f^-2), with
+dt = 2 pi / f (Layden, Martin-Martinez and Kempf, PRA 91, 022106, 2015).
+Each gate's variance sum c(eps) and duration t(eps) are written out in
+closed form below from the re-prepared actuator state: diag(1 - eps/2,
+eps/2) after the reset, (1 - eps)^2 |+><+| + (2 eps - eps^2) I/2 after the
+reset and the Hadamard, and the tensor square of the first for rzz_prime.
+"""
+
+import numpy as np
+import pytest
+
+from nocosim.channels import entanglement_fidelity
+from nocosim.gates import GATE_NAMES, realized_channel, recipe
+
+# gate -> (t(eps), c(eps)); a catalog gate missing here fails its case
+LEADING_ORDER = {
+    "rz": (lambda e: np.pi / (4.0 * (1.0 - e)), lambda e: 3.0 - (1.0 - e) ** 2),
+    "phase_z": (lambda e: np.pi / (2.0 * (1.0 - e)), lambda e: 3.0 - (1.0 - e) ** 2),
+    "rx": (lambda e: np.pi / (4.0 * (1.0 - e) ** 2), lambda e: 3.0 - (1.0 - e) ** 4),
+    "rzz": (lambda e: np.pi / (4.0 * (1.0 - e)), lambda e: 1.0 - (1.0 - e) ** 2),
+    "rzz_prime": (lambda e: np.pi / (4.0 * (1.0 - e)), lambda e: 4.0 - 2.0 * (1.0 - e) ** 2),
+}
+
+
+@pytest.mark.parametrize("gate", GATE_NAMES)
+def test_infidelity_approaches_the_zeno_limit(gate):
+    # measured: |ratio - 1| at most 4.9e-4 at 1e5 (rzz, eps 0.05), and it
+    # shrinks 4.97x per decade or more
+    duration, variance = LEADING_ORDER[gate]
+    for eps in (0.05, 0.2, 0.5):
+        gaps = []
+        for f in (1e3, 1e4, 1e5):
+            run = realized_channel(gate, eps, f)
+            infid = 1.0 - entanglement_fidelity(run.superop, recipe(gate).target)
+            ratio = infid / (2.0 * np.pi / f * duration(eps) * variance(eps))
+            gaps.append(abs(ratio - 1.0))
+        assert gaps[2] <= 1e-3, (eps, gaps)
+        assert gaps[1] <= gaps[0] / 4.0 and gaps[2] <= gaps[1] / 4.0, (eps, gaps)
