@@ -12,11 +12,9 @@ C = sum_ij |i><j| (x) E(|i><j|), which has trace d for a trace-preserving
 channel on a d-dimensional system.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
-from .qcore import I2, SX, SY, SZ, kron, pauli_string_operator, pauli_strings, unvec, vec
+from .qcore import I2, SX, SY, SZ, kron, unvec, vec
 
 
 def channel_nqubits(s) -> int:
@@ -110,37 +108,3 @@ def entanglement_fidelity(s: np.ndarray, target_unitary) -> float:
         raise ValueError("channel and target act on different dimensions")
     su = kron(u.conj(), u)
     return float(np.real(np.vdot(su, s)) / d ** 2)
-
-
-@lru_cache()
-def _pauli_superops(nqubits: int) -> tuple:
-    """(string, superoperator of conjugation by it) for every n-qubit Pauli string.
-
-    Built once per qubit count; the arrays are read-only.
-    """
-    table = []
-    for string in pauli_strings(nqubits):
-        p = pauli_string_operator(string)
-        sp = kron(p.conj(), p)
-        sp.setflags(write=False)
-        table.append((string, sp))
-    return tuple(table)
-
-
-def pauli_twirl(s: np.ndarray) -> dict[str, float]:
-    """Project a channel onto the Pauli channel with the same Pauli fidelities.
-
-    p_P = Tr(S_P^dag S) / d^2 where S_P is the superoperator of conjugation
-    by the Pauli string P.  For a CPTP channel the probabilities are real
-    and sum to one.  Keys are strings over I, X, Y, Z, qubit 0 first.
-    """
-    n = channel_nqubits(s)
-    return {
-        string: float(np.real(np.vdot(sp, s)) / 4 ** n)
-        for string, sp in _pauli_superops(n)
-    }
-
-
-def phase_flip_weight(probs: dict[str, float]) -> float:
-    """Weight of the Pauli strings with Y or Z on qubit 0, which flip its x basis."""
-    return sum(p for string, p in probs.items() if string[0] in "YZ")

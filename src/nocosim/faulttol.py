@@ -26,10 +26,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .channels import depolarizing, pauli_twirl, phase_flip_weight
-from .gates import RZZ_PRIME_TARGET, gate_error_channel, idle_channel, recipe
-from .qcore import kron, projector, unvec, vec
-from .zeno import noco_state
+from .channels import depolarizing
+from .gates import IDLE_HAMILTONIANS, RZZ_PRIME_TARGET, recipe
+from .qcore import I2, SX, kron, projector, unvec, vec
+from .zeno import NoisyCycleSpec, noco_state
 
 # largest entry a round's output may keep off the data input's |x><x| block
 DIAGONAL_TOLERANCE = 1e-12
@@ -191,6 +191,24 @@ class ErrorBudget:
     duration: float
 
 
+def _phase_weight(
+    spec: NoisyCycleSpec, duration: float, freq_over_h: float, target: np.ndarray
+) -> float:
+    """Y/Z weight on register qubit 0 of a driven cycle's twirled error channel.
+
+    The error channel is E = T^N o U^dag: the target U undone, then the
+    register map of the cycle's N whole periods.  A Pauli twirl keeps every
+    Pauli eigenvalue lambda_P = Re Tr(P E(P)) / d, and the strings with Y or
+    Z on qubit 0 are the ones that anticommute with X_0, so their weight is
+    (1 - lambda_X0) / 2: one operator, U^dag X_0 U, propagated by
+    ``zeno.noco_state``.  No full-system map or twirl table is formed.
+    """
+    d = len(target)
+    x0 = kron(SX, np.eye(d // 2))
+    (out,) = noco_state(spec, duration, freq_over_h, [target.conj().T @ x0 @ target])
+    return float((1.0 - np.real(np.trace(x0 @ out)) / d) / 2.0)
+
+
 # A threshold sweep bisects at several round counts per frequency, so the
 # same (eps, f) terms come back; these memos and ``_round_rates`` keep the
 # terms that do not depend on the round count.
@@ -199,14 +217,20 @@ class ErrorBudget:
 @lru_cache()
 def _gate_weight(gate: str, eps: float, freq_over_h: float) -> float:
     """Y/Z weight on the data qubit of a unitary gate's twirled error channel."""
-    return phase_flip_weight(pauli_twirl(gate_error_channel(gate, eps, freq_over_h)))
+    rec = recipe(gate)
+    return _phase_weight(rec.cycle(eps), rec.duration(eps), freq_over_h, rec.target)
 
 
 @lru_cache()
 def _idle_weight(interaction: str, duration: float, freq_over_h: float) -> float:
-    """Y/Z weight on the data qubit of an idle coupling's twirled residual."""
-    run = idle_channel(interaction, duration, freq_over_h)
-    return phase_flip_weight(pauli_twirl(run.superop))
+    """Y/Z weight on the data qubit of an idle coupling's twirled residual.
+
+    The actuator is re-prepared fully depolarized, at I/2, which averages
+    the coupling away and leaves its finite-frequency residual.
+    """
+    spec = NoisyCycleSpec(IDLE_HAMILTONIANS[interaction], I2 / 2.0)
+    register = np.eye(2 ** (spec.nqubits - spec.n_actuators), dtype=complex)
+    return _phase_weight(spec, duration, freq_over_h, register)
 
 
 def _gate_term(gate: str, eps: float, freq_over_h: float, rounds: int):

@@ -4,8 +4,8 @@ Each recipe pairs an interaction Hamiltonian with the actuator state that
 each period's noisy operations re-prepare, the drive duration that realizes
 a target register unitary, and that target.  Durations compensate the noise
 rate: a depolarized reset leaves actuator polarization (1 - eps), so gate
-times scale like 1/(1 - eps).  ``idle_channel`` builds the schedule's idle
-couplings under a fully depolarized actuator, re-prepared at I/2.
+times scale like 1/(1 - eps).  ``IDLE_HAMILTONIANS`` holds the schedule's
+idle couplings.
 """
 
 from dataclasses import dataclass
@@ -164,16 +164,6 @@ def realized_channel(name: str, eps: float, freq_over_h: float) -> NocoResult:
 IDLE_HAMILTONIANS = {"heisenberg": _heisenberg_h(), "ising": _ising3_h()}
 
 
-def idle_channel(interaction: str, duration: float, freq_over_h: float) -> NocoResult:
-    """Register channel of an idle coupling under a fully depolarized actuator.
-
-    The actuator is re-prepared at I/2, which averages the coupling away and
-    leaves its finite-frequency residual.
-    """
-    spec = NoisyCycleSpec(IDLE_HAMILTONIANS[interaction], I2 / 2.0)
-    return noco_channel(spec, duration, freq_over_h)
-
-
 def infidelity_surface(eps_values, freq_values, gate_name: str):
     """Grid of (1 - entanglement fidelity, period count) for a catalog gate.
 
@@ -190,12 +180,6 @@ def infidelity_surface(eps_values, freq_values, gate_name: str):
             infid[i, j] = 1.0 - entanglement_fidelity(run.superop, target)
             counts[i, j] = run.n_periods
     return infid, counts
-
-
-def gate_error_channel(name: str, eps: float, freq_over_h: float) -> np.ndarray:
-    """Error channel E with realized = E o ideal."""
-    run = realized_channel(name, eps, freq_over_h)
-    return run.superop @ unitary_channel(recipe(name).target).conj().T
 
 
 SWAP_2Q = np.array(

@@ -11,7 +11,7 @@ averaging the interaction over that state.  At finite repetition frequency
 the register picks up a residual error channel, which is what this module
 computes exactly (for small systems): as a register channel, by powering
 the full-system period map (``noco_channel``), or on given register
-states, by powering the register map of one period (``noco_state``).
+operators, by powering the register map of one period (``noco_state``).
 
 Units: hbar = J = 1 internally.  User-facing frequencies are quoted in
 J/h; since h = 2*pi*hbar, a drive at ``freq_over_h`` J/h has period
@@ -61,6 +61,11 @@ def period_count(duration: float, freq_over_h: float) -> int:
     return int(min(np.floor(periods + nudge), np.ceil(periods)))  # never past the next count
 
 
+# largest Hermiticity defect, trace defect and negative eigenvalue an actuator
+# state may carry
+DENSITY_ATOL = 1e-12
+
+
 @dataclass(frozen=True)
 class NoisyCycleSpec:
     """One drive period: the actuators re-prepared, then free flight.
@@ -88,6 +93,16 @@ class NoisyCycleSpec:
             raise ValueError(
                 f"cycle has no register qubit: {self.n_actuators} actuator qubits "
                 f"of {self.nqubits}"
+            )
+        rho = np.asarray(self.rho_u)
+        if not (
+            np.abs(rho - rho.conj().T).max() <= DENSITY_ATOL
+            and abs(np.trace(rho) - 1.0) <= DENSITY_ATOL
+            and np.linalg.eigvalsh(rho).min() >= -DENSITY_ATOL
+        ):
+            raise ValueError(
+                "actuator state is not a density matrix (Hermitian, trace 1, "
+                "no negative eigenvalue)"
             )
 
     @property
@@ -174,11 +189,13 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
 
 
 def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float, sigmas) -> list:
-    """Register states T^N(sigma) after N whole periods, for each sigma.
+    """Register operators T^N(sigma) after N whole periods, for each sigma.
 
-    The same N periods as ``noco_channel``, applied to given states.  The
-    actuators are re-prepared in rho_U every period, so N periods act on the
-    register as the N-th power of one period's register map
+    The same N periods as ``noco_channel``, applied to given register
+    operators: states, or any operator the map acts on linearly, such as a
+    Pauli string whose Pauli eigenvalue is wanted.  The actuators are
+    re-prepared in rho_U every period, so N periods act on the register as
+    the N-th power of one period's register map
     T(sigma) = Tr_A[U (rho_U (x) sigma) U^dag].
     """
     n = period_count(duration, freq_over_h)

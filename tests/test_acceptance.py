@@ -9,14 +9,9 @@ from math import comb
 
 import numpy as np
 from conftest import record
+from dense_reference import noisy_hadamard, noisy_init, prepared_state
 
-from nocosim.channels import (
-    apply_channel,
-    depolarizing_kraus,
-    initialization_kraus,
-    kraus_to_superop,
-    unitary_channel,
-)
+from nocosim.channels import apply_channel, unitary_channel
 from nocosim.cli import main as cli_main
 from nocosim.faulttol import (
     DistillationConfig,
@@ -27,7 +22,6 @@ from nocosim.faulttol import (
 )
 from nocosim.gates import (
     GATE_NAMES,
-    HADAMARD,
     RZZ_TARGET,
     depolarizing_fixed_states,
     infidelity_surface,
@@ -62,35 +56,20 @@ def check(label, ok, detail):
     assert ok, line
 
 
-def _noisy_init(eps):
-    return kraus_to_superop(
-        [d @ k for k in initialization_kraus() for d in depolarizing_kraus(eps)]
-    )
-
-
-def _noisy_h(eps):
-    return kraus_to_superop([d @ HADAMARD for d in depolarizing_kraus(eps)])
-
-
 H_HEIS = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
 H_ISING = kron(SZ, SZ, SZ)
 
 
-def _prepared(ops):
-    # the actuator state one period's operations leave from the maximally mixed state
-    return apply_channel(ops, I2 / 2.0)
-
-
 def _init_cycle(eps):
-    return NoisyCycleSpec(H_HEIS, _prepared(_noisy_init(eps)))
+    return NoisyCycleSpec(H_HEIS, prepared_state(noisy_init(eps)))
 
 
 def _init_h_cycle(eps_i, eps_h):
-    return NoisyCycleSpec(H_HEIS, _prepared(_noisy_h(eps_h) @ _noisy_init(eps_i)))
+    return NoisyCycleSpec(H_HEIS, prepared_state(noisy_hadamard(eps_h) @ noisy_init(eps_i)))
 
 
 def _ising_cycle(eps):
-    return NoisyCycleSpec(H_ISING, _prepared(_noisy_init(eps)))
+    return NoisyCycleSpec(H_ISING, prepared_state(noisy_init(eps)))
 
 
 def test_criterion_1_effective_hamiltonian_closed_forms():
@@ -114,8 +93,8 @@ def test_criterion_2_projector_property():
     rng = np.random.default_rng(102)
     worst = 0.0
     for eps_i, eps_h in rng.uniform(0.0, 1.0, size=(10, 2)):
-        _, d1 = verify_projector(_noisy_init(eps_i))
-        _, d2 = verify_projector(_noisy_h(eps_h) @ _noisy_init(eps_i))
+        _, d1 = verify_projector(noisy_init(eps_i))
+        _, d2 = verify_projector(noisy_hadamard(eps_h) @ noisy_init(eps_i))
         worst = max(worst, d1, d2)
     check(2, worst <= 1e-10,
           f"per-period actuator maps idempotent, worst defect {worst:.2e} (tol 1e-10)")

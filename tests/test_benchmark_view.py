@@ -15,8 +15,12 @@ from nocosim import gates
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# gone from the library; the benchmark still lists it and reports it absent
-KNOWN_ABSENT = {("faulttol", "threshold_sweep")}
+# gone from the library; the benchmark still lists them and reports them absent
+KNOWN_ABSENT = {
+    ("faulttol", "threshold_sweep"),
+    ("channels", "pauli_twirl"),
+    ("gates", "gate_error_channel"),
+}
 
 
 def _spans():

@@ -8,8 +8,6 @@ from nocosim.channels import (
     depolarizing_kraus,
     entanglement_fidelity,
     kraus_to_superop,
-    pauli_twirl,
-    phase_flip_weight,
     superop_to_choi,
     unitary_channel,
 )
@@ -17,8 +15,6 @@ from nocosim.qcore import (
     I2,
     SX,
     SZ,
-    pauli_string_operator,
-    pauli_strings,
     projector,
     unitary_evolution,
     vec,
@@ -54,7 +50,7 @@ def test_kraus_to_superop_equals_the_term_by_term_sum_exactly():
 
 def test_channel_shape_validation():
     # a superoperator must be d^2 x d^2 with d = 2^n; 8 x 8 is neither
-    for refuse in (check_cptp, pauli_twirl, lambda s: apply_channel(s, I2),
+    for refuse in (check_cptp, lambda s: apply_channel(s, I2),
                    lambda s: entanglement_fidelity(s, I2)):
         with pytest.raises(ValueError, match="not d\\^2 x d\\^2"):
             refuse(np.eye(8))
@@ -115,48 +111,6 @@ def test_channel_from_kraus_validates():
 def test_entanglement_fidelity_unitary():
     u = unitary_evolution(SZ + 0.3 * SX, 0.9)
     assert np.isclose(entanglement_fidelity(unitary_channel(u), u), 1.0, atol=1e-12)
-
-
-def test_pauli_twirl_of_rotation():
-    theta = 0.23
-    ch = unitary_channel(unitary_evolution(SZ, theta))
-    probs = pauli_twirl(ch)
-    assert np.isclose(probs["I"], np.cos(theta) ** 2, atol=1e-12)
-    assert np.isclose(probs["Z"], np.sin(theta) ** 2, atol=1e-12)
-    assert np.isclose(sum(probs.values()), 1.0, atol=1e-12)
-    # Z errors commute with z-basis storage but flip x and y eigenstates
-    assert np.isclose(phase_flip_weight(probs), np.sin(theta) ** 2, atol=1e-12)
-    assert np.isclose(probs["X"] + probs["Y"], 0.0, atol=1e-12)
-
-
-def test_pauli_twirl_depolarizing():
-    eps = 0.2
-    probs = pauli_twirl(depolarizing(eps))
-    assert np.isclose(probs["I"], 1.0 - 0.75 * eps, atol=1e-12)
-    for p in "XYZ":
-        assert np.isclose(probs[p], eps / 4.0, atol=1e-12)
-    assert np.isclose(probs["X"] + probs["Y"], eps / 2.0, atol=1e-12)
-    assert np.isclose(phase_flip_weight(probs), eps / 2.0, atol=1e-12)
-
-
-def test_pauli_twirl_two_qubit_keys():
-    ch = unitary_channel(np.kron(I2, I2))
-    probs = pauli_twirl(ch)
-    assert probs["II"] == pytest.approx(1.0)
-    assert set(len(k) for k in probs) == {2}
-    assert len(probs) == 16
-
-
-def test_pauli_twirl_equals_direct_formula():
-    # the cached Pauli table leaves every probability bitwise unchanged
-    rng = np.random.default_rng(24)
-    for n in (1, 2, 1, 2):
-        ch = kraus_to_superop(random_kraus_channel(rng, 2 ** n))
-        direct = {}
-        for string in pauli_strings(n):
-            p = pauli_string_operator(string)
-            direct[string] = float(np.real(np.vdot(np.kron(p.conj(), p), ch)) / 4 ** n)
-        assert pauli_twirl(ch) == direct
 
 
 def test_apply_channel_matches_kraus_sum():

@@ -6,10 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from dense_reference import dense_phase_weight, idle_cycle, random_state
 from nocosim import faulttol, gates, zeno
 from nocosim.cli import _map_tasks, main
-from nocosim.channels import depolarizing_kraus, pauli_twirl, unitary_channel
+from nocosim.channels import depolarizing_kraus, unitary_channel
 from nocosim.faulttol import (
     DistillationConfig,
     ThresholdError,
@@ -18,13 +21,7 @@ from nocosim.faulttol import (
     threshold,
     vacuum_error_budget,
 )
-from nocosim.gates import (
-    RZZ_PRIME_TARGET,
-    gate_error_channel,
-    idle_channel,
-    realized_channel,
-    recipe,
-)
+from nocosim.gates import RZZ_PRIME_TARGET, realized_channel, recipe
 from nocosim.qcore import (
     I2,
     SX,
@@ -240,9 +237,11 @@ def test_budget_composition():
     w = b.gate_weights
     assert list(w) == ["distill", "rx", "rzz"]
     assert w["distill"] == distill(DistillationConfig(rounds=3, eps=0.2, freq_over_h=1e4)).p_fail
+    # the weight is read off the register map; the twirl of the dense
+    # channel agrees to 2.1e-10 for both gates at this point
     for gate in ("rx", "rzz"):
-        probs = pauli_twirl(gate_error_channel(gate, 0.2, 1e4))
-        assert w[gate] == sum(p for s, p in probs.items() if s[0] in "YZ")
+        dense = realized_channel(gate, 0.2, 1e4).superop
+        assert w[gate] == pytest.approx(dense_phase_weight(dense, recipe(gate).target), rel=1e-8)
     # two distillations, two x rotations, four phase gates on the data qubit
     recon = 2 * w["distill"] + 2 * w["rx"] + 4 * w["rzz"]
     assert abs(b.p_phase - recon) < 1e-15
@@ -262,10 +261,11 @@ def test_budget_with_decoupling_terms():
     ]
     assert all(weight >= 0.0 for weight in b.idle_weights.values())
     # four Ising neighbors idle through each x rotation
-    run = idle_channel("ising", recipe("rx").duration(0.2), 1e4)
-    probs = pauli_twirl(run.superop)
-    residual = sum(p for s, p in probs.items() if s[0] in "YZ")
-    assert b.idle_weights["rx_1", "ising"] == b.idle_weights["rx_2", "ising"] == 4 * residual
+    # read off the register map; the dense channel's twirl agrees to 1.4e-10
+    run = zeno.noco_channel(idle_cycle("ising"), recipe("rx").duration(0.2), 1e4)
+    residual = dense_phase_weight(run.superop, np.eye(4))
+    assert b.idle_weights["rx_1", "ising"] == b.idle_weights["rx_2", "ising"]
+    assert b.idle_weights["rx_1", "ising"] == pytest.approx(4 * residual, rel=1e-8)
     extra = sum(b.idle_weights.values())
     assert abs(b.p_phase - (base.p_phase + extra)) < 1e-15
     assert b.p_phase > base.p_phase
@@ -348,15 +348,13 @@ def test_threshold_sweep_workers_agree():
 
 
 def test_threshold_builds_each_channel_once(monkeypatch):
-    # the rx and rzz channels and the round rates of a budget do not depend on rounds
-    builds, propagations = [], []
-    original_build = gates.noco_channel
+    # every budget term is one register propagation, and none depends on rounds
+    propagations = []
     original_state = faulttol.noco_state
     original_budget = faulttol.vacuum_error_budget
 
-    def counting_build(*args):
-        builds.append(args)
-        return original_build(*args)
+    def refuse(*_args):
+        raise AssertionError("full-system channel built")
 
     def counting_state(*args):
         propagations.append(args)
@@ -368,15 +366,14 @@ def test_threshold_builds_each_channel_once(monkeypatch):
         seen.add(float(eps))
         return original_budget(eps, *args)
 
-    monkeypatch.setattr(gates, "noco_channel", counting_build)
+    monkeypatch.setattr(zeno, "noco_channel", refuse)
+    monkeypatch.setattr(gates, "noco_channel", refuse)
     monkeypatch.setattr(faulttol, "noco_state", counting_state)
     monkeypatch.setattr(faulttol, "vacuum_error_budget", recording_budget)
     for n in (15, 17):
         threshold(1e3, n, bisect_tol=1e-3)
-    # per distinct eps: one rx (2 qubits) and one rzz (3 qubits) channel,
-    # and one propagation for the round rates
-    assert [spec.nqubits for spec, *_ in builds] == [2, 3] * len(seen)
-    assert len(propagations) == len(seen)
+    # per distinct eps: one propagation each for rx, rzz and the round rates
+    assert len(propagations) == 3 * len(seen)
     # faulttol's memos, not gates, hold the terms the second round count reuses
     assert faulttol._gate_weight.cache_info().misses == 2 * len(seen)
     assert faulttol._round_rates.cache_info().misses == len(seen)
@@ -386,24 +383,44 @@ def test_threshold_builds_each_channel_once(monkeypatch):
         rates[0, 0] = 0.0
 
 
-def test_threshold_powers_no_map_above_64(monkeypatch):
-    # distillation propagates its two inputs through the 16 x 16 register
-    # map of rzz_prime; the channels a threshold builds power rx's 16 x 16
-    # and rzz's 64 x 64 period maps
-    sizes, names = [], []
+def test_threshold_powers_no_map_above_16(monkeypatch):
+    # every budget term powers a register map of one period: rx's on one
+    # register qubit (4 x 4), and rzz's, rzz_prime's and the idle couplings'
+    # on two (16 x 16); no register channel is realized
+    sizes = []
     original_power = zeno.matrix_power_int
-    original_realized = gates.realized_channel
 
     def recording_power(m, n):
-        sizes.append(m.shape[0])
+        sizes.append(m.shape)
         return original_power(m, n)
 
-    def recording_realized(name, *args):
-        names.append(name)
-        return original_realized(name, *args)
+    def refuse(*_args):
+        raise AssertionError("register channel realized")
 
     monkeypatch.setattr(zeno, "matrix_power_int", recording_power)
-    monkeypatch.setattr(gates, "realized_channel", recording_realized)
-    threshold(1e3, 9)
-    assert set(sizes) == {16, 64}
-    assert set(names) == {"rx", "rzz"}
+    monkeypatch.setattr(zeno, "noco_channel", refuse)
+    monkeypatch.setattr(gates, "noco_channel", refuse)
+    monkeypatch.setattr(gates, "realized_channel", refuse)
+    for freq_over_h, rounds, include_decoupling in ((1e3, 9, False), (1e5, 5, True)):
+        sizes.clear()
+        threshold(freq_over_h, rounds, include_decoupling=include_decoupling)
+        assert set(sizes) == {(4, 4), (16, 16)}
+
+
+@given(st.integers(2, 3), st.integers(0, 2000), st.integers(0, 2 ** 32 - 1))
+@example(3, 2000, 0)
+def test_phase_weight_matches_the_dense_twirl_on_random_cycles(nqubits, n_periods, seed):
+    # a Pauli twirl keeps the eigenvalue of X on register qubit 0, so one
+    # propagated operator gives the Y/Z weight of the whole twirl, off the catalog too
+    rng = np.random.default_rng(seed)
+    na = int(rng.integers(1, nqubits))
+    d, da = 2 ** nqubits, 2 ** na
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    spec = zeno.NoisyCycleSpec((m + m.conj().T) / 2.0, random_state(rng, da))
+    g = rng.normal(size=(d // da, d // da)) + 1j * rng.normal(size=(d // da, d // da))
+    target, _ = np.linalg.qr(g)
+    f = 1e3
+    duration = (n_periods + 0.5) * 2.0 * np.pi / f
+    got = faulttol._phase_weight(spec, duration, f, target)
+    dense = zeno.noco_channel(spec, duration, f).superop
+    assert np.isclose(got, dense_phase_weight(dense, target), rtol=0, atol=1e-12)

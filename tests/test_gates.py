@@ -6,29 +6,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_reference import (
+    dense_phase_weight,
+    idle_cycle,
+    kraus_built_operations,
+    pauli_twirl,
+)
 from nocosim import faulttol, gates, zeno
 from nocosim.cli import _transfer_check_row
 from nocosim.channels import (
     check_cptp,
     depolarizing,
-    depolarizing_kraus,
     entanglement_fidelity,
-    initialization_kraus,
-    kraus_to_superop,
-    pauli_twirl,
-    phase_flip_weight,
     unitary_channel,
 )
 from nocosim.gates import (
     GATE_NAMES,
-    HADAMARD,
-    IDLE_HAMILTONIANS,
     RZ_TARGET,
     RZZ_PRIME_TARGET,
     RZZ_TARGET,
     depolarizing_fixed_states,
-    gate_error_channel,
-    idle_channel,
     noise_conditions,
     realized_channel,
     recipe,
@@ -45,11 +42,11 @@ from nocosim.qcore import (
     reduce_superop,
     unitary_evolution,
 )
-from nocosim.zeno import NoisyCycleSpec, cycle_superop, noco_channel
+from nocosim.zeno import cycle_superop, noco_channel
 
 
 def test_gate_catalog():
-    # only driven gates: idle couplings are built by idle_channel
+    # only driven gates: the idle couplings are gates.IDLE_HAMILTONIANS
     assert GATE_NAMES == ("phase_z", "rx", "rz", "rzz", "rzz_prime")
     for name in ("cnot", "decouple_ising"):
         with pytest.raises(ValueError):
@@ -111,18 +108,6 @@ def test_rzz_prime_hamiltonian_shape():
     assert (spec.n_actuators, spec.nqubits) == (2, 4)
 
 
-def _kraus_built_operations(name, eps):
-    """One period's noisy operations on a recipe's actuators, from Kraus sets."""
-    reset = kraus_to_superop(
-        [d @ k for k in initialization_kraus() for d in depolarizing_kraus(eps)]
-    )
-    if name == "rx":
-        return kraus_to_superop([d @ HADAMARD for d in depolarizing_kraus(eps)]) @ reset
-    if name == "rzz_prime":
-        return embed_superop(reset, (1,), 2) @ embed_superop(reset, (0,), 2)
-    return reset
-
-
 def test_actuator_maps_replace_the_actuator_state():
     # every catalog cycle forgets the actuator's input: the replacement map
     # vec(rho_U) vec(I)^dag of the recipe's state is the Kraus-built operation
@@ -132,11 +117,11 @@ def test_actuator_maps_replace_the_actuator_state():
         for eps in np.linspace(0.0, 0.99, 100):
             spec = rec.cycle(eps)
             ops = embed_superop(
-                _kraus_built_operations(name, eps), range(spec.n_actuators), spec.nqubits
+                kraus_built_operations(name, eps), range(spec.n_actuators), spec.nqubits
             )
             assert np.array_equal(cycle_superop(spec), ops), (name, eps)
     # so is the fully depolarizing actuator of the idle couplings, with rho_U = I/2
-    spec = NoisyCycleSpec(IDLE_HAMILTONIANS["ising"], I2 / 2.0)
+    spec = idle_cycle("ising")
     assert np.array_equal(cycle_superop(spec), embed_superop(depolarizing(1.0), (0,), 3))
 
 
@@ -154,12 +139,15 @@ def test_driven_cycles_refuse_rates_outside_the_depolarizing_range():
     st.floats(3e2, 3e3),
 )
 def test_realized_channels_stay_cptp(name, eps, f):
-    check_cptp(realized_channel(name, eps, f).superop)
-    check_cptp(gate_error_channel(name, eps, f))
+    realized = realized_channel(name, eps, f)
+    check_cptp(realized.superop)
+    # the error channel E with realized = E o ideal
+    check_cptp(realized.superop @ unitary_channel(recipe(name).target).conj().T)
 
 
 def test_gate_error_channel_is_small_at_low_noise():
-    err = gate_error_channel("rz", 0.0, 1e5)
+    realized = realized_channel("rz", 0.0, 1e5)
+    err = realized.superop @ unitary_channel(RZ_TARGET).conj().T
     assert entanglement_fidelity(err, I2) > 1.0 - 1e-3
     check_cptp(err)
 
@@ -169,19 +157,22 @@ def test_decouple_single_period_residuals():
     dt = 2.0 * np.pi / f
     # twirled Ising neighbor: one period leaves a ZZ rotation pair whose
     # twirl weight is sin^2(dt)
-    run = idle_channel("ising", dt, f)
+    run = noco_channel(idle_cycle("ising"), dt, f)
     assert run.n_periods == 1
     probs = pauli_twirl(run.superop)
     assert np.isclose(probs["ZZ"], np.sin(dt) ** 2, atol=1e-12)
     assert np.isclose(probs["II"], np.cos(dt) ** 2, atol=1e-12)
-    assert np.isclose(phase_flip_weight(probs), np.sin(dt) ** 2, atol=1e-12)
+    assert np.isclose(dense_phase_weight(run.superop, np.eye(4)), np.sin(dt) ** 2, atol=1e-12)
+    # the budget reads the same weight off the register map
+    assert np.isclose(faulttol._idle_weight("ising", dt, f), np.sin(dt) ** 2, rtol=0, atol=1e-12)
     # twirled exchange coupling: one period depolarizes at sin^2(2 dt)
-    run = idle_channel("heisenberg", dt, f)
+    run = noco_channel(idle_cycle("heisenberg"), dt, f)
     probs = pauli_twirl(run.superop)
     s = np.sin(2.0 * dt) ** 2
     for p in "XYZ":
         assert np.isclose(probs[p], s / 4.0, atol=1e-12)
-    assert np.isclose(phase_flip_weight(probs), s / 2.0, atol=1e-12)
+    assert np.isclose(dense_phase_weight(run.superop, I2), s / 2.0, atol=1e-12)
+    assert np.isclose(faulttol._idle_weight("heisenberg", dt, f), s / 2.0, rtol=0, atol=1e-12)
 
 
 def test_transfer_ideal_independence():

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dense_reference import noisy_hadamard, noisy_init, prepared_state, random_state
 from nocosim import zeno
-
-from nocosim.channels import (
-    apply_channel,
-    check_cptp,
-    depolarizing,
-    depolarizing_kraus,
-    initialization_kraus,
-    kraus_to_superop,
+from nocosim.channels import apply_channel, check_cptp, depolarizing
+from nocosim.gates import (
+    GATE_NAMES,
+    IDLE_HAMILTONIANS,
+    infidelity_surface,
+    realized_channel,
+    recipe,
 )
-from nocosim.gates import GATE_NAMES, infidelity_surface, realized_channel, recipe
 from nocosim.qcore import (
     I2,
     SX,
@@ -39,23 +38,7 @@ from nocosim.zeno import (
     verify_projector,
 )
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
 HEISENBERG = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
-
-def noisy_init(eps):
-    return kraus_to_superop(
-        [d @ k for k in initialization_kraus() for d in depolarizing_kraus(eps)]
-    )
-
-
-def noisy_hadamard(eps):
-    return kraus_to_superop([d @ HADAMARD for d in depolarizing_kraus(eps)])
-
-
-def prepared_state(ops):
-    """Actuator state a one-qubit operation leaves, read off the maximally mixed input."""
-    return apply_channel(ops, I2 / 2.0)
 
 
 def init_cycle(eps):
@@ -92,6 +75,19 @@ def test_cycle_spec_validation():
     # the period count of a phase gate at f = 1e308 overflows a float
     with pytest.raises(OverflowError, match=r"duration 1\.9\d* at freq_over_h 1e\+308"):
         period_count(np.pi / (2.0 * 0.8), 1e308)
+
+
+def test_cycle_spec_refuses_an_actuator_state_that_is_not_a_density_matrix():
+    # an unnormalized I used to drive the dense channel to entries near 1e48
+    h = IDLE_HAMILTONIANS["heisenberg"]
+    non_hermitian = np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex)
+    for bad in (I2, non_hermitian, np.diag([1.5, -0.5])):
+        with pytest.raises(ValueError, match="not a density matrix"):
+            NoisyCycleSpec(h, bad)
+    # the idle actuator, a Kraus-built reset's state, and a state within the
+    # tolerance of a density matrix pass
+    for rho in (I2 / 2.0, prepared_state(noisy_init(0.3)), np.diag([1.0 + 5e-13, -5e-13])):
+        NoisyCycleSpec(h, rho)
 
 
 def test_period_count_refuses_non_finite_input():
@@ -236,12 +232,6 @@ def test_infidelity_surface():
     # tenfold frequency cuts the error roughly tenfold
     assert infid[1, 1] < infid[1, 0] / 3.0
     assert infid[0, 1] < infid[0, 0]
-
-
-def random_state(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho)
 
 
 @pytest.mark.parametrize("gate", GATE_NAMES)
