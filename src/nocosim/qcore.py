@@ -179,18 +179,29 @@ def matrix_power_int(m: np.ndarray, n: int) -> np.ndarray:
     n = int(n)
     if n == 0:
         return np.eye(m.shape[0], dtype=complex)
-    base = np.array(m, dtype=complex)
+    return power_by_squaring(np.array(m, dtype=complex), n, np.matmul)
+
+
+def power_by_squaring(base, n: int, mul):
+    """base**n for integer n >= 1 under the associative product ``mul``.
+
+    The squares and products come in one fixed order, so any two forms of
+    the same product make the same sequence of multiplications.
+    """
+    if n < 1 or n != int(n):
+        raise ValueError(f"exponent must be a positive integer, got {n}")
+    n = int(n)
     # start from the lowest set bit: a product with the identity costs a
     # full multiply and changes no bit
     while not n & 1:
-        base = base @ base
+        base = mul(base, base)
         n >>= 1
     result = base
     n >>= 1
     while n:
-        base = base @ base
+        base = mul(base, base)
         if n & 1:
-            result = result @ base
+            result = mul(result, base)
         n >>= 1
     return result
 

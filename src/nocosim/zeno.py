@@ -10,8 +10,9 @@ rho_U and the register evolves under an effective Hamiltonian obtained by
 averaging the interaction over that state.  At finite repetition frequency
 the register picks up a residual error channel, which is what this module
 computes exactly (for small systems): as a register channel, by powering
-the full-system period map (``noco_channel``), or on given register
-operators, by powering the register map of one period (``noco_state``).
+the d_r^2 distinct columns of the full-system period map
+(``noco_channel``), or on given register operators, by powering the
+register map of one period (``noco_state``).
 
 Units: hbar = J = 1 internally.  User-facing frequencies are quoted in
 J/h; since h = 2*pi*hbar, a drive at ``freq_over_h`` J/h has period
@@ -20,6 +21,7 @@ units are internal durations divided by 2*pi.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -28,6 +30,7 @@ from .qcore import (
     embed_superop,
     kron,
     matrix_power_int,
+    power_by_squaring,
     reduce_superop,
     unitary_evolution,
     unvec,
@@ -151,13 +154,6 @@ def effective_hamiltonian(spec: NoisyCycleSpec) -> np.ndarray:
     return np.einsum("ac,cras->rs", spec.rho_u, h4)
 
 
-def period_superop(spec: NoisyCycleSpec, period: float) -> np.ndarray:
-    """Full-system superoperator of one period: ops, then free flight."""
-    u = unitary_evolution(spec.hamiltonian, period)
-    flight = kron(u.conj(), u)
-    return flight @ cycle_superop(spec)
-
-
 @dataclass(frozen=True)
 class NocoResult:
     """Realized register channel of a frequently driven cycle."""
@@ -167,6 +163,21 @@ class NocoResult:
     residual_time: float
 
 
+@lru_cache(maxsize=None)
+def _distinct_inputs(nqubits: int, n_actuators: int) -> np.ndarray:
+    """Inputs |0 r><0 r'| of the period map's distinct columns, r + d_r r' ascending.
+
+    The replacement map sends |a r><a' r'| to delta_aa' rho_U (x) |r><r'|:
+    a column with a != a' is zero and every a = a' repeats the a = 0 one,
+    in the period map and in each of its powers.
+    """
+    d, dr = 2 ** nqubits, 2 ** (nqubits - n_actuators)
+    r = np.arange(dr)
+    inputs = (r + d * r[:, None]).ravel()  # vec index of |r><r'| is r + d r'
+    inputs.flags.writeable = False
+    return inputs
+
+
 def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> NocoResult:
     """Exact register channel after driving the cycle for ``duration``.
 
@@ -174,13 +185,38 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
     flight), starting from the maximally mixed actuator state, then traces
     the actuators out.  Time left over after the last whole period is
     discarded and reported as ``residual_time``.
+
+    The full-system period map P is powered by squaring, each power held
+    as its d_r^2 distinct columns (the rest are zero or copies, see
+    ``_distinct_inputs``).  Each product rebuilds its full left operand and
+    contracts over all d^2 terms: the dot products of the dense P^a P^b,
+    at d_r^2 of its d^2 columns.  BLAS computes a column the same way
+    whatever the others, so the channel equals the dense chain's bit for
+    bit, which the tests assert.
     """
     n = period_count(duration, freq_over_h)
     dt = 2.0 * np.pi / freq_over_h
     na, nq = spec.n_actuators, spec.nqubits
-    da = 2 ** na
-    prop = matrix_power_int(period_superop(spec, dt), n)
-    s_reg = reduce_superop(prop, nq, range(na, nq), np.eye(da, dtype=complex) / da)
+    da, dr, d2 = 2 ** na, 2 ** (nq - na), 4 ** nq
+    if n == 0:
+        # the reduced P^0, exactly; the column form starts at P^1
+        s_reg = np.eye(dr * dr, dtype=complex)
+    else:
+        full = np.zeros((d2, d2), dtype=complex)
+        # one buffer holds every left operand: only the column blocks of the
+        # inputs |a r><a r'|, one per actuator state a, are ever written
+        blocks = [full.reshape(d2, da, dr, da, dr)[:, a, :, a, :] for a in range(da)]
+
+        def expand(cols):
+            cols = cols.reshape(d2, dr, dr)
+            for block in blocks:
+                block[...] = cols
+            return full
+
+        u = unitary_evolution(spec.hamiltonian, dt)
+        period = kron(u.conj(), u) @ cycle_superop(spec)[:, _distinct_inputs(nq, na)]
+        cols = power_by_squaring(period, n, lambda x, y: expand(x) @ y)
+        s_reg = reduce_superop(expand(cols), nq, range(na, nq), np.eye(da, dtype=complex) / da)
     return NocoResult(
         superop=s_reg,
         n_periods=n,

@@ -1,10 +1,12 @@
 """Dense reference constructions shared by the tests.
 
 The library forms a cycle's operations only as the replacement map of the
-re-prepared actuator state, and reads every phase-budget term off the
-register map of one period.  These helpers build the same objects the long
-way, for comparison: the noisy actuator operations from Kraus sets, and the
-Pauli twirl of a dense channel by its direct formula.
+re-prepared actuator state, powers only the distinct columns of the
+full-system period map, and reads every phase-budget term off the register
+map of one period.  These helpers build the same objects the long way, for
+comparison: the noisy actuator operations from Kraus sets, the register
+channel by dense powering of the whole period map, and the Pauli twirl of a
+dense channel by its direct formula.
 """
 
 import numpy as np
@@ -18,8 +20,17 @@ from nocosim.channels import (
     unitary_channel,
 )
 from nocosim.gates import HADAMARD, IDLE_HAMILTONIANS
-from nocosim.qcore import I2, embed_superop, pauli_string_operator, pauli_strings
-from nocosim.zeno import NoisyCycleSpec
+from nocosim.qcore import (
+    I2,
+    embed_superop,
+    kron,
+    matrix_power_int,
+    pauli_string_operator,
+    pauli_strings,
+    reduce_superop,
+    unitary_evolution,
+)
+from nocosim.zeno import NoisyCycleSpec, cycle_superop, period_count
 
 
 def noisy_init(eps):
@@ -47,6 +58,21 @@ def kraus_built_operations(name, eps):
     if name == "rzz_prime":
         return embed_superop(reset, (1,), 2) @ embed_superop(reset, (0,), 2)
     return reset
+
+
+def period_superop(spec, period):
+    """Full-system superoperator of one period: ops, then free flight."""
+    u = unitary_evolution(spec.hamiltonian, period)
+    return kron(u.conj(), u) @ cycle_superop(spec)
+
+
+def dense_noco_channel(spec, duration, freq_over_h):
+    """Register channel of ``zeno.noco_channel`` by dense powering of the period map."""
+    na, nq = spec.n_actuators, spec.nqubits
+    prop = matrix_power_int(
+        period_superop(spec, 2.0 * np.pi / freq_over_h), period_count(duration, freq_over_h)
+    )
+    return reduce_superop(prop, nq, range(na, nq), np.eye(2 ** na, dtype=complex) / 2 ** na)
 
 
 def idle_cycle(interaction):

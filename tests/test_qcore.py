@@ -17,6 +17,7 @@ from nocosim.qcore import (
     partial_trace,
     pauli_coefficients,
     pauli_string_operator,
+    power_by_squaring,
     projector,
     reduce_superop,
     unitary_evolution,
@@ -156,6 +157,23 @@ def test_matrix_power_int():
     assert np.array_equal(matrix_power_int(z, 0), np.eye(5))
     one = matrix_power_int(z, 1)
     assert one is not z and np.array_equal(one, z)
+
+
+def test_power_by_squaring_order():
+    # each square comes before the product that takes it: for 13 = 0b1101
+    # the result starts at z, then takes z^4 (z^5) and z^8 (z^13)
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x + y  # exponents add
+
+    assert power_by_squaring(1, 13, mul) == 13
+    assert calls == [(1, 1), (2, 2), (1, 4), (4, 4), (5, 8)]
+    assert power_by_squaring(1, 12, mul) == 12
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            power_by_squaring(1, bad, mul)
 
 
 def test_pauli_string_operator():

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dense_reference import noisy_hadamard, noisy_init, prepared_state, random_state
+from dense_reference import (
+    dense_noco_channel,
+    noisy_hadamard,
+    noisy_init,
+    period_superop,
+    prepared_state,
+    random_state,
+)
 from nocosim import zeno
 from nocosim.channels import apply_channel, check_cptp, depolarizing
 from nocosim.gates import (
@@ -34,11 +41,18 @@ from nocosim.zeno import (
     noco_channel,
     noco_state,
     period_count,
-    period_superop,
     verify_projector,
 )
 
 HEISENBERG = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
+
+
+def random_cycle(rng, nqubits):
+    """A random Hamiltonian with a random actuator state on 1 to n - 1 qubits, off the catalog."""
+    na = int(rng.integers(1, nqubits))
+    d = 2 ** nqubits
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return NoisyCycleSpec((m + m.conj().T) / 2.0, random_state(rng, 2 ** na))
 
 
 def init_cycle(eps):
@@ -222,6 +236,72 @@ def test_period_superop_composition_order():
     assert np.allclose(period_superop(spec, dt), expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("gate", GATE_NAMES)
+def test_noco_channel_equals_dense_powering(gate):
+    # the distinct columns of each power, with the full left operand rebuilt
+    # for every product, give the dense chain's every bit
+    rec = recipe(gate)
+    for eps, f in product((0.0, 0.2, 0.5), (1e3, 1e4, 1e5, 1e6)):
+        spec, duration = rec.cycle(eps), rec.duration(eps)
+        got = noco_channel(spec, duration, f).superop
+        assert np.array_equal(got, dense_noco_channel(spec, duration, f)), (eps, f)
+
+
+@given(st.integers(2, 4), st.integers(0, 2000), st.integers(0, 2 ** 32 - 1))
+@example(4, 2000, 0)
+@example(4, 0, 0)
+def test_noco_channel_equals_dense_powering_on_random_cycles(nqubits, n_periods, seed):
+    spec = random_cycle(np.random.default_rng(seed), nqubits)
+    f = 1e3
+    duration = (n_periods + 0.5) * 2.0 * np.pi / f
+    run = noco_channel(spec, duration, f)
+    assert run.n_periods == n_periods
+    assert np.array_equal(run.superop, dense_noco_channel(spec, duration, f))
+
+
+@pytest.mark.parametrize("gate", GATE_NAMES)
+def test_noco_channel_without_a_whole_period_is_the_identity(gate):
+    # the column form has no zeroth power; the dense chain's reduced identity
+    # is exactly the register identity
+    spec = recipe(gate).cycle(0.2)
+    dr = 2 ** (spec.nqubits - spec.n_actuators)
+    f = 1e3
+    for duration in (0.0, 0.5 * 2.0 * np.pi / f, 0.999 * 2.0 * np.pi / f):
+        run = noco_channel(spec, duration, f)
+        assert run.n_periods == 0
+        assert run.residual_time == duration
+        assert np.array_equal(run.superop, np.eye(dr * dr))
+        assert np.array_equal(run.superop, dense_noco_channel(spec, duration, f))
+
+
+@pytest.mark.parametrize("gate", GATE_NAMES)
+def test_noco_channel_powers_only_the_distinct_columns(gate, monkeypatch):
+    # every product's right operand is the d_r^2 distinct columns of a power
+    # of the period map: never the dense d^2 x d^2 map, nor matrix_power_int
+    shapes = []
+    original = zeno.power_by_squaring
+
+    def recording_power(base, n, mul):
+        def recording_mul(x, y):
+            shapes.append(y.shape)
+            return mul(x, y)
+
+        shapes.append(base.shape)
+        return original(base, n, recording_mul)
+
+    def refuse(*_args):
+        raise AssertionError("dense period map powered")
+
+    monkeypatch.setattr(zeno, "matrix_power_int", refuse)
+    monkeypatch.setattr(zeno, "power_by_squaring", recording_power)
+    spec = recipe(gate).cycle(0.2)
+    nq, na = spec.nqubits, spec.n_actuators
+    run = realized_channel(gate, 0.2, 1e4)
+    assert run.n_periods > 1000
+    assert len(shapes) > 10
+    assert set(shapes) == {(4 ** nq, 4 ** (nq - na))}
+
+
 def test_infidelity_surface():
     eps_values = [0.0, 0.4]
     freq_values = [1e3, 1e4]
@@ -260,8 +340,8 @@ def test_noco_state_matches_dense_channel_and_steps(gate):
 
 def test_noco_state_powers_one_register_map(monkeypatch):
     # the rzz_prime actuators are re-prepared every period, so the two
-    # distillation inputs go through one 16 x 16 register map, and the
-    # 256 x 256 period map is never built
+    # distillation inputs go through one 16 x 16 register map, and no
+    # full-system map, not even the operations', is ever built
     rec = recipe("rzz_prime")
     shapes = []
     original = zeno.matrix_power_int
@@ -271,10 +351,10 @@ def test_noco_state_powers_one_register_map(monkeypatch):
         return original(m, n)
 
     def refuse(*_args):
-        raise AssertionError("full-system period map built")
+        raise AssertionError("full-system map built")
 
     monkeypatch.setattr(zeno, "matrix_power_int", recording_power)
-    monkeypatch.setattr(zeno, "period_superop", refuse)
+    monkeypatch.setattr(zeno, "cycle_superop", refuse)
     inputs = [np.kron(projector(x), projector("+")) for x in "01"]
     for eps, f in ((0.27, 6524.0), (0.0, 1e3)):
         shapes.clear()
@@ -285,16 +365,12 @@ def test_noco_state_powers_one_register_map(monkeypatch):
 @given(st.integers(2, 3), st.integers(0, 2000), st.integers(0, 2 ** 32 - 1))
 @example(3, 2000, 0)
 def test_noco_state_matches_noco_channel_on_random_cycles(nqubits, n_periods, seed):
-    # a random Hamiltonian with a random re-prepared actuator state, off the catalog
     rng = np.random.default_rng(seed)
-    na = int(rng.integers(1, nqubits))
-    d, da = 2 ** nqubits, 2 ** na
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    spec = NoisyCycleSpec((m + m.conj().T) / 2.0, random_state(rng, da))
+    spec = random_cycle(rng, nqubits)
     f = 1e3
     duration = (n_periods + 0.5) * 2.0 * np.pi / f
     assert period_count(duration, f) == n_periods
-    sigma = random_state(rng, d // da)
+    sigma = random_state(rng, 2 ** (spec.nqubits - spec.n_actuators))
     (got,) = noco_state(spec, duration, f, [sigma])
     expected = apply_channel(noco_channel(spec, duration, f).superop, sigma)
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
