@@ -3,10 +3,12 @@
 A cycle is one period of the drive: noisy operations that re-prepare the
 actuator qubits in a fixed state rho_U, whatever they held, then free
 evolution of the whole system for the rest of the period.  A cycle is
-therefore its Hamiltonian and rho_U (``NoisyCycleSpec``); the operations'
-superoperator, the replacement map vec(rho_U) vec(I)^dag, is formed only
-by ``cycle_superop``.  Repeated fast enough, the drive pins the actuator to
-rho_U and the register evolves under an effective Hamiltonian obtained by
+therefore its Hamiltonian and rho_U (``NoisyCycleSpec``).  The operations'
+superoperator is the replacement map vec(rho_U) vec(I)^dag;
+``cycle_superop`` stays its dense definition, which the tests check, and
+the library forms only its d_r^2 images (``replacement_images``).
+Repeated fast enough, the drive pins the actuator to rho_U and the
+register evolves under an effective Hamiltonian obtained by
 averaging the interaction over that state.  At finite repetition frequency
 the register picks up a residual error channel, which is what this module
 computes exactly (for small systems): as a register channel, by powering
@@ -21,7 +23,6 @@ units are internal durations divided by 2*pi.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -120,12 +121,30 @@ class NoisyCycleSpec:
 def cycle_superop(spec: NoisyCycleSpec) -> np.ndarray:
     """Per-period actuator operations on the full system (no free flight).
 
-    The replacement map vec(rho_U) vec(I)^dag on the actuators: the one
-    place a cycle's operations are formed as a superoperator.
+    The replacement map vec(rho_U) vec(I)^dag on the actuators, embedded
+    densely: the definition the tests check ``replacement_images`` against.
     """
     ident = np.eye(len(spec.rho_u), dtype=complex)
     replacement = np.outer(vec(spec.rho_u), vec(ident))
     return embed_superop(replacement, range(spec.n_actuators), spec.nqubits)
+
+
+def replacement_images(spec: NoisyCycleSpec) -> np.ndarray:
+    """The d_r^2 distinct columns of ``cycle_superop(spec)``, bit for bit.
+
+    The operations send |a r><a' r'| to delta_aa' rho_U (x) |r><r'|; column
+    r + d_r r' is vec(rho_U (x) |r><r'|), the image of |0 r><0 r'|.  Each
+    entry is a rho_U entry times an exact 0 or 1, as in the dense embedding.
+    """
+    da = len(spec.rho_u)
+    dr = 2 ** spec.nqubits // da
+    # row (a d_r + s) + d (b d_r + s') is the C-order axes (b, s', a, s) and
+    # column r + d_r r' the axes (r', r); the entry is rho_U[a, b] times
+    # delta[s', s, r', r] = delta_s'r' delta_sr
+    delta = np.eye(dr * dr).reshape(dr, dr, dr, dr)
+    rho_t = np.asarray(spec.rho_u, dtype=complex).T
+    images = rho_t[:, None, :, None, None, None] * delta[None, :, None]
+    return images.reshape(da * da * dr * dr, dr * dr)
 
 
 # largest idempotence defect verify_projector accepts
@@ -163,21 +182,6 @@ class NocoResult:
     residual_time: float
 
 
-@lru_cache(maxsize=None)
-def _distinct_inputs(nqubits: int, n_actuators: int) -> np.ndarray:
-    """Inputs |0 r><0 r'| of the period map's distinct columns, r + d_r r' ascending.
-
-    The replacement map sends |a r><a' r'| to delta_aa' rho_U (x) |r><r'|:
-    a column with a != a' is zero and every a = a' repeats the a = 0 one,
-    in the period map and in each of its powers.
-    """
-    d, dr = 2 ** nqubits, 2 ** (nqubits - n_actuators)
-    r = np.arange(dr)
-    inputs = (r + d * r[:, None]).ravel()  # vec index of |r><r'| is r + d r'
-    inputs.flags.writeable = False
-    return inputs
-
-
 def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> NocoResult:
     """Exact register channel after driving the cycle for ``duration``.
 
@@ -187,12 +191,13 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
     discarded and reported as ``residual_time``.
 
     The full-system period map P is powered by squaring, each power held
-    as its d_r^2 distinct columns (the rest are zero or copies, see
-    ``_distinct_inputs``).  Each product rebuilds its full left operand and
-    contracts over all d^2 terms: the dot products of the dense P^a P^b,
-    at d_r^2 of its d^2 columns.  BLAS computes a column the same way
-    whatever the others, so the channel equals the dense chain's bit for
-    bit, which the tests assert.
+    as its d_r^2 distinct columns, those of the inputs |0 r><0 r'|: the
+    operations output only the ``replacement_images``, so every other
+    column is zero or a copy.  Each product rebuilds its full left operand
+    and contracts over all d^2 terms: the dot products of the dense
+    P^a P^b, at d_r^2 of its d^2 columns.  BLAS computes a column the same
+    way whatever the others, so the channel equals the dense chain's bit
+    for bit, which the tests assert.
     """
     n = period_count(duration, freq_over_h)
     dt = 2.0 * np.pi / freq_over_h
@@ -202,19 +207,21 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
         # the reduced P^0, exactly; the column form starts at P^1
         s_reg = np.eye(dr * dr, dtype=complex)
     else:
-        full = np.zeros((d2, d2), dtype=complex)
-        # one buffer holds every left operand: only the column blocks of the
-        # inputs |a r><a r'|, one per actuator state a, are ever written
-        blocks = [full.reshape(d2, da, dr, da, dr)[:, a, :, a, :] for a in range(da)]
+        # one column-major buffer holds every left operand: only the columns
+        # of the inputs |a r><a r'|, one block per actuator state a, are ever
+        # written, each column a contiguous run
+        full = np.zeros((d2, d2), dtype=complex, order="F")
+        rows = full.T.reshape(da, dr, da, dr, d2)
+        blocks = [rows[a, :, a] for a in range(da)]
 
         def expand(cols):
-            cols = cols.reshape(d2, dr, dr)
+            cols = cols.T.reshape(dr, dr, d2)
             for block in blocks:
                 block[...] = cols
             return full
 
         u = unitary_evolution(spec.hamiltonian, dt)
-        period = kron(u.conj(), u) @ cycle_superop(spec)[:, _distinct_inputs(nq, na)]
+        period = kron(u.conj(), u) @ replacement_images(spec)
         cols = power_by_squaring(period, n, lambda x, y: expand(x) @ y)
         s_reg = reduce_superop(expand(cols), nq, range(na, nq), np.eye(da, dtype=complex) / da)
     return NocoResult(

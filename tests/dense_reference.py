@@ -86,6 +86,14 @@ def random_state(rng, dim):
     return rho / np.trace(rho)
 
 
+def random_cycle(rng, nqubits):
+    """A random Hamiltonian with a random actuator state on 1 to n - 1 qubits, off the catalog."""
+    na = int(rng.integers(1, nqubits))
+    d = 2 ** nqubits
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return NoisyCycleSpec((m + m.conj().T) / 2.0, random_state(rng, 2 ** na))
+
+
 def pauli_twirl(s):
     """Pauli channel with the same Pauli fidelities as the channel ``s``.
 

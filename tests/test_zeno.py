@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from dense_reference import (
     dense_noco_channel,
+    idle_cycle,
     noisy_hadamard,
     noisy_init,
     period_superop,
     prepared_state,
+    random_cycle,
     random_state,
 )
 from nocosim import zeno
@@ -41,18 +43,11 @@ from nocosim.zeno import (
     noco_channel,
     noco_state,
     period_count,
+    replacement_images,
     verify_projector,
 )
 
 HEISENBERG = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
-
-
-def random_cycle(rng, nqubits):
-    """A random Hamiltonian with a random actuator state on 1 to n - 1 qubits, off the catalog."""
-    na = int(rng.integers(1, nqubits))
-    d = 2 ** nqubits
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return NoisyCycleSpec((m + m.conj().T) / 2.0, random_state(rng, 2 ** na))
 
 
 def init_cycle(eps):
@@ -236,6 +231,35 @@ def test_period_superop_composition_order():
     assert np.allclose(period_superop(spec, dt), expected, atol=1e-14)
 
 
+def distinct_columns(spec):
+    """The columns of the dense operations map at the inputs |0 r><0 r'|, r + d_r r' ascending."""
+    d, dr = 2 ** spec.nqubits, 2 ** (spec.nqubits - spec.n_actuators)
+    r = np.arange(dr)
+    return cycle_superop(spec)[:, (r + d * r[:, None]).ravel()]
+
+
+def test_replacement_images_are_the_dense_operations_columns():
+    # each image entry is a rho_U entry times an exact 0 or 1, as in the
+    # dense embedding, so the two agree in every bit
+    for gate in GATE_NAMES:
+        rec = recipe(gate)
+        for eps in np.linspace(0.0, 0.99, 100):
+            spec = rec.cycle(eps)
+            assert np.array_equal(replacement_images(spec), distinct_columns(spec)), (gate, eps)
+    for interaction in IDLE_HAMILTONIANS:
+        spec = idle_cycle(interaction)
+        assert np.array_equal(replacement_images(spec), distinct_columns(spec)), interaction
+
+
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+@example(4, 0)
+def test_replacement_images_are_the_dense_operations_columns_on_random_cycles(nqubits, seed):
+    spec = random_cycle(np.random.default_rng(seed), nqubits)
+    images = replacement_images(spec)
+    assert images.shape == (4 ** nqubits, 4 ** (nqubits - spec.n_actuators))
+    assert np.array_equal(images, distinct_columns(spec))
+
+
 @pytest.mark.parametrize("gate", GATE_NAMES)
 def test_noco_channel_equals_dense_powering(gate):
     # the distinct columns of each power, with the full left operand rebuilt
@@ -277,7 +301,9 @@ def test_noco_channel_without_a_whole_period_is_the_identity(gate):
 @pytest.mark.parametrize("gate", GATE_NAMES)
 def test_noco_channel_powers_only_the_distinct_columns(gate, monkeypatch):
     # every product's right operand is the d_r^2 distinct columns of a power
-    # of the period map: never the dense d^2 x d^2 map, nor matrix_power_int
+    # of the period map: never the dense d^2 x d^2 map, nor matrix_power_int;
+    # the chain starts from the replacement images, so the dense operations
+    # map is never built either
     shapes = []
     original = zeno.power_by_squaring
 
@@ -290,9 +316,10 @@ def test_noco_channel_powers_only_the_distinct_columns(gate, monkeypatch):
         return original(base, n, recording_mul)
 
     def refuse(*_args):
-        raise AssertionError("dense period map powered")
+        raise AssertionError("dense map built or powered")
 
     monkeypatch.setattr(zeno, "matrix_power_int", refuse)
+    monkeypatch.setattr(zeno, "cycle_superop", refuse)
     monkeypatch.setattr(zeno, "power_by_squaring", recording_power)
     spec = recipe(gate).cycle(0.2)
     nq, na = spec.nqubits, spec.n_actuators
