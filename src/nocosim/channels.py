@@ -76,15 +76,6 @@ def depolarizing_kraus(eps: float) -> list[np.ndarray]:
     ]
 
 
-def initialization_kraus() -> list[np.ndarray]:
-    # rho -> sum_j |0><j| rho |j><0| = Tr(rho) |0><0|
-    k0 = np.zeros((2, 2), dtype=complex)
-    k0[0, 0] = 1.0
-    k1 = np.zeros((2, 2), dtype=complex)
-    k1[0, 1] = 1.0
-    return [k0, k1]
-
-
 def apply_channel(s: np.ndarray, rho) -> np.ndarray:
     d = 2 ** channel_nqubits(s)
     return unvec(s @ vec(rho), d)

@@ -15,7 +15,6 @@ import numpy as np
 from .channels import (
     depolarizing_kraus,
     entanglement_fidelity,
-    initialization_kraus,
     kraus_to_superop,
     unitary_channel,
 )
@@ -32,6 +31,7 @@ from .qcore import (
     reduce_superop,
     unitary_evolution,
     unvec,
+    vec,
 )
 from .zeno import NocoResult, NoisyCycleSpec, noco_channel, period_count
 
@@ -61,22 +61,6 @@ def _rzz_prime_h() -> np.ndarray:
     h = embed_operator(_heisenberg_h(), (0, 3), 4)
     h += embed_operator(_ising3_h(), (1, 2, 3), 4)
     return h
-
-
-def noisy_initialization_kraus(eps: float):
-    """Reset to |0> followed by a depolarizing error at rate eps."""
-    return tuple(
-        d @ k for k in initialization_kraus() for d in depolarizing_kraus(eps)
-    )
-
-
-def noisy_hadamard_kraus(eps: float):
-    return tuple(d @ HADAMARD for d in depolarizing_kraus(eps))
-
-
-def noisy_reset(eps: float) -> np.ndarray:
-    """Superoperator of the noisy reset at rate eps."""
-    return kraus_to_superop(noisy_initialization_kraus(eps))
 
 
 RZ_TARGET = (I2 - 1j * SZ) / np.sqrt(2.0)
@@ -110,14 +94,19 @@ class GateRecipe:
 
 
 def _recipes() -> dict:
-    # each state is the column for |0><0| of the Kraus-built operations (the
-    # 4 x 4 product for rx, not the Hadamard applied to a state): the pinned
-    # gate-error rows carry the rounding of exactly these products
+    # each state is the Kraus-built operations' column for |0><0|, rounded as
+    # kraus_to_superop rounds it (the 4 x 4 product for rx, not the Hadamard
+    # applied to a state): the pinned gate-error rows carry this rounding
     def reset(eps):
-        return unvec(noisy_reset(eps)[:, 0], 2)
+        # the I and Z Kraus terms land on |0><0|, the X and Y terms on |1><1|
+        i_term, x_term = depolarizing_kraus(eps)[:2]
+        s0, s1 = i_term[0, 0].real, x_term[1, 0].real
+        return np.diag([s0 * s0 + s1 * s1, s1 * s1 + s1 * s1]).astype(complex)
 
     def reset_hadamard(eps):
-        return unvec((kraus_to_superop(noisy_hadamard_kraus(eps)) @ noisy_reset(eps))[:, 0], 2)
+        hadamard = kraus_to_superop([d @ HADAMARD for d in depolarizing_kraus(eps)])
+        replacement = np.outer(vec(reset(eps)), vec(I2))
+        return unvec((hadamard @ replacement)[:, 0], 2)
 
     def reset_both(eps):
         rho = reset(eps)

@@ -4,9 +4,9 @@ A cycle is one period of the drive: noisy operations that re-prepare the
 actuator qubits in a fixed state rho_U, whatever they held, then free
 evolution of the whole system for the rest of the period.  A cycle is
 therefore its Hamiltonian and rho_U (``NoisyCycleSpec``).  The operations'
-superoperator is the replacement map vec(rho_U) vec(I)^dag;
-``cycle_superop`` stays its dense definition, which the tests check, and
-the library forms only its d_r^2 images (``replacement_images``).
+superoperator is the replacement map vec(rho_U) vec(I)^dag, embedded on
+the actuators; the library forms only its d_r^2 images
+(``replacement_images``), and the tests keep the dense embedding.
 Repeated fast enough, the drive pins the actuator to rho_U and the
 register evolves under an effective Hamiltonian obtained by
 averaging the interaction over that state.  At finite repetition frequency
@@ -28,7 +28,6 @@ from math import isfinite
 import numpy as np
 
 from .qcore import (
-    embed_superop,
     kron,
     matrix_power_int,
     power_by_squaring,
@@ -118,19 +117,8 @@ class NoisyCycleSpec:
         return int(np.log2(len(self.hamiltonian)))
 
 
-def cycle_superop(spec: NoisyCycleSpec) -> np.ndarray:
-    """Per-period actuator operations on the full system (no free flight).
-
-    The replacement map vec(rho_U) vec(I)^dag on the actuators, embedded
-    densely: the definition the tests check ``replacement_images`` against.
-    """
-    ident = np.eye(len(spec.rho_u), dtype=complex)
-    replacement = np.outer(vec(spec.rho_u), vec(ident))
-    return embed_superop(replacement, range(spec.n_actuators), spec.nqubits)
-
-
 def replacement_images(spec: NoisyCycleSpec) -> np.ndarray:
-    """The d_r^2 distinct columns of ``cycle_superop(spec)``, bit for bit.
+    """The d_r^2 distinct columns of the dense operations map, bit for bit.
 
     The operations send |a r><a' r'| to delta_aa' rho_U (x) |r><r'|; column
     r + d_r r' is vec(rho_U (x) |r><r'|), the image of |0 r><0 r'|.  Each

@@ -1,12 +1,13 @@
 """Dense reference constructions shared by the tests.
 
-The library forms a cycle's operations only as the replacement map of the
-re-prepared actuator state, powers only the distinct columns of the
-full-system period map, and reads every phase-budget term off the register
-map of one period.  These helpers build the same objects the long way, for
-comparison: the noisy actuator operations from Kraus sets, the register
-channel by dense powering of the whole period map, and the Pauli twirl of a
-dense channel by its direct formula.
+The library forms a cycle's operations only as the d_r^2 images of the
+replacement map of the re-prepared actuator state, powers only the distinct
+columns of the full-system period map, and reads every phase-budget term off
+the register map of one period.  These helpers build the same objects the
+long way, for comparison: the noisy actuator operations from Kraus sets, the
+dense operations map on the full system, the register channel by dense
+powering of the whole period map, and the Pauli twirl of a dense channel by
+its direct formula.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from nocosim.channels import (
     apply_channel,
     channel_nqubits,
     depolarizing_kraus,
-    initialization_kraus,
     kraus_to_superop,
     unitary_channel,
 )
@@ -29,8 +29,18 @@ from nocosim.qcore import (
     pauli_strings,
     reduce_superop,
     unitary_evolution,
+    vec,
 )
-from nocosim.zeno import NoisyCycleSpec, cycle_superop, period_count
+from nocosim.zeno import NoisyCycleSpec, period_count
+
+
+def initialization_kraus():
+    """Kraus set of the reset to |0>: rho -> sum_j |0><j| rho |j><0| = Tr(rho) |0><0|."""
+    k0 = np.zeros((2, 2), dtype=complex)
+    k0[0, 0] = 1.0
+    k1 = np.zeros((2, 2), dtype=complex)
+    k1[0, 1] = 1.0
+    return [k0, k1]
 
 
 def noisy_init(eps):
@@ -58,6 +68,17 @@ def kraus_built_operations(name, eps):
     if name == "rzz_prime":
         return embed_superop(reset, (1,), 2) @ embed_superop(reset, (0,), 2)
     return reset
+
+
+def cycle_superop(spec):
+    """Per-period actuator operations on the full system (no free flight).
+
+    The replacement map vec(rho_U) vec(I)^dag on the actuators, embedded
+    densely: the definition ``zeno.replacement_images`` is checked against.
+    """
+    ident = np.eye(len(spec.rho_u), dtype=complex)
+    replacement = np.outer(vec(spec.rho_u), vec(ident))
+    return embed_superop(replacement, range(spec.n_actuators), spec.nqubits)
 
 
 def period_superop(spec, period):

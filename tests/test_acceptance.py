@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 from conftest import record
-from dense_reference import noisy_hadamard, noisy_init, prepared_state
+from dense_reference import cycle_superop, noisy_hadamard, noisy_init, prepared_state
 
 from nocosim.channels import apply_channel, unitary_channel
 from nocosim.cli import main as cli_main
@@ -42,7 +42,6 @@ from nocosim.qcore import (
 )
 from nocosim.zeno import (
     NoisyCycleSpec,
-    cycle_superop,
     effective_hamiltonian,
     noco_channel,
     verify_projector,

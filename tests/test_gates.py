@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dense_reference import (
+    cycle_superop,
     dense_phase_weight,
     idle_cycle,
     kraus_built_operations,
@@ -42,7 +43,7 @@ from nocosim.qcore import (
     reduce_superop,
     unitary_evolution,
 )
-from nocosim.zeno import cycle_superop, noco_channel
+from nocosim.zeno import noco_channel
 
 
 def test_gate_catalog():
@@ -111,10 +112,12 @@ def test_rzz_prime_hamiltonian_shape():
 def test_actuator_maps_replace_the_actuator_state():
     # every catalog cycle forgets the actuator's input: the replacement map
     # vec(rho_U) vec(I)^dag of the recipe's state is the Kraus-built operation
-    # bit for bit, and the pinned gate-error rows depend on those bits
+    # bit for bit, and the pinned gate-error rows depend on those bits; the
+    # grid reaches the rate 1.0 that noise-check and fixed-state print, and
+    # the top of the depolarizing range
     for name in GATE_NAMES:
         rec = recipe(name)
-        for eps in np.linspace(0.0, 0.99, 100):
+        for eps in (*np.linspace(0.0, 0.99, 100), 1.0, 4.0 / 3.0):
             spec = rec.cycle(eps)
             ops = embed_superop(
                 kraus_built_operations(name, eps), range(spec.n_actuators), spec.nqubits
@@ -126,7 +129,8 @@ def test_actuator_maps_replace_the_actuator_state():
 
 
 def test_driven_cycles_refuse_rates_outside_the_depolarizing_range():
-    # the actuators build their Kraus sets directly, so the range check sits there
+    # the actuator states read their weights off the depolarizing Kraus set,
+    # so the range check sits there
     for name in ("rz", "phase_z", "rx", "rzz", "rzz_prime"):
         for eps in (-0.1, 1.4):
             with pytest.raises(ValueError, match="depolarizing rate"):

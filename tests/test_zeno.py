@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dense_reference import (
+    cycle_superop,
     dense_noco_channel,
     idle_cycle,
     noisy_hadamard,
@@ -38,7 +40,6 @@ from nocosim.qcore import (
 )
 from nocosim.zeno import (
     NoisyCycleSpec,
-    cycle_superop,
     effective_hamiltonian,
     noco_channel,
     noco_state,
@@ -298,6 +299,14 @@ def test_noco_channel_without_a_whole_period_is_the_identity(gate):
         assert np.array_equal(run.superop, dense_noco_channel(spec, duration, f))
 
 
+def refuse_embedding(monkeypatch, refuse):
+    """Make ``embed_superop`` raise in every loaded nocosim module that holds
+    it: the dense operations map on the full system is an embedding."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "nocosim" and hasattr(module, "embed_superop"):
+            monkeypatch.setattr(module, "embed_superop", refuse)
+
+
 @pytest.mark.parametrize("gate", GATE_NAMES)
 def test_noco_channel_powers_only_the_distinct_columns(gate, monkeypatch):
     # every product's right operand is the d_r^2 distinct columns of a power
@@ -319,7 +328,7 @@ def test_noco_channel_powers_only_the_distinct_columns(gate, monkeypatch):
         raise AssertionError("dense map built or powered")
 
     monkeypatch.setattr(zeno, "matrix_power_int", refuse)
-    monkeypatch.setattr(zeno, "cycle_superop", refuse)
+    refuse_embedding(monkeypatch, refuse)
     monkeypatch.setattr(zeno, "power_by_squaring", recording_power)
     spec = recipe(gate).cycle(0.2)
     nq, na = spec.nqubits, spec.n_actuators
@@ -381,7 +390,7 @@ def test_noco_state_powers_one_register_map(monkeypatch):
         raise AssertionError("full-system map built")
 
     monkeypatch.setattr(zeno, "matrix_power_int", recording_power)
-    monkeypatch.setattr(zeno, "cycle_superop", refuse)
+    refuse_embedding(monkeypatch, refuse)
     inputs = [np.kron(projector(x), projector("+")) for x in "01"]
     for eps, f in ((0.27, 6524.0), (0.0, 1e3)):
         shapes.clear()
