@@ -97,5 +97,4 @@ def entanglement_fidelity(s: np.ndarray, target_unitary) -> float:
     d = u.shape[0]
     if 2 ** channel_nqubits(s) != d:
         raise ValueError("channel and target act on different dimensions")
-    su = kron(u.conj(), u)
-    return float(np.real(np.vdot(su, s)) / d ** 2)
+    return float(np.real(np.vdot(unitary_channel(u), s)) / d ** 2)

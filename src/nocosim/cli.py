@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__, faulttol, gates, zeno
-from .channels import entanglement_fidelity, unitary_channel
+from .channels import unitary_channel
 from .qcore import pauli_coefficients, pauli_strings
 
 COMMAND_DEFAULTS = {
@@ -238,9 +238,8 @@ def _eff_h_columns(cfg):
 
 
 def _gate_error_row(gate, eps, f):
-    run = gates.realized_channel(gate, eps, f)
-    infid = 1.0 - entanglement_fidelity(run.superop, gates.recipe(gate).target)
-    return [fmt(eps), fmt(f), fmt(infid), str(run.n_periods)]
+    infid, n_periods = gates.gate_infidelity(gate, eps, f)
+    return [fmt(eps), fmt(f), fmt(infid), str(n_periods)]
 
 
 def _swap_check_row():

@@ -27,7 +27,7 @@ from numbers import Integral
 import numpy as np
 
 from .channels import depolarizing
-from .gates import IDLE_HAMILTONIANS, RZZ_PRIME_TARGET, recipe
+from .gates import H_HEISENBERG, H_ISING3, RZZ_PRIME_TARGET, recipe
 from .qcore import I2, SX, kron, projector, unvec, vec
 from .zeno import NoisyCycleSpec, noco_state
 
@@ -173,6 +173,14 @@ SCHEDULE = (
     ("meas_distill", "distill", 1, (("heisenberg", 1), ("ising", 4))),
 )
 
+# The schedule's idle interactions, each under an actuator re-prepared fully
+# depolarized, at I/2, which averages the coupling away and leaves its
+# finite-frequency residual.
+IDLE_CYCLES = {
+    "heisenberg": NoisyCycleSpec(H_HEISENBERG, I2 / 2.0),
+    "ising": NoisyCycleSpec(H_ISING3, I2 / 2.0),
+}
+
 
 @dataclass
 class ErrorBudget:
@@ -223,12 +231,8 @@ def _gate_weight(gate: str, eps: float, freq_over_h: float) -> float:
 
 @lru_cache()
 def _idle_weight(interaction: str, duration: float, freq_over_h: float) -> float:
-    """Y/Z weight on the data qubit of an idle coupling's twirled residual.
-
-    The actuator is re-prepared fully depolarized, at I/2, which averages
-    the coupling away and leaves its finite-frequency residual.
-    """
-    spec = NoisyCycleSpec(IDLE_HAMILTONIANS[interaction], I2 / 2.0)
+    """Y/Z weight on the data qubit of an idle coupling's twirled residual."""
+    spec = IDLE_CYCLES[interaction]
     register = np.eye(2 ** (spec.nqubits - spec.n_actuators), dtype=complex)
     return _phase_weight(spec, duration, freq_over_h, register)
 

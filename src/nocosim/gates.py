@@ -4,8 +4,8 @@ Each recipe pairs an interaction Hamiltonian with the actuator state that
 each period's noisy operations re-prepare, the drive duration that realizes
 a target register unitary, and that target.  Durations compensate the noise
 rate: a depolarized reset leaves actuator polarization (1 - eps), so gate
-times scale like 1/(1 - eps).  ``IDLE_HAMILTONIANS`` holds the schedule's
-idle couplings.
+times scale like 1/(1 - eps).  The interaction Hamiltonians, the recipes
+and the transfer probes are module constants, built once at import.
 """
 
 from dataclasses import dataclass
@@ -40,28 +40,14 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 # Qubit order, actuators first: heisenberg (a, q), ising3 (a, q1, q2),
 # xy (a, c1, p2), rzz_prime (triangle actuator ta, square actuator sa,
 # data dq, ancilla aq).
-
-
-def _heisenberg_h() -> np.ndarray:
-    return kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
-
-
-def _ising3_h() -> np.ndarray:
-    return kron(SZ, SZ, SZ)
-
-
-def _xy_h() -> np.ndarray:
-    return (kron(SX, SX, I2) + kron(SY, SY, I2)
-            + kron(SX, I2, SX) + kron(SY, I2, SY))
-
-
-def _rzz_prime_h() -> np.ndarray:
-    # triangle actuator exchanges with the ancilla, square actuator carries
-    # the three-body Ising term with data and ancilla
-    h = embed_operator(_heisenberg_h(), (0, 3), 4)
-    h += embed_operator(_ising3_h(), (1, 2, 3), 4)
-    return h
-
+H_HEISENBERG = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
+H_ISING3 = kron(SZ, SZ, SZ)
+H_XY = (kron(SX, SX, I2) + kron(SY, SY, I2)
+        + kron(SX, I2, SX) + kron(SY, I2, SY))
+# triangle actuator exchanges with the ancilla, square actuator carries the
+# three-body Ising term with data and ancilla
+H_RZZ_PRIME = (embed_operator(H_HEISENBERG, (0, 3), 4)
+               + embed_operator(H_ISING3, (1, 2, 3), 4))
 
 RZ_TARGET = (I2 - 1j * SZ) / np.sqrt(2.0)
 RX_TARGET = (I2 - 1j * SX) / np.sqrt(2.0)
@@ -93,44 +79,42 @@ class GateRecipe:
         return NoisyCycleSpec(self.hamiltonian, self.rho_u(eps))
 
 
-def _recipes() -> dict:
-    # each state is the Kraus-built operations' column for |0><0|, rounded as
-    # kraus_to_superop rounds it (the 4 x 4 product for rx, not the Hadamard
-    # applied to a state): the pinned gate-error rows carry this rounding
-    def reset(eps):
-        # the I and Z Kraus terms land on |0><0|, the X and Y terms on |1><1|
-        i_term, x_term = depolarizing_kraus(eps)[:2]
-        s0, s1 = i_term[0, 0].real, x_term[1, 0].real
-        return np.diag([s0 * s0 + s1 * s1, s1 * s1 + s1 * s1]).astype(complex)
-
-    def reset_hadamard(eps):
-        hadamard = kraus_to_superop([d @ HADAMARD for d in depolarizing_kraus(eps)])
-        replacement = np.outer(vec(reset(eps)), vec(I2))
-        return unvec((hadamard @ replacement)[:, 0], 2)
-
-    def reset_both(eps):
-        rho = reset(eps)
-        return kron(rho, rho)
-
-    heis, ising = _heisenberg_h(), _ising3_h()
-    return {
-        "rz": GateRecipe(
-            "rz", heis, reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
-        "phase_z": GateRecipe(
-            "phase_z", heis, reset,
-            lambda e: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
-        "rx": GateRecipe(
-            "rx", heis, reset_hadamard,
-            lambda e: np.pi / (4.0 * (1.0 - e) * (1.0 - e)), RX_TARGET),
-        "rzz": GateRecipe(
-            "rzz", ising, reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
-        "rzz_prime": GateRecipe(
-            "rzz_prime", _rzz_prime_h(), reset_both,
-            lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_PRIME_TARGET),
-    }
+# each state is the Kraus-built operations' column for |0><0|, rounded as
+# kraus_to_superop rounds it (the 4 x 4 product for rx, not the Hadamard
+# applied to a state): the pinned gate-error rows carry this rounding
+def _reset(eps):
+    # the I and Z Kraus terms land on |0><0|, the X and Y terms on |1><1|
+    i_term, x_term = depolarizing_kraus(eps)[:2]
+    s0, s1 = i_term[0, 0].real, x_term[1, 0].real
+    return np.diag([s0 * s0 + s1 * s1, s1 * s1 + s1 * s1]).astype(complex)
 
 
-_RECIPES = _recipes()
+def _reset_hadamard(eps):
+    hadamard = kraus_to_superop([d @ HADAMARD for d in depolarizing_kraus(eps)])
+    replacement = np.outer(vec(_reset(eps)), vec(I2))
+    return unvec((hadamard @ replacement)[:, 0], 2)
+
+
+def _reset_both(eps):
+    rho = _reset(eps)
+    return kron(rho, rho)
+
+
+_RECIPES = {
+    "rz": GateRecipe(
+        "rz", H_HEISENBERG, _reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
+    "phase_z": GateRecipe(
+        "phase_z", H_HEISENBERG, _reset,
+        lambda e: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
+    "rx": GateRecipe(
+        "rx", H_HEISENBERG, _reset_hadamard,
+        lambda e: np.pi / (4.0 * (1.0 - e) * (1.0 - e)), RX_TARGET),
+    "rzz": GateRecipe(
+        "rzz", H_ISING3, _reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
+    "rzz_prime": GateRecipe(
+        "rzz_prime", H_RZZ_PRIME, _reset_both,
+        lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_PRIME_TARGET),
+}
 
 GATE_NAMES = tuple(sorted(_RECIPES))
 
@@ -149,8 +133,10 @@ def realized_channel(name: str, eps: float, freq_over_h: float) -> NocoResult:
     return noco_channel(rec.cycle(eps), duration, freq_over_h)
 
 
-# the schedule's idle couplings, under the names ``faulttol.SCHEDULE`` gives them
-IDLE_HAMILTONIANS = {"heisenberg": _heisenberg_h(), "ising": _ising3_h()}
+def gate_infidelity(name: str, eps: float, freq_over_h: float):
+    """(1 - entanglement fidelity against the target, period count) of a catalog gate."""
+    run = realized_channel(name, eps, freq_over_h)
+    return 1.0 - entanglement_fidelity(run.superop, recipe(name).target), run.n_periods
 
 
 def infidelity_surface(eps_values, freq_values, gate_name: str):
@@ -162,12 +148,9 @@ def infidelity_surface(eps_values, freq_values, gate_name: str):
     freq_values = list(freq_values)
     infid = np.zeros((len(eps_values), len(freq_values)))
     counts = np.zeros((len(eps_values), len(freq_values)), dtype=int)
-    target = recipe(gate_name).target
     for i, eps in enumerate(eps_values):
         for j, f in enumerate(freq_values):
-            run = realized_channel(gate_name, eps, f)
-            infid[i, j] = 1.0 - entanglement_fidelity(run.superop, target)
-            counts[i, j] = run.n_periods
+            infid[i, j], counts[i, j] = gate_infidelity(gate_name, eps, f)
     return infid, counts
 
 
@@ -191,7 +174,6 @@ def swap_identity_check() -> SwapIdentityCheck:
     (Z_a Z_c1 + Z_a Z_p2 + Z_c1 Z_p2 - 1)/2 * SWAP(c1, p2) exactly; at t/2
     it does not, which guards the check against passing trivially.
     """
-    h = _xy_h()
     phase = 0.5 * (
         embed_operator(kron(SZ, SZ), (0, 1), 3)
         + embed_operator(kron(SZ, SZ), (0, 2), 3)
@@ -199,8 +181,8 @@ def swap_identity_check() -> SwapIdentityCheck:
         - np.eye(8, dtype=complex)
     )
     rhs = phase @ embed_operator(SWAP_2Q, (1, 2), 3)
-    dev = float(np.linalg.norm(unitary_evolution(h, _SWAP_EVOLUTION_TIME) - rhs))
-    half = float(np.linalg.norm(unitary_evolution(h, _SWAP_EVOLUTION_TIME / 2.0) - rhs))
+    dev = float(np.linalg.norm(unitary_evolution(H_XY, _SWAP_EVOLUTION_TIME) - rhs))
+    half = float(np.linalg.norm(unitary_evolution(H_XY, _SWAP_EVOLUTION_TIME / 2.0) - rhs))
     return SwapIdentityCheck(deviation=dev, halftime_deviation=half)
 
 
@@ -214,23 +196,18 @@ def transfer_cphase_circuit(gate: np.ndarray) -> np.ndarray:
     the transfer channel, which for the ideal gate is independent of them.
     """
     nq = 4
-    ring = unitary_channel(unitary_evolution(_xy_h(), _SWAP_EVOLUTION_TIME))
+    ring = unitary_channel(unitary_evolution(H_XY, _SWAP_EVOLUTION_TIME))
     s_ring = embed_superop(ring, (0, 1, 2), nq)
     return s_ring @ embed_superop(gate, (3, 2), nq) @ s_ring
 
 
+# (p2, a) initial states the transfer channel is probed with
 TRANSFER_PROBE_STATES = (
-    ("0", "+"),
-    ("1", "1"),
-    ("+", "-"),
-    ("mixed", "mixed"),
+    (projector("0"), projector("+")),
+    (projector("1"), projector("1")),
+    (projector("+"), projector("-")),
+    (I2 / 2.0, I2 / 2.0),
 )
-
-
-def _probe_state(symbol: str) -> np.ndarray:
-    if symbol == "mixed":
-        return np.eye(2, dtype=complex) / 2.0
-    return projector(symbol)
 
 
 @dataclass
@@ -247,8 +224,7 @@ def transfer_independence_report(gate: np.ndarray) -> TransferIndependenceReport
     """
     circuit = transfer_cphase_circuit(gate)
     chans = [
-        reduce_superop(circuit, 4, (1, 3), kron(_probe_state(a), _probe_state(p2)))
-        for p2, a in TRANSFER_PROBE_STATES
+        reduce_superop(circuit, 4, (1, 3), kron(a, p2)) for p2, a in TRANSFER_PROBE_STATES
     ]
     pair = 0.0
     for i in range(len(chans)):

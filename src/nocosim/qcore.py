@@ -76,25 +76,20 @@ def kron(*ops: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(mat, nqubits: int, keep) -> np.ndarray:
-    """Trace out all qubits except those in ``keep`` (positions, in order).
+    """Trace out all qubits except those in ``keep``.
 
-    ``keep`` need not be sorted; the output tensor order follows ``keep``.
+    The kept qubits come out in sorted order, as in ``reduce_superop``.
     """
     m = np.asarray(mat, dtype=complex)
-    keep = list(keep)
     d = 2 ** nqubits
     if m.shape != (d, d):
         raise ValueError(f"expected shape {(d, d)}, got {m.shape}")
-    traced = [q for q in range(nqubits) if q not in keep]
+    keep = set(keep)
     t = m.reshape([2] * (2 * nqubits))
     # contract row/column indices of each traced qubit pairwise
-    for q in sorted(traced, reverse=True):
+    for q in reversed([q for q in range(nqubits) if q not in keep]):
         t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
-    # remaining axes are the kept qubits in original order; reorder to `keep`
-    order = sorted(keep)
-    perm = [order.index(q) for q in keep]
-    k = len(keep)
-    t = t.transpose(perm + [p + k for p in perm])
+    k = t.ndim // 2
     return t.reshape(2 ** k, 2 ** k)
 
 

@@ -19,7 +19,7 @@ from nocosim.channels import (
     kraus_to_superop,
     unitary_channel,
 )
-from nocosim.gates import HADAMARD, IDLE_HAMILTONIANS
+from nocosim.gates import HADAMARD
 from nocosim.qcore import (
     I2,
     embed_superop,
@@ -94,11 +94,6 @@ def dense_noco_channel(spec, duration, freq_over_h):
         period_superop(spec, 2.0 * np.pi / freq_over_h), period_count(duration, freq_over_h)
     )
     return reduce_superop(prop, nq, range(na, nq), np.eye(2 ** na, dtype=complex) / 2 ** na)
-
-
-def idle_cycle(interaction):
-    """An idle coupling of the schedule under a fully depolarized actuator."""
-    return NoisyCycleSpec(IDLE_HAMILTONIANS[interaction], I2 / 2.0)
 
 
 def random_state(rng, dim):

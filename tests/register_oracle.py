@@ -4,8 +4,9 @@ Shares no numerics with the float path: a recipe's period unitary at 40
 digits, its closed-form actuator state rho_U (a reset to |0>, then
 depolarizing at rate eps, and for rx a noisy Hadamard after it), one
 period's register map T(sigma) = Tr_A[U (rho_U (x) sigma) U^dag], and its
-N-th power by squaring.  Importing this module skips the importing test
-module when mpmath is missing.
+N-th power by squaring; from these, a gate's infidelity and the noisy
+distillation round's outcome rates.  Importing this module skips the
+importing test module when mpmath is missing.
 """
 
 import numpy as np
@@ -111,3 +112,34 @@ def infidelity(gate: str, eps: float, freq_over_h: float) -> float:
             for i, j, k, l in np.ndindex(d, d, d, d)
         )
         return float(1 - mpmath.re(overlap) / d ** 2)
+
+
+def oracle_rates(eps: float, freq_over_h: float) -> np.ndarray:
+    """rates[x, o] of one noisy round, o = 0 for "+" and 1 for "-"."""
+    with mpmath.workdps(DIGITS):
+        e = mpmath.mpf(eps)
+        # qubits (triangle actuator, square actuator, data, ancilla)
+        t = register_map("rzz_prime", actuator_state("rzz_prime", e), freq_over_h)
+        t_n = power(t, periods("rzz_prime", e, freq_over_h))
+
+        def depolarized(p):  # (1 - eps) p + eps I/2 on one qubit
+            mixed = [[e / 2, 0], [0, e / 2]]
+            return [[(1 - e) * p[r][c] + mixed[r][c] for c in (0, 1)] for r in (0, 1)]
+
+        half = mpmath.mpf(1) / 2
+        plus, minus = [[half, half], [half, half]], [[half, -half], [-half, half]]
+        anc = depolarized(plus)
+        readout = [depolarized(plus), depolarized(minus)]
+        rates = np.empty((2, 2))
+        for x in (0, 1):
+            # vec(|x><x| (x) anc): row 2x + r, column 2x + c holds anc[r][c]
+            sigma = mpmath.matrix(16, 1)
+            for r, c in np.ndindex(2, 2):
+                sigma[(2 * x + r) + 4 * (2 * x + c), 0] = anc[r][c]
+            out = t_n * sigma
+            # the ancilla block on the data input's |x><x|
+            block = [[out[2 * x + r + 4 * (2 * x + c), 0] for c in (0, 1)] for r in (0, 1)]
+            for o, p in enumerate(readout):
+                trace = mpmath.fsum(p[c][r] * block[r][c] for r, c in np.ndindex(2, 2))
+                rates[x, o] = float(mpmath.re(trace))
+        return rates

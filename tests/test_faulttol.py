@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dense_reference import dense_phase_weight, idle_cycle, random_state
+from dense_reference import dense_phase_weight, random_state
 from nocosim import faulttol, gates, zeno
 from nocosim.cli import _map_tasks, main
 from nocosim.channels import depolarizing_kraus, unitary_channel
 from nocosim.faulttol import (
+    IDLE_CYCLES,
     DistillationConfig,
     ThresholdError,
     error_rate_mapping,
@@ -262,7 +263,7 @@ def test_budget_with_decoupling_terms():
     assert all(weight >= 0.0 for weight in b.idle_weights.values())
     # four Ising neighbors idle through each x rotation
     # read off the register map; the dense channel's twirl agrees to 1.4e-10
-    run = zeno.noco_channel(idle_cycle("ising"), recipe("rx").duration(0.2), 1e4)
+    run = zeno.noco_channel(IDLE_CYCLES["ising"], recipe("rx").duration(0.2), 1e4)
     residual = dense_phase_weight(run.superop, np.eye(4))
     assert b.idle_weights["rx_1", "ising"] == b.idle_weights["rx_2", "ising"]
     assert b.idle_weights["rx_1", "ising"] == pytest.approx(4 * residual, rel=1e-8)

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from dense_reference import (
     cycle_superop,
     dense_phase_weight,
-    idle_cycle,
     kraus_built_operations,
     pauli_twirl,
 )
 from nocosim import faulttol, gates, zeno
-from nocosim.cli import _transfer_check_row
+from nocosim.cli import _gate_error_row, _transfer_check_row, fmt
 from nocosim.channels import (
     check_cptp,
     depolarizing,
@@ -27,6 +26,8 @@ from nocosim.gates import (
     RZZ_PRIME_TARGET,
     RZZ_TARGET,
     depolarizing_fixed_states,
+    gate_infidelity,
+    infidelity_surface,
     noise_conditions,
     realized_channel,
     recipe,
@@ -47,7 +48,7 @@ from nocosim.zeno import noco_channel
 
 
 def test_gate_catalog():
-    # only driven gates: the idle couplings are gates.IDLE_HAMILTONIANS
+    # only driven gates: the idle cycles are faulttol.IDLE_CYCLES
     assert GATE_NAMES == ("phase_z", "rx", "rz", "rzz", "rzz_prime")
     for name in ("cnot", "decouple_ising"):
         with pytest.raises(ValueError):
@@ -124,7 +125,7 @@ def test_actuator_maps_replace_the_actuator_state():
             )
             assert np.array_equal(cycle_superop(spec), ops), (name, eps)
     # so is the fully depolarizing actuator of the idle couplings, with rho_U = I/2
-    spec = idle_cycle("ising")
+    spec = faulttol.IDLE_CYCLES["ising"]
     assert np.array_equal(cycle_superop(spec), embed_superop(depolarizing(1.0), (0,), 3))
 
 
@@ -156,12 +157,26 @@ def test_gate_error_channel_is_small_at_low_noise():
     check_cptp(err)
 
 
+@pytest.mark.parametrize("gate, eps, f", [
+    ("rz", 0.0, 1e3), ("phase_z", 0.2, 1e4), ("rx", 0.2913, 1e4), ("rzz", 0.1, 1e5),
+    ("rzz_prime", 0.3, 1e3), ("rzz_prime", 0.5, 1e4),
+])
+def test_gate_error_row_and_surface_share_one_score(gate, eps, f):
+    infid, n_periods = gate_infidelity(gate, eps, f)
+    run = realized_channel(gate, eps, f)
+    assert infid.hex() == (1.0 - entanglement_fidelity(run.superop, recipe(gate).target)).hex()
+    assert n_periods == run.n_periods
+    surface, counts = infidelity_surface([eps], [f], gate)
+    assert float(surface[0, 0]).hex() == infid.hex() and counts[0, 0] == n_periods
+    assert _gate_error_row(gate, eps, f) == [fmt(eps), fmt(f), fmt(infid), str(n_periods)]
+
+
 def test_decouple_single_period_residuals():
     f = 400.0
     dt = 2.0 * np.pi / f
     # twirled Ising neighbor: one period leaves a ZZ rotation pair whose
     # twirl weight is sin^2(dt)
-    run = noco_channel(idle_cycle("ising"), dt, f)
+    run = noco_channel(faulttol.IDLE_CYCLES["ising"], dt, f)
     assert run.n_periods == 1
     probs = pauli_twirl(run.superop)
     assert np.isclose(probs["ZZ"], np.sin(dt) ** 2, atol=1e-12)
@@ -170,7 +185,7 @@ def test_decouple_single_period_residuals():
     # the budget reads the same weight off the register map
     assert np.isclose(faulttol._idle_weight("ising", dt, f), np.sin(dt) ** 2, rtol=0, atol=1e-12)
     # twirled exchange coupling: one period depolarizes at sin^2(2 dt)
-    run = noco_channel(idle_cycle("heisenberg"), dt, f)
+    run = noco_channel(faulttol.IDLE_CYCLES["heisenberg"], dt, f)
     probs = pauli_twirl(run.superop)
     s = np.sin(2.0 * dt) ** 2
     for p in "XYZ":

@@ -1,6 +1,6 @@
 """40-digit oracle for the register channels and the phase budget's terms.
 
-Recomputes ``gates.realized_channel``'s infidelity, ``faulttol._round_rates``
+Recomputes ``gates.gate_infidelity``, ``faulttol._round_rates``
 and ``faulttol._gate_weight`` from the register map of one period powered in
 mpmath (``register_oracle``), sharing no numerics with the float path.  The
 round rates are the noisy x-basis readout of the ancilla conditioned on each
@@ -18,47 +18,16 @@ from register_oracle import (
     infidelity,
     integer_matrix,
     mpmath,
+    oracle_rates,
     periods,
     power,
     register_map,
     target,
 )
 
-from nocosim.channels import entanglement_fidelity
 from nocosim.faulttol import DistillationConfig, _gate_weight, _round_rates
-from nocosim.gates import GATE_NAMES, realized_channel, recipe
+from nocosim.gates import GATE_NAMES, gate_infidelity
 from nocosim.qcore import pauli_string_operator
-
-
-def oracle_rates(eps: float, freq_over_h: float) -> np.ndarray:
-    """rates[x, o] of one noisy round, o = 0 for "+" and 1 for "-"."""
-    with mpmath.workdps(DIGITS):
-        e = mpmath.mpf(eps)
-        # qubits (triangle actuator, square actuator, data, ancilla)
-        t = register_map("rzz_prime", actuator_state("rzz_prime", e), freq_over_h)
-        t_n = power(t, periods("rzz_prime", e, freq_over_h))
-
-        def depolarized(p):  # (1 - eps) p + eps I/2 on one qubit
-            mixed = [[e / 2, 0], [0, e / 2]]
-            return [[(1 - e) * p[r][c] + mixed[r][c] for c in (0, 1)] for r in (0, 1)]
-
-        half = mpmath.mpf(1) / 2
-        plus, minus = [[half, half], [half, half]], [[half, -half], [-half, half]]
-        anc = depolarized(plus)
-        readout = [depolarized(plus), depolarized(minus)]
-        rates = np.empty((2, 2))
-        for x in (0, 1):
-            # vec(|x><x| (x) anc): row 2x + r, column 2x + c holds anc[r][c]
-            sigma = mpmath.matrix(16, 1)
-            for r, c in np.ndindex(2, 2):
-                sigma[(2 * x + r) + 4 * (2 * x + c), 0] = anc[r][c]
-            out = t_n * sigma
-            # the ancilla block on the data input's |x><x|
-            block = [[out[2 * x + r + 4 * (2 * x + c), 0] for c in (0, 1)] for r in (0, 1)]
-            for o, p in enumerate(readout):
-                trace = mpmath.fsum(p[c][r] * block[r][c] for r, c in np.ndindex(2, 2))
-                rates[x, o] = float(mpmath.re(trace))
-        return rates
 
 
 @pytest.mark.parametrize("eps, freq_over_h", [(0.2, 1e4), (0.05, 1e5)])
@@ -99,6 +68,5 @@ def test_gate_errors_match_the_register_map_oracle(gate):
     # the float path measured 5e-11 to 6e-10 relative off at this point
     assert set(GATES) == set(GATE_NAMES)
     expected = infidelity(gate, 0.2, 1e4)
-    run = realized_channel(gate, 0.2, 1e4)
-    got = 1.0 - entanglement_fidelity(run.superop, recipe(gate).target)
+    got, _ = gate_infidelity(gate, 0.2, 1e4)
     assert np.isclose(got, expected, rtol=1e-8, atol=0), (got, expected)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dense_reference import (
     cycle_superop,
     dense_noco_channel,
-    idle_cycle,
     noisy_hadamard,
     noisy_init,
     period_superop,
@@ -19,9 +18,10 @@ from dense_reference import (
 )
 from nocosim import zeno
 from nocosim.channels import apply_channel, check_cptp, depolarizing
+from nocosim.faulttol import IDLE_CYCLES
 from nocosim.gates import (
     GATE_NAMES,
-    IDLE_HAMILTONIANS,
+    H_HEISENBERG,
     infidelity_surface,
     realized_channel,
     recipe,
@@ -89,7 +89,7 @@ def test_cycle_spec_validation():
 
 def test_cycle_spec_refuses_an_actuator_state_that_is_not_a_density_matrix():
     # an unnormalized I used to drive the dense channel to entries near 1e48
-    h = IDLE_HAMILTONIANS["heisenberg"]
+    h = H_HEISENBERG
     non_hermitian = np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex)
     for bad in (I2, non_hermitian, np.diag([1.5, -0.5])):
         with pytest.raises(ValueError, match="not a density matrix"):
@@ -247,8 +247,7 @@ def test_replacement_images_are_the_dense_operations_columns():
         for eps in np.linspace(0.0, 0.99, 100):
             spec = rec.cycle(eps)
             assert np.array_equal(replacement_images(spec), distinct_columns(spec)), (gate, eps)
-    for interaction in IDLE_HAMILTONIANS:
-        spec = idle_cycle(interaction)
+    for interaction, spec in IDLE_CYCLES.items():
         assert np.array_equal(replacement_images(spec), distinct_columns(spec)), interaction
 
 
