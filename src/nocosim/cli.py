@@ -173,34 +173,17 @@ def _canonical_config(command: str, cfg: dict) -> str:
     return " ".join(parts)
 
 
-# BLAS thread counts pinned to 1 in pool workers: each worker already takes
-# a core, and nested BLAS threads made a two-worker pool slower than serial
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _map_tasks(fn, tasks, workers: int):
-    """[fn(*t) for t in tasks], on a pool of single-threaded-BLAS workers.
-
-    Spawned workers read the thread variables when numpy loads, so they are
-    set only while the pool starts and restored afterwards.
-    """
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    """[fn(*t) for t in tasks], on a pool of at most one worker per CPU this
+    process may run on.  Spawned workers inherit the BLAS thread setting that
+    ``import nocosim`` made."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(workers, len(tasks), cpus or 1)
     if processes <= 1:
         return [fn(*t) for t in tasks]
     import multiprocessing  # only here: a serial run does not pay for the import
 
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        ctx = multiprocessing.get_context("spawn")
-        pool = ctx.Pool(processes=processes)
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-    with pool:
+    with multiprocessing.get_context("spawn").Pool(processes=processes) as pool:
         return pool.starmap(fn, tasks)
 
 

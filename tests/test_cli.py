@@ -78,7 +78,7 @@ def test_workers_do_not_change_bytes(tmp_path):
         assert run(args + ["--workers", "1", "--out", str(a)]) == 0
         assert run(args + ["--workers", "2", "--out", str(b)]) == 0
         assert read(a) == read(b)
-    assert dict(os.environ) == env  # the pool's BLAS pinning is undone
+    assert dict(os.environ) == env  # starting a pool sets no variable in the parent
 
 
 def test_pool_is_no_larger_than_task_list(monkeypatch):
@@ -103,12 +103,20 @@ def test_pool_is_no_larger_than_task_list(monkeypatch):
     # cli imports multiprocessing only when a pool starts, and reads get_context then
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert cli._map_tasks(pow, [(2, 3), (3, 2)], workers=64) == [8, 9]
     assert started == [2]
-    # nor larger than the machine: one worker per CPU
-    started.clear()
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    # nor larger than the CPUs the process may run on: one worker per CPU
     tasks = [(2, k) for k in range(10)]
+    for affinity, pool in ({0, 1, 2}, [3]), ({5}, []):  # one CPU: serial, no pool
+        started.clear()
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid, cpus=affinity: cpus)
+        assert cli._map_tasks(pow, tasks, workers=64) == [2 ** k for k in range(10)]
+        assert started == pool
+    # without an affinity call (macOS, Windows) the CPU count caps the pool
+    started.clear()
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert cli._map_tasks(pow, tasks, workers=64) == [2 ** k for k in range(10)]
     assert started == [3]
 
@@ -321,12 +329,43 @@ def test_eff_h_columns(capsys):
     assert np.isclose(float(vals["c_XX"]), 0.0)
 
 
-def _python(*args):
-    """Run a fresh interpreter that imports nocosim from this checkout."""
+def _python(*args, env=None):
+    """Run a fresh interpreter that imports nocosim from this checkout.
+
+    env updates its environment; a variable whose value is None is removed.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+    child = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    return subprocess.run([sys.executable, *args],
+                          env={var: v for var, v in child.items() if v is not None},
                           capture_output=True, text=True, timeout=120)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_import_pins_one_blas_thread_unless_exported():
+    probe = f"import os, nocosim; print([os.environ.get(v) for v in {BLAS_THREAD_VARS}])"
+    unset = dict.fromkeys(BLAS_THREAD_VARS)
+    proc = _python("-c", probe, env=unset)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['1', '1', '1']"
+    proc = _python("-c", probe, env={**unset, "OPENBLAS_NUM_THREADS": "3"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['3', '1', '1']"
+
+
+def test_blas_thread_count_does_not_change_bytes():
+    for args in (
+        ["gate-error", "--gate", "rzz_prime", "--epsilon", "0.2,0.45", "--freq_over_h", "1e3,5e5"],
+        ["threshold", "--freq_over_h", "1e4", "--rounds", "3", "--bisect_tol", "1e-3"],
+    ):
+        runs = [_python("-m", "nocosim", *args, env=dict.fromkeys(BLAS_THREAD_VARS, n))
+                for n in ("1", "2")]
+        assert [p.returncode for p in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.count("\n") > 4  # provenance, header and rows
 
 
 def test_import_leaves_the_cli_unloaded():
