@@ -298,7 +298,7 @@ def _axis(cfg: dict, entry):
     return value if isinstance(value, list) else [value]
 
 
-def render_table(command: str, cfg: dict, cols, rows, errors=()) -> str:
+def render_table(command: str, cfg: dict, cols, rows, errors) -> str:
     """Provenance lines, the header, the rows, then one '# error:' line per failed point."""
     canonical = _canonical_config(command, cfg)
     digest = hashlib.sha256(canonical.encode()).hexdigest()

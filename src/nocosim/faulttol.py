@@ -19,7 +19,7 @@ of every gate the qubit participates in, and bisects the depolarizing rate
 until that budget hits the correcting code's tolerance.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isfinite, log
 from numbers import Integral
@@ -27,7 +27,7 @@ from numbers import Integral
 import numpy as np
 
 from .channels import depolarizing
-from .gates import H_HEISENBERG, H_ISING3, RZZ_PRIME_TARGET, recipe
+from .gates import H_HEISENBERG, H_ISING3, recipe
 from .qcore import I2, SX, kron, projector, unvec, vec
 from .zeno import NoisyCycleSpec, noco_state
 
@@ -45,9 +45,6 @@ class DistillationConfig:
     rounds: int
     eps: float
     freq_over_h: float
-    noisy_init: bool = True
-    noisy_gate: bool = True
-    noisy_meas: bool = True
 
     def __post_init__(self):
         if not isinstance(self.rounds, Integral) or self.rounds < 1 or self.rounds % 2 == 0:
@@ -85,7 +82,7 @@ _READOUT = np.stack([vec(projector(outcome)) for outcome in "+-"])
 
 
 @lru_cache()
-def _round_rates(config: DistillationConfig) -> np.ndarray:
+def _round_rates(eps: float, freq_over_h: float) -> np.ndarray:
     """Per-round outcome rates: ``rates[x, o]`` for data input |x> and outcome o.
 
     Outcome 0 is "+" and 1 is "-".  The gate is applied once per data bit
@@ -93,24 +90,19 @@ def _round_rates(config: DistillationConfig) -> np.ndarray:
     ancilla column, data row, ancilla row), must vanish off the ``[x, :, x, :]``
     block: the round then leaves |x><x| in place, as the per-class sum in
     ``distill`` needs, and the block is the vec of the conditional ancilla
-    state that the (noisy) x-basis readout rows score.  The realized gate
-    is propagated on the two inputs by ``zeno.noco_state``, never built as
-    a channel.  The rates do not depend on ``config.rounds``; ``distill``
-    asks with one round, so a threshold search computes them once per
+    state that the noisy x-basis readout rows score.  Every operation is
+    noisy: the ancilla's |+> and its readout are depolarized at rate eps,
+    and the realized gate is propagated on the two inputs by
+    ``zeno.noco_state``, never built as a channel.  The rates do not depend
+    on the round count, so a threshold search computes them once per
     (eps, f).  Cached, so the array is read-only.
     """
-    eps = config.eps
     noise = depolarizing(eps)
-    anc = unvec(noise @ vec(_PLUS), 2) if config.noisy_init else _PLUS
+    anc = unvec(noise @ vec(_PLUS), 2)
     inputs = [kron(p, anc) for p in _DATA_INPUTS]
-
-    if config.noisy_gate:
-        rec = recipe("rzz_prime")
-        outputs = noco_state(rec.cycle(eps), rec.duration(eps), config.freq_over_h, inputs)
-    else:
-        u = RZZ_PRIME_TARGET
-        outputs = [u @ rho @ u.conj().T for rho in inputs]
-    readout = _READOUT @ noise if config.noisy_meas else _READOUT
+    rec = recipe("rzz_prime")
+    outputs = noco_state(rec.cycle(eps), rec.duration(eps), freq_over_h, inputs)
+    readout = _READOUT @ noise
 
     rates = np.empty((2, 2))
     for x in (0, 1):
@@ -144,7 +136,7 @@ def distill(config: DistillationConfig) -> DistillationResult:
     a_x^(n-k) b_x^k underflows at large n long before C(n, k) a_x^(n-k) b_x^k.
     """
     n = config.rounds
-    rates = _round_rates(replace(config, rounds=1))
+    rates = _round_rates(config.eps, config.freq_over_h)
     k = np.arange(n + 1)
     log0, log1 = (_log_power(a, n - k) + _log_power(b, k) for a, b in rates)
     sizes = np.array([float(comb(n, j)) for j in k])

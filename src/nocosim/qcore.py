@@ -158,12 +158,10 @@ def vec(mat) -> np.ndarray:
     return np.asarray(mat, dtype=complex).flatten(order="F")
 
 
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
+def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
     if dim * dim != v.size:
-        raise ValueError(f"length {v.size} is not a perfect square")
+        raise ValueError(f"length {v.size} is not {dim} squared")
     return v.reshape((dim, dim), order="F")
 
 

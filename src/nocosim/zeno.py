@@ -235,6 +235,8 @@ def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float, sigmas
     for sigma in sigmas:
         if np.shape(sigma) != (dr, dr):
             raise ValueError(f"register state shape {np.shape(sigma)} is not {(dr, dr)}")
+    if n == 0:  # T^0 = I; build no period, whose 2 pi / f is inf at a subnormal f
+        return [np.array(sigma, dtype=complex) for sigma in sigmas]
     u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / freq_over_h).reshape(da, dr, da, dr)
     # T[i + dr j, k + dr l] = sum_abc U[ai, bk] rho_U[b, c] conj(U[aj, cl]), read
     # off the d x d unitary: the d^2 x d^2 kron(conj U, U) is never formed

@@ -6,8 +6,9 @@ columns of the full-system period map, and reads every phase-budget term off
 the register map of one period.  These helpers build the same objects the
 long way, for comparison: the noisy actuator operations from Kraus sets, the
 dense operations map on the full system, the register channel by dense
-powering of the whole period map, and the Pauli twirl of a dense channel by
-its direct formula.
+powering of the whole period map, the Pauli twirl of a dense channel by
+its direct formula, and a distillation round on plain density matrices with
+each of its three noise sources switchable.
 """
 
 import numpy as np
@@ -19,16 +20,19 @@ from nocosim.channels import (
     kraus_to_superop,
     unitary_channel,
 )
-from nocosim.gates import HADAMARD
+from nocosim.gates import HADAMARD, RZZ_PRIME_TARGET, realized_channel
 from nocosim.qcore import (
     I2,
     embed_superop,
     kron,
     matrix_power_int,
+    partial_trace,
     pauli_string_operator,
     pauli_strings,
+    projector,
     reduce_superop,
     unitary_evolution,
+    unvec,
     vec,
 )
 from nocosim.zeno import NoisyCycleSpec, period_count
@@ -131,3 +135,47 @@ def dense_phase_weight(s, target):
     """
     probs = pauli_twirl(s @ unitary_channel(target).conj().T)
     return sum(p for string, p in probs.items() if string[0] in "YZ")
+
+
+def naive_round(eps, freq_over_h, noisy_init=True, noisy_gate=True, noisy_meas=True):
+    """One distillation round on plain density matrices, each noise source switchable.
+
+    Returns ``step(rho, outcome)``: the data qubit's unnormalized state after
+    a round on data state rho whose ancilla reads outcome 0 ("+") or 1 ("-").
+    The ancilla's |+> is depolarized at rate eps if ``noisy_init``; the gate
+    is the realized rzz_prime channel if ``noisy_gate``, else its ideal
+    target; the readout depolarizes the ancilla first if ``noisy_meas``.
+    The library runs only the all-noisy round.
+    """
+    anc = projector("+")
+    if noisy_init:
+        anc = sum(k @ anc @ k.conj().T for k in depolarizing_kraus(eps))
+    if noisy_gate:
+        s_gate = realized_channel("rzz_prime", eps, freq_over_h).superop
+    else:
+        s_gate = unitary_channel(RZZ_PRIME_TARGET)
+    if noisy_meas:
+        meas_kraus = [np.kron(I2, k) for k in depolarizing_kraus(eps)]
+    else:
+        meas_kraus = [np.eye(4, dtype=complex)]
+    outcome_proj = [np.kron(I2, projector(outcome)) for outcome in "+-"]
+
+    def step(rho, outcome):
+        full = unvec(s_gate @ vec(np.kron(rho, anc)), 4)
+        full = sum(k @ full @ k.conj().T for k in meas_kraus)
+        pr = outcome_proj[outcome]
+        return partial_trace(pr @ full @ pr, 2, (0,))
+
+    return step
+
+
+def naive_round_rates(eps, freq_over_h, **noise):
+    """``rates[x, o]`` of ``naive_round``: the trace of step(|x><x|, o).
+
+    The form of ``faulttol._round_rates``, so a test that patches it in
+    makes ``distill`` score a round with some noise sources ideal.
+    """
+    step = naive_round(eps, freq_over_h, **noise)
+    return np.array(
+        [[np.trace(step(projector(x), o)).real for o in (0, 1)] for x in "01"]
+    )

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from register_oracle import infidelity, oracle_rates
 
-from nocosim.faulttol import DistillationConfig, _round_rates
+from nocosim.faulttol import _round_rates
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLES = (sorted((ROOT / "perfbench" / "reference" / "gate-grid").glob("cycle0-cmd*.csv"))
@@ -64,7 +64,7 @@ def main() -> None:
     print("\nround rates: epsilon,freq_over_h,rel_error of +|0,-|0,+|1,-|1")
     for eps, f in product(RATE_EPS, RATE_FREQS):
         exact = oracle_rates(eps, f)
-        got = _round_rates(DistillationConfig(rounds=1, eps=eps, freq_over_h=f))
+        got = _round_rates(eps, f)
         errs = [relative_error(g, e) for g, e in zip(np.ravel(got), np.ravel(exact))]
         print(f"{eps!r},{f!r}," + ",".join(f"{e:.2e}" for e in errs))
 

@@ -1,20 +1,22 @@
 from dataclasses import replace
-from decimal import Context
+from decimal import Context, Decimal, localcontext
+from functools import partial
 from itertools import product
 from math import comb
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dense_reference import dense_phase_weight, random_state
+from dense_reference import dense_phase_weight, naive_round, naive_round_rates, random_state
 from nocosim import faulttol, gates, zeno
 from nocosim.cli import _map_tasks, main
-from nocosim.channels import depolarizing_kraus, unitary_channel
 from nocosim.faulttol import (
     IDLE_CYCLES,
+    MAX_ROUNDS,
     DistillationConfig,
     ThresholdError,
     error_rate_mapping,
@@ -22,16 +24,8 @@ from nocosim.faulttol import (
     threshold,
     vacuum_error_budget,
 )
-from nocosim.gates import RZZ_PRIME_TARGET, realized_channel, recipe
-from nocosim.qcore import (
-    I2,
-    SX,
-    embed_operator,
-    partial_trace,
-    projector,
-    unvec,
-    vec,
-)
+from nocosim.gates import realized_channel, recipe
+from nocosim.qcore import SX, embed_operator, projector
 
 
 def binomial_p_fail(n: int, q: float) -> float:
@@ -41,25 +35,13 @@ def binomial_p_fail(n: int, q: float) -> float:
     )
 
 
-def naive_distill(config: DistillationConfig):
+def naive_distill(config: DistillationConfig, **noise):
     """Leaf-by-leaf enumeration with plain density matrices.
 
-    Returns (p_fail, dict record index -> averaged record probability).
+    ``noise`` switches sources off as in ``naive_round``.  Returns (p_fail,
+    dict record index -> averaged record probability).
     """
-    eps = config.eps
-    anc = projector("+")
-    if config.noisy_init:
-        anc = sum(k @ anc @ k.conj().T for k in depolarizing_kraus(eps))
-    if config.noisy_gate:
-        s_gate = realized_channel("rzz_prime", eps, config.freq_over_h).superop
-    else:
-        s_gate = unitary_channel(RZZ_PRIME_TARGET)
-    if config.noisy_meas:
-        meas_kraus = [np.kron(I2, k) for k in depolarizing_kraus(eps)]
-    else:
-        meas_kraus = [np.eye(4, dtype=complex)]
-    outcome_proj = {0: np.kron(I2, projector("+")), 1: np.kron(I2, projector("-"))}
-
+    step = naive_round(config.eps, config.freq_over_h, **noise)
     p_fail = 0.0
     record_probs = {}
     for record in product((0, 1), repeat=config.rounds):
@@ -68,49 +50,46 @@ def naive_distill(config: DistillationConfig):
         for inp in ("0", "1"):
             rho = projector(inp)
             for bit in record:
-                full = np.kron(rho, anc)
-                full = unvec(s_gate @ vec(full), 4)
-                full = sum(k @ full @ k.conj().T for k in meas_kraus)
-                pr = outcome_proj[bit]
-                full = pr @ full @ pr
-                rho = partial_trace(full, 2, (0,))
+                rho = step(rho, bit)
             ps.append(float(np.trace(rho).real))
         p_fail += min(ps)
         record_probs[idx] = 0.5 * (ps[0] + ps[1])
     return 0.5 * p_fail, record_probs
 
 
-def test_distill_matches_binomial_oracle():
-    for n in (1, 3, 5):
-        for eps in (0.1, 0.2):
-            got = distill(DistillationConfig(
-                rounds=n, eps=eps, freq_over_h=1e4,
-                noisy_init=False, noisy_gate=False, noisy_meas=True,
-            )).p_fail
-            assert abs(got - binomial_p_fail(n, eps / 2.0)) < 1e-12
-            got = distill(DistillationConfig(
-                rounds=n, eps=eps, freq_over_h=1e4,
-                noisy_init=True, noisy_gate=False, noisy_meas=True,
-            )).p_fail
-            q = eps * (1.0 - eps / 2.0)  # init and meas flips compose
-            assert abs(got - binomial_p_fail(n, q)) < 1e-12
+def test_distill_matches_binomial_oracle(monkeypatch):
+    # with the gate ideal each round flips the readout iid: at eps/2 from the
+    # readout alone, at eps (1 - eps/2) when the init's flips compose with it.
+    # The library runs only noisy gates, so the rates come from the dense round
+    for noisy_init, q_of in ((False, lambda e: e / 2.0), (True, lambda e: e * (1.0 - e / 2.0))):
+        monkeypatch.setattr(faulttol, "_round_rates", partial(
+            naive_round_rates, noisy_init=noisy_init, noisy_gate=False))
+        for n in (1, 3, 5):
+            for eps in (0.1, 0.2):
+                got = distill(DistillationConfig(rounds=n, eps=eps, freq_over_h=1e4)).p_fail
+                assert abs(got - binomial_p_fail(n, q_of(eps))) < 1e-12
 
 
-def test_distill_matches_leaf_enumeration():
-    for config in (
-        DistillationConfig(rounds=3, eps=0.25, freq_over_h=1e3),
-        DistillationConfig(rounds=7, eps=0.15, freq_over_h=1e3, noisy_meas=False),
-        DistillationConfig(rounds=9, eps=0.2, freq_over_h=1e4),
+def test_distill_matches_leaf_enumeration(monkeypatch):
+    library = faulttol._round_rates
+    for config, noise in (
+        (DistillationConfig(rounds=3, eps=0.25, freq_over_h=1e3), {}),
+        (DistillationConfig(rounds=7, eps=0.15, freq_over_h=1e3), {"noisy_meas": False}),
+        (DistillationConfig(rounds=9, eps=0.2, freq_over_h=1e4), {}),
         # the remaining combinations of the three noise sources
         *(
-            DistillationConfig(rounds=3, eps=0.2, freq_over_h=1e3, noisy_init=init,
-                               noisy_gate=gate, noisy_meas=meas)
+            (DistillationConfig(rounds=3, eps=0.2, freq_over_h=1e3),
+             {"noisy_init": init, "noisy_gate": gate, "noisy_meas": meas})
             for init, gate, meas in product((False, True), repeat=3)
             if not (init and gate)
         ),
     ):
+        # the library's own rates when every source is noisy, else the dense
+        # round's, so the class sum is checked under every combination
+        rates = partial(naive_round_rates, **noise) if noise else library
+        monkeypatch.setattr(faulttol, "_round_rates", rates)
         res = distill(config)
-        p_naive, probs_naive = naive_distill(config)
+        p_naive, probs_naive = naive_distill(config, **noise)
         assert abs(res.p_fail - p_naive) < 1e-12
         assert len(probs_naive) == 2 ** config.rounds
         # a record's probability depends only on its count of "-" outcomes
@@ -118,32 +97,59 @@ def test_distill_matches_leaf_enumeration():
             assert abs(res.class_probs[bin(idx).count("1")] - p) < 1e-12
 
 
-def decimal_p_fail(config: DistillationConfig) -> float:
-    """p_fail from the float per-round rates, summed in 60-digit decimal.
+def decimal_p_fail(rates, n: int) -> float:
+    """p_fail of n rounds at the float per-round rates, summed in 60-digit decimal.
 
     Every C(n, k) is exact and the decimal exponent range reaches far below
-    a double's, so no class term underflows.
+    a double's, so no class term underflows.  0 ** 0 is 1, which Decimal
+    leaves undefined.
     """
-    ctx = Context(prec=60, Emin=-999999)
-    n = config.rounds
-    (a0, b0), (a1, b1) = ([ctx.create_decimal(float(r)) for r in row]
-                          for row in faulttol._round_rates(config))
-    total = sum(
-        comb(n, k) * min(ctx.multiply(ctx.power(a0, n - k), ctx.power(b0, k)),
-                         ctx.multiply(ctx.power(a1, n - k), ctx.power(b1, k)))
-        for k in range(n + 1)
-    )
-    return float(total / 2)
+    with localcontext(Context(prec=60, Emin=-999999)):
+        (a0, b0), (a1, b1) = ([Decimal(float(r)) for r in row] for row in rates)
+
+        def power(rate, k):
+            return rate ** k if k else Decimal(1)
+
+        total = sum(
+            comb(n, k) * min(power(a0, n - k) * power(b0, k), power(a1, n - k) * power(b1, k))
+            for k in range(n + 1)
+        )
+        return float(total / 2)
 
 
 def test_distill_large_rounds_against_decimal_oracle():
     # single class terms underflow a double long before p_fail does
     for n, eps in ((473, 0.05), (757, 0.2), (1029, 0.5)):
-        config = DistillationConfig(rounds=n, eps=eps, freq_over_h=1e4)
-        expected = decimal_p_fail(config)
+        expected = decimal_p_fail(faulttol._round_rates(eps, 1e4), n)
         assert expected > 0.0
-        got = distill(config).p_fail
+        got = distill(DistillationConfig(rounds=n, eps=eps, freq_over_h=1e4)).p_fail
         assert abs(got - expected) <= 1e-10 * expected, (n, eps, got, expected)
+
+
+# a rate in [0, 1], exact 0 and 1 included
+_RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(
+    # each row (a, b) has b <= 1 - a, as a round's outcome rates on one input
+    # do, and need not sum to 1; a row summing to near 2 would send p_fail up
+    # to 2^(n - 1), past the largest double
+    rows=st.lists(st.tuples(_RATE, _RATE).map(lambda r: (r[0], r[1] * (1.0 - r[0]))),
+                  min_size=2, max_size=2),
+    n=st.integers(0, MAX_ROUNDS // 2).map(lambda j: 2 * j + 1),
+)
+@example(rows=[(1.0, 0.0), (0.0, 1.0)], n=MAX_ROUNDS)
+@example(rows=[(0.0, 0.0), (0.5, 0.0)], n=3)
+@example(rows=[(0.3, 0.0), (0.3, 0.7)], n=1)
+def test_class_sum_matches_decimal_sum_on_random_rates(rows, n):
+    # exact zero rates reach _log_power's zero branch, which no rate of the
+    # library's noisy round does; hypothesis refuses monkeypatch, so patch here
+    rates = np.array(rows)
+    with patch.object(faulttol, "_round_rates", lambda *_: rates):
+        got = distill(DistillationConfig(rounds=n, eps=0.1, freq_over_h=1e4)).p_fail
+    expected = decimal_p_fail(rates, n)
+    # below 1e-300 a double keeps too few digits for a relative bound
+    assert abs(got - expected) <= 1e-10 * expected + 1e-300, (rows, n, got, expected)
 
 
 def test_distill_rejects_non_diagonal_round(monkeypatch):
@@ -157,28 +163,29 @@ def test_distill_rejects_non_diagonal_round(monkeypatch):
         distill(DistillationConfig(rounds=3, eps=0.1, freq_over_h=1e4))
 
 
-def test_distill_many_rounds_stays_small():
-    # 2^61 records would not fit in memory; the 62 classes do
-    config = DistillationConfig(rounds=61, eps=0.2, freq_over_h=1e4, noisy_gate=False)
+def test_distill_many_rounds_stays_small(monkeypatch):
+    # 2^61 records would not fit in memory; the 62 classes do.  The ideal
+    # gate keeps each round's trace at 1, so the classes' total is 1
+    monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, noisy_gate=False))
+    config = DistillationConfig(rounds=61, eps=0.2, freq_over_h=1e4)
     res = distill(config)
     assert len(res.class_sizes) == len(res.class_probs) == 62
     assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-12
     assert 0.0 < res.p_fail < 1e-6
     # the realized gate's trace drifts by 1e-14 to 1e-11 per round, so
     # its total is checked against the per-round rates, not against 1
-    config = DistillationConfig(rounds=61, eps=0.2, freq_over_h=1e4)
-    rates = faulttol._round_rates(config)
+    monkeypatch.undo()
+    rates = faulttol._round_rates(0.2, 1e4)
     expected = 0.5 * np.sum(rates.sum(axis=1) ** 61)
     res = distill(config)
     assert abs(np.dot(res.class_sizes, res.class_probs) - expected) < 1e-12
 
 
-def test_distill_noiseless_classification_is_sharp():
+def test_distill_noiseless_classification_is_sharp(monkeypatch):
     # with every source ideal the record determines the input exactly
-    res = distill(DistillationConfig(
-        rounds=3, eps=0.0, freq_over_h=1e4,
-        noisy_init=False, noisy_gate=False, noisy_meas=False,
-    ))
+    monkeypatch.setattr(faulttol, "_round_rates", partial(
+        naive_round_rates, noisy_init=False, noisy_gate=False, noisy_meas=False))
+    res = distill(DistillationConfig(rounds=3, eps=0.0, freq_over_h=1e4))
     live = res.class_probs > 1e-15
     assert np.all(np.isin(np.round(res.posteriors[live], 12), (0.0, 1.0)))
 
@@ -192,15 +199,24 @@ def test_distill_bookkeeping():
     assert res.class_sizes.sum() == 2 ** 5
 
 
-def test_distill_noiseless_sources():
+def test_distill_noiseless_sources(monkeypatch):
     # with the gate ideal every record is deterministic and nothing fails
-    res = distill(DistillationConfig(
-        rounds=3, eps=0.0, freq_over_h=1e4, noisy_gate=False,
-    ))
+    monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, noisy_gate=False))
+    res = distill(DistillationConfig(rounds=3, eps=0.0, freq_over_h=1e4))
     assert res.p_fail <= 1e-15
     # the finite-frequency gate leaves a small floor even at eps = 0
+    monkeypatch.undo()
     res = distill(DistillationConfig(rounds=1, eps=0.0, freq_over_h=1e4))
     assert 0.0 < res.p_fail < 1e-3
+
+
+def test_distill_without_a_whole_period_is_a_coin_toss():
+    # at a subnormal frequency the gate spans no period and acts as the
+    # identity, so the record says nothing about the input; the period's
+    # infinite length must not reach a unitary (warnings are errors here)
+    res = distill(DistillationConfig(rounds=3, eps=0.2, freq_over_h=1e-320))
+    assert abs(res.p_fail - 0.5) < 1e-12
+    assert np.allclose(res.posteriors, 0.5, rtol=0, atol=1e-12)
 
 
 def test_distill_weakly_decreasing_in_rounds():
@@ -379,7 +395,7 @@ def test_threshold_builds_each_channel_once(monkeypatch):
     assert faulttol._gate_weight.cache_info().misses == 2 * len(seen)
     assert faulttol._round_rates.cache_info().misses == len(seen)
     # memoized, so shared by every caller: the rates are read-only
-    rates = faulttol._round_rates(DistillationConfig(rounds=1, eps=0.2, freq_over_h=1e3))
+    rates = faulttol._round_rates(0.2, 1e3)
     with pytest.raises(ValueError):
         rates[0, 0] = 0.0
 

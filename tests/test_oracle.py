@@ -25,7 +25,7 @@ from register_oracle import (
     target,
 )
 
-from nocosim.faulttol import DistillationConfig, _gate_weight, _round_rates
+from nocosim.faulttol import _gate_weight, _round_rates
 from nocosim.gates import GATE_NAMES, gate_infidelity
 from nocosim.qcore import pauli_string_operator
 
@@ -33,7 +33,7 @@ from nocosim.qcore import pauli_string_operator
 @pytest.mark.parametrize("eps, freq_over_h", [(0.2, 1e4), (0.05, 1e5)])
 def test_round_rates_match_the_register_map_oracle(eps, freq_over_h):
     expected = oracle_rates(eps, freq_over_h)
-    got = _round_rates(DistillationConfig(rounds=1, eps=eps, freq_over_h=freq_over_h))
+    got = _round_rates(eps, freq_over_h)
     assert np.allclose(got, expected, rtol=1e-9, atol=0), (got, expected)
 
 

@@ -139,7 +139,9 @@ def test_embed_operator():
 def test_vec_column_stacking():
     rho = np.arange(4.0).reshape(2, 2)
     assert np.allclose(vec(rho), [0.0, 2.0, 1.0, 3.0])  # column major
-    assert np.allclose(unvec(vec(rho)), rho)
+    assert np.allclose(unvec(vec(rho), 2), rho)
+    with pytest.raises(ValueError, match="not 2 squared"):
+        unvec(np.zeros(5), 2)
     rng = np.random.default_rng(11)
     a = rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3))
@@ -229,7 +231,7 @@ def test_reduce_superop_matches_partial_trace_columns(split, count, seed):
     reduced = reduce_superop(s, n, keep, env)
     assert np.allclose(reduced, oracle, atol=1e-12)
     sigma = random_state(rng, dk)
-    assert np.allclose(unvec(reduced @ vec(sigma)), reduced_output(sigma), atol=1e-12)
+    assert np.allclose(unvec(reduced @ vec(sigma), dk), reduced_output(sigma), atol=1e-12)
 
 
 @given(

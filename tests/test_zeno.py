@@ -369,7 +369,7 @@ def test_noco_state_matches_dense_channel_and_steps(gate):
             v = s_flight @ (s_ops @ v)
         for k, sigma in enumerate(sigmas):
             assert np.allclose(got[k], apply_channel(dense, sigma), rtol=0, atol=1e-12)
-            stepped = partial_trace(unvec(v[:, k]), nq, range(na, nq))
+            stepped = partial_trace(unvec(v[:, k], 2 ** nq), nq, range(na, nq))
             assert np.allclose(got[k], stepped, rtol=0, atol=1e-12)
 
 
@@ -415,15 +415,20 @@ def test_noco_state_edges(monkeypatch):
     rec = recipe("rzz_prime")
     spec = rec.cycle(0.2)
     sigma = random_state(np.random.default_rng(37), 4)
-    # no whole period: the register state comes back unchanged
-    (got,) = noco_state(spec, 0.5 * 2.0 * np.pi / 1e3, 1e3, [sigma])
-    assert np.allclose(got, sigma, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="register state shape"):
         noco_state(spec, 1.0, 1e3, [np.eye(2)])
-    # 2^53 periods and more are refused before the period's unitary is computed
+    # without a whole period, and from 2^53 periods up, no period unitary is
+    # computed: at a subnormal frequency 2 pi / f is inf and its unitary NaN
     def refuse(*_args):
         raise AssertionError("period unitary computed")
 
     monkeypatch.setattr(zeno, "unitary_evolution", refuse)
+    # no whole period: each operator comes back as a complex copy, bit for bit
+    sigmas = [sigma, np.kron(projector("1"), projector("+"))]
+    for duration, f in ((0.5 * 2.0 * np.pi / 1e3, 1e3), (rec.duration(0.2), 1e-320)):
+        assert period_count(duration, f) == 0
+        for got, original in zip(noco_state(spec, duration, f, sigmas), sigmas):
+            assert got.dtype == complex and not np.shares_memory(got, original)
+            assert np.array_equal(got, original)
     with pytest.raises(OverflowError, match="freq_over_h 1e\\+308"):
         noco_state(spec, rec.duration(0.2), 1e308, [sigma])
