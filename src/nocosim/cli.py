@@ -11,6 +11,7 @@ produce byte-identical tables, also when computed with a worker pool.
 """
 
 import argparse
+import gc
 import hashlib
 import itertools
 import math
@@ -20,6 +21,11 @@ import sys
 from . import __version__, faulttol, gates, zeno
 from .channels import unitary_channel
 from .qcore import pauli_coefficients, pauli_strings
+
+# What the imports built (about 21k tracked objects: numpy's, nocosim's,
+# argparse's, hashlib's) lives until the process ends, so no full collection,
+# the interpreter's last one at exit included, needs to walk it again.
+gc.freeze()
 
 COMMAND_DEFAULTS = {
     "fixed-state": {"gate": "rx"},

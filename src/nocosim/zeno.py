@@ -188,32 +188,32 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
     for bit, which the tests assert.
     """
     n = period_count(duration, freq_over_h)
-    dt = 2.0 * np.pi / freq_over_h
     na, nq = spec.n_actuators, spec.nqubits
     da, dr, d2 = 2 ** na, 2 ** (nq - na), 4 ** nq
     if n == 0:
-        # the reduced P^0, exactly; the column form starts at P^1
-        s_reg = np.eye(dr * dr, dtype=complex)
-    else:
-        # one column-major buffer holds every left operand: only the columns
-        # of the inputs |a r><a r'|, one block per actuator state a, are ever
-        # written, each column a contiguous run
-        full = np.zeros((d2, d2), dtype=complex, order="F")
-        rows = full.T.reshape(da, dr, da, dr, d2)
-        blocks = [rows[a, :, a] for a in range(da)]
+        # the reduced P^0, exactly; the column form starts at P^1.  No period
+        # is built: its 2 pi / f is inf at a subnormal f
+        return NocoResult(superop=np.eye(dr * dr, dtype=complex), n_periods=0,
+                          residual_time=duration)
+    dt = 2.0 * np.pi / freq_over_h
+    # one column-major buffer holds every left operand: only the columns of
+    # the inputs |a r><a r'|, one block per actuator state a, are ever
+    # written, each column a contiguous run
+    full = np.zeros((d2, d2), dtype=complex, order="F")
+    rows = full.T.reshape(da, dr, da, dr, d2)
+    blocks = [rows[a, :, a] for a in range(da)]
 
-        def expand(cols):
-            cols = cols.T.reshape(dr, dr, d2)
-            for block in blocks:
-                block[...] = cols
-            return full
+    def expand(cols):
+        cols = cols.T.reshape(dr, dr, d2)
+        for block in blocks:
+            block[...] = cols
+        return full
 
-        u = unitary_evolution(spec.hamiltonian, dt)
-        period = kron(u.conj(), u) @ replacement_images(spec)
-        cols = power_by_squaring(period, n, lambda x, y: expand(x) @ y)
-        s_reg = reduce_superop(expand(cols), nq, range(na, nq), np.eye(da, dtype=complex) / da)
+    u = unitary_evolution(spec.hamiltonian, dt)
+    period = kron(u.conj(), u) @ replacement_images(spec)
+    cols = power_by_squaring(period, n, lambda x, y: expand(x) @ y)
     return NocoResult(
-        superop=s_reg,
+        superop=reduce_superop(expand(cols), nq, range(na, nq), np.eye(da, dtype=complex) / da),
         n_periods=n,
         residual_time=duration - n * dt,
     )

@@ -377,6 +377,33 @@ def test_import_leaves_the_cli_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_cli_alone_freezes_its_import_time_heap():
+    # nocosim.cli freezes what its imports built and leaves the collector on;
+    # a library user's collector is left alone
+    probe = "import gc, {}; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+    proc = _python("-c", probe.format("nocosim.cli"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True True"
+    proc = _python("-c", "import gc, nocosim; print(gc.get_freeze_count())")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_a_fresh_cli_process_writes_the_whole_table(tmp_path):
+    # the frozen heap loses no buffered output at exit, serially or from
+    # spawned workers, which import nocosim.cli and freeze too
+    args = ["threshold", "--freq_over_h", "1e4", "--rounds", "3,5", "--bisect_tol", "1e-3"]
+    expected = tmp_path / "in-process.csv"
+    assert run(args + ["--out", str(expected)]) == 0
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        proc = _python("-m", "nocosim", *args, "--workers", workers, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == expected.read_bytes()
+        assert proc.stdout == f"threshold: 2 rows -> {out}\n"
+        assert proc.stderr == ""
+
+
 def test_python_m_runs_the_cli():
     proc = _python("-m", "nocosim", "swap-check")
     assert proc.returncode == 0, proc.stderr

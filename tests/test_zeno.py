@@ -298,6 +298,20 @@ def test_noco_channel_without_a_whole_period_is_the_identity(gate):
         assert np.array_equal(run.superop, dense_noco_channel(spec, duration, f))
 
 
+def test_noco_channel_at_a_subnormal_frequency_builds_no_period(monkeypatch):
+    # 2 pi / f is inf at f = 1e-320: no period unitary, and the residual is
+    # the whole duration, not duration - 0 * inf = nan
+    def refuse(*_args):
+        raise AssertionError("period unitary computed")
+
+    monkeypatch.setattr(zeno, "unitary_evolution", refuse)
+    rec = recipe("rz")
+    run = noco_channel(rec.cycle(0.2), rec.duration(0.2), 1e-320)
+    assert run.n_periods == 0
+    assert run.residual_time == rec.duration(0.2)
+    assert np.array_equal(run.superop, np.eye(4))
+
+
 def refuse_embedding(monkeypatch, refuse):
     """Make ``embed_superop`` raise in every loaded nocosim module that holds
     it: the dense operations map on the full system is an embedding."""
