@@ -39,45 +39,44 @@ COMMAND_DEFAULTS = {
 
 
 class ConfigError(ValueError):
-    """Bad key, value, or grid; maps to exit code 2."""
+    """Bad key, value, or grid."""
 
 
 class UnknownGateError(ValueError):
-    """Gate name outside the catalog; maps to exit code 3."""
-
-
-# commands whose gate durations stretch like 1/(1 - epsilon)
-DURATION_COMMANDS = ("gate-error", "transfer-check", "distill")
+    """Gate name outside the catalog."""
 
 
 def fmt(x: float) -> str:
     return "{:.11e}".format(float(x))
 
 
-def _parse_number(text: str, key: str, kind=float):
-    try:
-        x = kind(text)
-    except ValueError:
-        raise ConfigError(f"bad {key} value: {text.strip()!r}") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{key} must be finite, got {text.strip()}")
-    return x
+def _number(domain: str, test, kind=float):
+    """A parser of one number of the given kind, refused unless test(x)."""
+    def parse(text: str, key: str):
+        try:
+            x = kind(text)
+        except ValueError:
+            raise ConfigError(f"bad {key} value: {text.strip()!r}") from None
+        if not test(x):
+            raise ConfigError(f"{key} must be {domain}, got {text.strip()}")
+        return x
+    return parse
 
 
-def _parse_float_list(value: str, key: str) -> list:
-    items = [s for s in value.split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{key} grid is empty")
-    return [_parse_number(s, key) for s in items]
+def _whole(text: str) -> int:
+    """int(text), also where text writes a whole number as a float: '5.0', '1e3'."""
+    x = float(text)
+    return int(x) if x.is_integer() else int(text)
 
 
-def _parse_int_list(value: str, key: str) -> list:
-    out = []
-    for v in _parse_float_list(value, key):
-        if v != int(v):
-            raise ConfigError(f"{key} entries must be integers, got {v}")
-        out.append(int(v))
-    return out
+def _grid(parse_entry):
+    """A parser of a comma-separated grid whose entries parse_entry reads."""
+    def parse(value: str, key: str) -> list:
+        entries = [s for s in value.split(",") if s.strip()]
+        if not entries:
+            raise ConfigError(f"{key} grid is empty")
+        return [parse_entry(s, key) for s in entries]
+    return parse
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -89,16 +88,20 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"bad boolean for {key}: {value!r}")
 
 
-# key -> (default, parser); list-valued keys are grids a command may sweep
+_positive = _number("positive and finite", lambda x: 0.0 < x < math.inf)
+_parse_rounds = _number(f"odd and in [1, {faulttol.MAX_ROUNDS}]",
+                        lambda n: n % 2 == 1 and 1 <= n <= faulttol.MAX_ROUNDS, _whole)
+
+# key -> (default, parser).  Parsers refuse values outside the key's domain; lists are grids.
 CONFIG = {
-    "epsilon": ("0.2", _parse_float_list),
-    "freq_over_h": ("1e4", _parse_float_list),
-    "rounds": ("3", _parse_int_list),
+    "epsilon": ("0.2", _grid(_number("in [0, 1]", lambda x: 0.0 <= x <= 1.0))),
+    "freq_over_h": ("1e4", _grid(_positive)),
+    "rounds": ("3", _grid(_parse_rounds)),
     "gate": ("phase_z", lambda value, _key: value.strip()),
-    "budget": ("0.03", _parse_number),
-    "bisect_tol": ("1e-4", _parse_number),
+    "budget": ("0.03", _positive),
+    "bisect_tol": ("1e-4", _positive),
     "include_decoupling": ("false", _parse_bool),
-    "workers": ("1", lambda value, key: _parse_number(value, key, int)),
+    "workers": ("1", _number("at least 1", lambda n: n >= 1, int)),
     "out": ("", lambda value, _key: value.strip()),
 }
 
@@ -144,27 +147,7 @@ def resolve_config(command: str, args) -> dict:
         override = getattr(args, key)
         if override is not None:
             raw[key] = override
-
-    cfg = {key: CONFIG[key][1](raw[key], key) for key in keys}
-    for eps in cfg.get("epsilon", ()):
-        if not 0.0 <= eps <= 1.0:
-            raise ConfigError(f"epsilon {eps} outside [0, 1]")
-        if eps == 1.0 and command in DURATION_COMMANDS:
-            raise ConfigError(f"{command} needs epsilon below 1: gate durations diverge at 1")
-    for f in cfg.get("freq_over_h", ()):
-        if f <= 0:
-            raise ConfigError(f"freq_over_h {f} must be positive")
-    for n in cfg.get("rounds", ()):
-        if n < 1 or n % 2 == 0:
-            raise ConfigError(f"rounds must be positive odd integers, got {n}")
-        if n > faulttol.MAX_ROUNDS:
-            raise ConfigError(f"rounds must be at most {faulttol.MAX_ROUNDS}, got {n}")
-    for key in ("budget", "bisect_tol"):
-        if key in cfg and cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
-    if cfg["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
-    return cfg
+    return {key: CONFIG[key][1](raw[key], key) for key in keys}
 
 
 def _canonical_config(command: str, cfg: dict) -> str:
@@ -288,6 +271,8 @@ COMMANDS = {
 
 def _check_command(command: str, cfg: dict) -> None:
     """Refuse a configuration the command's rows cannot be computed for."""
+    if "freq_over_h" in cfg and 1.0 in cfg.get("epsilon", ()):
+        raise ConfigError(f"{command} needs epsilon below 1: driven gate durations diverge at 1")
     gate = cfg.get("gate")
     if gate is not None and gate not in gates.GATE_NAMES:
         raise UnknownGateError(f"unknown gate {gate!r}; known: {', '.join(gates.GATE_NAMES)}")
@@ -333,6 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_CODES = {  # exception -> exit code; any other (a broken invariant, say) exits 1
+    ConfigError: 2,
+    OverflowError: 2,  # 2^53+ drive periods
+    UnknownGateError: 3,
+    OSError: 5,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -347,12 +340,8 @@ def main(argv=None) -> int:
         table = render_table(args.command, cfg, cols, rows, errors)
         summary = f"{args.command}: {len(rows)} rows"
         if cfg["out"]:
-            try:
-                with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-                    fh.write(table)
-            except OSError as exc:
-                print(f"error: cannot write {cfg['out']}: {exc}", file=sys.stderr)
-                return 5
+            with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
+                fh.write(table)
             print(f"{summary} -> {cfg['out']}")
         else:
             sys.stdout.write(table)
@@ -360,18 +349,9 @@ def main(argv=None) -> int:
         for message in errors:
             print(f"error: {message}", file=sys.stderr)
         return 4 if errors else 0
-    except (ConfigError, OverflowError) as exc:  # overflow: 2^53+ drive periods
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except Exception as exc:  # invariant violations and anything unforeseen
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

@@ -165,6 +165,8 @@ def test_invalid_config_exit_codes(tmp_path):
     # gate durations stretch like 1/(1 - epsilon)
     for command in ("gate-error", "distill", "transfer-check"):
         assert run([command, "--epsilon", "1.0"]) == 2
+    # ... and that refusal comes before the gate lookup's exit 3
+    assert run(["gate-error", "--gate", "cnot", "--epsilon", "1.0"]) == 2
     # transfer-check computes one point; a grid is refused, not truncated
     assert run(["transfer-check", "--epsilon", "0.1,0.2"]) == 2
     assert run(["transfer-check", "--freq_over_h", "1e3,1e4"]) == 2
@@ -177,6 +179,44 @@ def test_invalid_config_exit_codes(tmp_path):
     assert run(["distill", "--config", str(bad)]) == 2
     bad.write_text("no equals sign here\n", encoding="utf-8")
     assert run(["distill", "--config", str(bad)]) == 2
+
+
+def test_each_range_refusal_names_its_key_and_value(capsys):
+    # each key's parser refuses what lies outside its domain, and says which key and value
+    for argv, key, value in (
+        (["distill", "--epsilon=-0.1"], "epsilon", "-0.1"),
+        (["distill", "--epsilon", "1.4"], "epsilon", "1.4"),
+        (["gate-error", "--freq_over_h=-1e3"], "freq_over_h", "-1e3"),
+        (["gate-error", "--freq_over_h", "inf"], "freq_over_h", "inf"),
+        (["distill", "--rounds", "4"], "rounds", "4"),
+        (["distill", "--rounds=-3"], "rounds", "-3"),
+        (["threshold", "--rounds", "1031"], "rounds", "1031"),
+        (["threshold", "--budget", "0"], "budget", "0"),
+        (["threshold", "--bisect_tol=-1"], "bisect_tol", "-1"),
+        (["gate-error", "--workers", "0"], "workers", "0"),
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err and value in captured.err.split(), (argv, captured.err)
+
+
+def test_epsilon_one_without_a_drive_frequency(capsys):
+    # neither takes a drive frequency, and only a driven gate's duration diverges at 1
+    for command in ("fixed-state", "eff-h"):
+        assert run([command, "--epsilon", "1.0"]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert rows[1].startswith("1.00000000000e+00,")
+
+
+def test_whole_number_edges(capsys):
+    # a rounds count may be written as a float; a worker count may not
+    assert run(["gate-error", "--workers", "1.0"]) == 2
+    assert "bad workers value: '1.0'" in capsys.readouterr().err
+    assert run(["distill", "--rounds", "5.0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].endswith(" rounds=5")
+    assert out[4].startswith("5,")
 
 
 def test_each_command_takes_only_the_keys_it_reads():

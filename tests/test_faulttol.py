@@ -355,6 +355,35 @@ def test_threshold_validation():
             threshold(1e3, 1, bisect_tol=bad)
 
 
+def ideal_gate_threshold(n: int, budget: float = 0.03) -> float:
+    """eps* with ideal gates: the rate where 2 P[Binomial(n, q) > n/2] = budget.
+
+    A round flips the readout with q = eps - eps^2/2, so this shares no code
+    with the power path.  Plain bisection on [0, 0.5], where q is increasing.
+    """
+    lo, hi = 0.0, 0.5
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if 2 * binomial_p_fail(n, mid - mid * mid / 2) < budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_threshold_approaches_the_ideal_gate_limit_as_one_over_f():
+    # eps*(f) = eps*_inf - c_n / f + O(1/f^2): a finite drive lowers the threshold, and
+    # f (eps*_inf - eps*) settles to a constant (about 84.7 at n 9, 112.0 at n 17)
+    assert ideal_gate_threshold(9) == pytest.approx(0.2098463, abs=1e-7)
+    assert ideal_gate_threshold(17) == pytest.approx(0.3032143, abs=1e-7)
+    for n in (9, 17):
+        limit = ideal_gate_threshold(n)
+        scaled = {f: f * (limit - threshold(f, n, bisect_tol=1e-9).eps_star)
+                  for f in (1e5, 3e5, 1e6)}
+        assert all(c > 0 for c in scaled.values()), scaled
+        assert all(abs(c / scaled[1e6] - 1) < 5e-3 for c in scaled.values()), scaled
+
+
 def test_threshold_sweep_workers_agree():
     # a threshold sweep is faulttol.threshold mapped over the grid by the CLI's pool
     tasks = [(1e3, n, 0.03, 1e-3) for n in (1, 3)]

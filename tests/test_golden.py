@@ -35,8 +35,9 @@ COMMANDS = {
     "distill-grid.csv": [
         "distill", "--rounds", "3,101,1029", "--epsilon", "0,0.3", "--freq_over_h", "1e3,1e4",
     ],
-    # the default 25-point sweep takes tens of seconds; one point covers it
     "threshold.csv": ["threshold", "--freq_over_h", "1e3", "--rounds", "9"],
+    # the paper's headline table: the default sweep, f 1e3-1e5 by rounds 9-17
+    "threshold-default.csv": ["threshold"],
     # the only table with idle terms in the budget
     "threshold-decoupling.csv": [
         "threshold", "--freq_over_h", "1e4", "--rounds", "3", "--include_decoupling", "true",
