@@ -14,5 +14,5 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 __version__ = "0.1.0"
 
-# the CLI and the argparse and hashlib it needs load only with ``nocosim.cli``
+# the CLI and the argparse it needs load only with ``nocosim.cli``
 from . import channels, faulttol, gates, qcore, zeno  # noqa: E402, F401

@@ -12,19 +12,27 @@ produce byte-identical tables, also when computed with a worker pool.
 
 import argparse
 import gc
-import hashlib
 import itertools
 import math
 import os
 import sys
+# CPython's built-in SHA-256, as in random's _sha512: hashlib maps OpenSSL's
+# libcrypto, 3.3 MB resident.  Builds that omit it still have hashlib's.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__, faulttol, gates, zeno
 from .channels import unitary_channel
 from .qcore import pauli_coefficients, pauli_strings
 
 # What the imports built (about 21k tracked objects: numpy's, nocosim's,
-# argparse's, hashlib's) lives until the process ends, so no full collection,
-# the interpreter's last one at exit included, needs to walk it again.
+# argparse's) lives until the process ends, so no full collection, the
+# interpreter's last one at exit included, needs to walk it again.
 gc.freeze()
 
 COMMAND_DEFAULTS = {
@@ -292,7 +300,7 @@ def _axis(cfg: dict, entry):
 def render_table(command: str, cfg: dict, cols, rows, errors) -> str:
     """Provenance lines, the header, the rows, then one '# error:' line per failed point."""
     canonical = _canonical_config(command, cfg)
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    digest = sha256(canonical.encode()).hexdigest()
     lines = [
         f"# nocosim {__version__}",
         f"# {canonical}",

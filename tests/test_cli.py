@@ -417,6 +417,32 @@ def test_import_leaves_the_cli_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_cli_hashes_without_openssl():
+    # the provenance digest comes from CPython's built-in SHA-256, so the CLI
+    # never maps OpenSSL's libcrypto through hashlib
+    probe = ("import sys, nocosim.cli; "
+             "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])")
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_hashlib_fallback_writes_the_same_provenance(tmp_path):
+    # an interpreter built without the built-in SHA-256 hashes through hashlib
+    out = tmp_path / "swap-check.csv"
+    probe = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+             "import nocosim.cli; "
+             "print('hashlib' in sys.modules, nocosim.cli.main(['swap-check', '--out', sys.argv[1]]))")
+    proc = _python("-c", probe, str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True 0"
+    golden = Path(__file__).resolve().parent / "golden" / "swap-check.csv"
+    provenance = [[l for l in p.read_text().splitlines() if l.startswith("#")]
+                  for p in (out, golden)]
+    assert len(provenance[0]) == 3
+    assert provenance[0] == provenance[1]
+
+
 def test_the_cli_alone_freezes_its_import_time_heap():
     # nocosim.cli freezes what its imports built and leaves the collector on;
     # a library user's collector is left alone
