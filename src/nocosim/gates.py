@@ -1,14 +1,15 @@
 """Interaction Hamiltonians, driven-gate recipes, and circuit identities.
 
 Each recipe pairs an interaction Hamiltonian with the actuator state that
-each period's noisy operations re-prepare, the drive duration that realizes
-a target register unitary, and that target.  Durations compensate the noise
-rate: a depolarized reset leaves actuator polarization (1 - eps), so gate
-times scale like 1/(1 - eps).  The interaction Hamiltonians, the recipes
-and the transfer probes are module constants, built once at import.
+each period's noisy operations re-prepare, a rotation angle, and the target
+register unitary.  A duration is the angle over the polarization the
+re-prepared actuator keeps: (1 - eps) after a depolarized reset, and
+(1 - eps)^2 after the reset and a noisy Hadamard.  The interaction
+Hamiltonians, the recipes and the transfer probes are module constants,
+built once at import.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,12 +60,13 @@ RZZ_PRIME_TARGET = unitary_evolution(kron(I2, SZ) + kron(SZ, SZ), np.pi / 4.0)
 
 @dataclass(frozen=True)
 class GateRecipe:
-    """A driven gate: cycle template, duration rule, and ideal target."""
+    """A driven gate: cycle template, drive angle, and ideal target."""
 
     name: str
     hamiltonian: np.ndarray
     rho_u: object              # eps -> actuator state one period re-prepares
-    duration_rule: object      # eps -> float
+    polarization: object       # eps -> polarization that actuator keeps
+    angle: float
     target: np.ndarray
 
     def duration(self, eps: float) -> float:
@@ -73,7 +75,7 @@ class GateRecipe:
                 f"{self.name} duration diverges at depolarizing rate "
                 f"eps={eps}; rates must be below 1"
             )
-        return self.duration_rule(eps)
+        return self.angle / self.polarization(eps)
 
     def cycle(self, eps: float) -> NoisyCycleSpec:
         return NoisyCycleSpec(self.hamiltonian, self.rho_u(eps))
@@ -100,20 +102,18 @@ def _reset_both(eps):
     return kron(rho, rho)
 
 
+# polarization kept after the reset, and after the reset and the Hadamard;
+# a product, as the pinned rows round it: (1.0 - e) ** 2 rounds differently
+_KEPT, _KEPT_TWICE = (lambda e: 1.0 - e), (lambda e: (1.0 - e) * (1.0 - e))
+_RZ = GateRecipe("rz", H_HEISENBERG, _reset, _KEPT, np.pi / 4.0, RZ_TARGET)
 _RECIPES = {
-    "rz": GateRecipe(
-        "rz", H_HEISENBERG, _reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZ_TARGET),
-    "phase_z": GateRecipe(
-        "phase_z", H_HEISENBERG, _reset,
-        lambda e: np.pi / (2.0 * (1.0 - e)), PHASE_Z_TARGET),
+    "rz": _RZ,
+    "phase_z": replace(_RZ, name="phase_z", angle=np.pi / 2.0, target=PHASE_Z_TARGET),
     "rx": GateRecipe(
-        "rx", H_HEISENBERG, _reset_hadamard,
-        lambda e: np.pi / (4.0 * (1.0 - e) * (1.0 - e)), RX_TARGET),
-    "rzz": GateRecipe(
-        "rzz", H_ISING3, _reset, lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_TARGET),
+        "rx", H_HEISENBERG, _reset_hadamard, _KEPT_TWICE, np.pi / 4.0, RX_TARGET),
+    "rzz": GateRecipe("rzz", H_ISING3, _reset, _KEPT, np.pi / 4.0, RZZ_TARGET),
     "rzz_prime": GateRecipe(
-        "rzz_prime", H_RZZ_PRIME, _reset_both,
-        lambda e: np.pi / (4.0 * (1.0 - e)), RZZ_PRIME_TARGET),
+        "rzz_prime", H_RZZ_PRIME, _reset_both, _KEPT, np.pi / 4.0, RZZ_PRIME_TARGET),
 }
 
 GATE_NAMES = tuple(sorted(_RECIPES))

@@ -56,11 +56,20 @@ def test_gate_catalog():
 
 
 def test_duration_rules():
-    assert recipe("rz").duration(0.2) == pytest.approx(np.pi / (4 * 0.8))
-    assert recipe("phase_z").duration(0.2) == pytest.approx(np.pi / (2 * 0.8))
-    assert recipe("rx").duration(0.2) == pytest.approx(np.pi / (4 * 0.8 * 0.8))
-    assert recipe("rzz").duration(0.5) == pytest.approx(np.pi / 2.0)
-    assert recipe("rzz_prime").duration(0.0) == pytest.approx(np.pi / 4.0)
+    # each duration is the angle over the polarization, bit for bit the
+    # formula written out; (1 - eps) ** 2 as a pow would round differently
+    formulas = {
+        "rz": lambda e: np.pi / (4.0 * (1.0 - e)),
+        "phase_z": lambda e: np.pi / (2.0 * (1.0 - e)),
+        "rx": lambda e: np.pi / (4.0 * (1.0 - e) * (1.0 - e)),
+        "rzz": lambda e: np.pi / (4.0 * (1.0 - e)),
+        "rzz_prime": lambda e: np.pi / (4.0 * (1.0 - e)),
+    }
+    grid = [*np.linspace(0.0, 0.99, 20001).tolist(), float(np.nextafter(1.0, 0.0))]
+    for name, formula in formulas.items():
+        rec = recipe(name)
+        bad = [e for e in grid if rec.duration(e) != formula(e)]
+        assert not bad, (name, len(bad), bad[:3])
     with pytest.raises(ValueError, match="eps=1.0"):
         recipe("rz").duration(1.0)
 

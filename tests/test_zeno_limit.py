@@ -9,11 +9,15 @@ Each gate's variance sum c(eps) and duration t(eps) are written out in
 closed form below from the re-prepared actuator state: diag(1 - eps/2,
 eps/2) after the reset, (1 - eps)^2 |+><+| + (2 eps - eps^2) I/2 after the
 reset and the Hadamard, and the tensor square of the first for rzz_prime.
-The realized channels approach that limit, and c(eps) is also checked
-directly as -Tr(D) / d_r^2, with D = L2 - L1^2 / 2 built from each gate's
-Hamiltonian and actuator state.  Off the catalog, random cycles approach
-the same limit with c = -Tr(D) / d_r^2 and the target exp(-i H_eff N dt).
+Besides the catalog, rz driven to pi/8 gives a T-type rotation, the one
+non-Clifford gate checked.  The realized channels approach that limit, and
+c(eps) is also checked directly as -Tr(D) / d_r^2, with D = L2 - L1^2 / 2
+built from each gate's Hamiltonian and actuator state.  Off the catalog,
+random cycles approach the same limit with c = -Tr(D) / d_r^2 and the
+target exp(-i H_eff N dt).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +26,12 @@ from hypothesis import strategies as st
 
 from dense_reference import random_cycle
 from nocosim.channels import entanglement_fidelity
-from nocosim.gates import GATE_NAMES, realized_channel, recipe
+from nocosim.gates import GATE_NAMES, recipe
+from nocosim.qcore import SX, SZ, pauli_coefficients, unitary_evolution
 from nocosim.zeno import noco_channel
+
+RZ_PI8 = replace(recipe("rz"), name="rz_pi8", angle=np.pi / 8.0,
+                 target=unitary_evolution(SZ, np.pi / 8.0))
 
 # gate -> (t(eps), c(eps)); a catalog gate missing here fails its case
 LEADING_ORDER = {
@@ -32,19 +40,25 @@ LEADING_ORDER = {
     "rx": (lambda e: np.pi / (4.0 * (1.0 - e) ** 2), lambda e: 3.0 - (1.0 - e) ** 4),
     "rzz": (lambda e: np.pi / (4.0 * (1.0 - e)), lambda e: 1.0 - (1.0 - e) ** 2),
     "rzz_prime": (lambda e: np.pi / (4.0 * (1.0 - e)), lambda e: 4.0 - 2.0 * (1.0 - e) ** 2),
+    "rz_pi8": (lambda e: np.pi / (8.0 * (1.0 - e)), lambda e: 3.0 - (1.0 - e) ** 2),
 }
 
 
-@pytest.mark.parametrize("gate", GATE_NAMES)
+@pytest.mark.parametrize("gate", GATE_NAMES + ("rz_pi8",))
 def test_infidelity_approaches_the_zeno_limit(gate):
     # measured: |ratio - 1| at most 4.9e-4 at 1e5 (rzz, eps 0.05), and it
-    # shrinks 4.97x per decade or more
+    # shrinks 4.97x per decade or more; rz_pi8 at most 1.25e-4, 7.6x
+    rec = RZ_PI8 if gate == "rz_pi8" else recipe(gate)
+    if rec is RZ_PI8:
+        # not Clifford: T X T^dag is no single Pauli, but a sum of two
+        image = pauli_coefficients(rec.target @ SX @ rec.target.conj().T)
+        assert sum(abs(c) > 1e-12 for c in image.values()) == 2, image
     duration, variance = LEADING_ORDER[gate]
     for eps in (0.05, 0.2, 0.5):
         gaps = []
         for f in (1e3, 1e4, 1e5):
-            run = realized_channel(gate, eps, f)
-            infid = 1.0 - entanglement_fidelity(run.superop, recipe(gate).target)
+            run = noco_channel(rec.cycle(eps), rec.duration(eps), f)
+            infid = 1.0 - entanglement_fidelity(run.superop, rec.target)
             ratio = infid / (2.0 * np.pi / f * duration(eps) * variance(eps))
             gaps.append(abs(ratio - 1.0))
         assert gaps[2] <= 1e-3, (eps, gaps)
