@@ -50,10 +50,6 @@ class ConfigError(ValueError):
     """Bad key, value, or grid."""
 
 
-class UnknownGateError(ValueError):
-    """Gate name outside the catalog."""
-
-
 def fmt(x: float) -> str:
     return "{:.11e}".format(float(x))
 
@@ -109,7 +105,7 @@ CONFIG = {
     "budget": ("0.03", _positive),
     "bisect_tol": ("1e-4", _positive),
     "include_decoupling": ("false", _parse_bool),
-    "workers": ("1", _number("at least 1", lambda n: n >= 1, int)),
+    "workers": ("1", _number("at least 1", lambda n: n >= 1, _whole)),
     "out": ("", lambda value, _key: value.strip()),
 }
 
@@ -202,18 +198,19 @@ def _row_or_error(row, *args):
 
 
 def _fixed_state_row(gate, eps):
-    p = pauli_coefficients(gates.recipe(gate).rho_u(eps))
-    return [fmt(eps), fmt(eps if gate == "rx" else 0.0)] + [fmt(p[k]) for k in "XYZ"]
+    rec = gates.recipe(gate)
+    p = pauli_coefficients(rec.rho_u(eps))
+    return [fmt(eps), fmt(eps if rec.hadamard else 0.0)] + [fmt(p[k]) for k in "XYZ"]
 
 
 def _eff_h_row(gate, eps):
-    coeffs = pauli_coefficients(zeno.effective_hamiltonian(gates.recipe(gate).cycle(eps)))
-    return [fmt(eps), fmt(eps if gate == "rx" else 0.0)] + [fmt(c) for c in coeffs.values()]
+    rec = gates.recipe(gate)
+    coeffs = pauli_coefficients(zeno.effective_hamiltonian(rec.cycle(eps)))
+    return [fmt(eps), fmt(eps if rec.hadamard else 0.0)] + [fmt(c) for c in coeffs.values()]
 
 
 def _eff_h_columns(cfg):
-    spec = gates.recipe(cfg["gate"]).cycle(0.0)
-    nregisters = spec.nqubits - spec.n_actuators
+    nregisters = len(gates.recipe(cfg["gate"]).target).bit_length() - 1
     return ["epsilon_i", "epsilon_h"] + [f"c_{s}" for s in pauli_strings(nregisters)]
 
 
@@ -281,10 +278,8 @@ def _check_command(command: str, cfg: dict) -> None:
     """Refuse a configuration the command's rows cannot be computed for."""
     if "freq_over_h" in cfg and 1.0 in cfg.get("epsilon", ()):
         raise ConfigError(f"{command} needs epsilon below 1: driven gate durations diverge at 1")
-    gate = cfg.get("gate")
-    if gate is not None and gate not in gates.GATE_NAMES:
-        raise UnknownGateError(f"unknown gate {gate!r}; known: {', '.join(gates.GATE_NAMES)}")
-    if command == "fixed-state" and gates.recipe(gate).cycle(0.0).n_actuators != 1:
+    rec = gates.recipe(cfg["gate"]) if "gate" in cfg else None  # exit 3 before any row
+    if command == "fixed-state" and rec.n_actuators != 1:
         raise ConfigError("fixed-state output is defined for single-actuator gates")
     if command == "transfer-check" and max(len(cfg["epsilon"]), len(cfg["freq_over_h"])) > 1:
         raise ConfigError("transfer-check takes one epsilon and one freq_over_h")
@@ -329,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 EXIT_CODES = {  # exception -> exit code; any other (a broken invariant, say) exits 1
     ConfigError: 2,
     OverflowError: 2,  # 2^53+ drive periods
-    UnknownGateError: 3,
+    gates.UnknownGateError: 3,
     OSError: 5,
 }
 

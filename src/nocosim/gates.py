@@ -1,12 +1,12 @@
 """Interaction Hamiltonians, driven-gate recipes, and circuit identities.
 
-Each recipe pairs an interaction Hamiltonian with the actuator state that
-each period's noisy operations re-prepare, a rotation angle, and the target
-register unitary.  A duration is the angle over the polarization the
-re-prepared actuator keeps: (1 - eps) after a depolarized reset, and
-(1 - eps)^2 after the reset and a noisy Hadamard.  The interaction
-Hamiltonians, the recipes and the transfer probes are module constants,
-built once at import.
+Each recipe pairs an interaction Hamiltonian with the noisy operations that
+re-prepare its actuators each period (a reset, then a Hadamard for rx), a
+rotation angle, and the target register unitary.  A duration is the angle
+over the polarization each re-prepared actuator keeps: (1 - eps) after a
+depolarized reset, and (1 - eps)^2 after the reset and a noisy Hadamard.
+The interaction Hamiltonians, the recipes and the transfer probes are module
+constants, built once at import.
 """
 
 from dataclasses import dataclass, replace
@@ -60,14 +60,25 @@ RZZ_PRIME_TARGET = unitary_evolution(kron(I2, SZ) + kron(SZ, SZ), np.pi / 4.0)
 
 @dataclass(frozen=True)
 class GateRecipe:
-    """A driven gate: cycle template, drive angle, and ideal target."""
+    """A driven gate: cycle template, actuator preparation, drive angle, and ideal target."""
 
     name: str
     hamiltonian: np.ndarray
-    rho_u: object              # eps -> actuator state one period re-prepares
-    polarization: object       # eps -> polarization that actuator keeps
+    hadamard: bool             # each actuator's noisy reset is followed by a noisy Hadamard
     angle: float
     target: np.ndarray
+
+    @property
+    def n_actuators(self) -> int:  # the qubits the Hamiltonian acts on beyond the target's
+        return (len(self.hamiltonian) // len(self.target)).bit_length() - 1
+
+    def rho_u(self, eps: float) -> np.ndarray:  # the state one period re-prepares
+        state = (_reset_hadamard if self.hadamard else _reset)(eps)
+        return kron(*[state] * self.n_actuators)
+
+    def polarization(self, eps: float) -> float:  # kept by each re-prepared actuator
+        # a product, as the pinned rows round it: (1.0 - eps) ** 2 rounds differently
+        return (1.0 - eps) * (1.0 - eps) if self.hadamard else 1.0 - eps
 
     def duration(self, eps: float) -> float:
         if eps >= 1.0:
@@ -97,31 +108,25 @@ def _reset_hadamard(eps):
     return unvec((hadamard @ replacement)[:, 0], 2)
 
 
-def _reset_both(eps):
-    rho = _reset(eps)
-    return kron(rho, rho)
-
-
-# polarization kept after the reset, and after the reset and the Hadamard;
-# a product, as the pinned rows round it: (1.0 - e) ** 2 rounds differently
-_KEPT, _KEPT_TWICE = (lambda e: 1.0 - e), (lambda e: (1.0 - e) * (1.0 - e))
-_RZ = GateRecipe("rz", H_HEISENBERG, _reset, _KEPT, np.pi / 4.0, RZ_TARGET)
+_RZ = GateRecipe("rz", H_HEISENBERG, False, np.pi / 4.0, RZ_TARGET)
 _RECIPES = {
     "rz": _RZ,
     "phase_z": replace(_RZ, name="phase_z", angle=np.pi / 2.0, target=PHASE_Z_TARGET),
-    "rx": GateRecipe(
-        "rx", H_HEISENBERG, _reset_hadamard, _KEPT_TWICE, np.pi / 4.0, RX_TARGET),
-    "rzz": GateRecipe("rzz", H_ISING3, _reset, _KEPT, np.pi / 4.0, RZZ_TARGET),
-    "rzz_prime": GateRecipe(
-        "rzz_prime", H_RZZ_PRIME, _reset_both, _KEPT, np.pi / 4.0, RZZ_PRIME_TARGET),
+    "rx": replace(_RZ, name="rx", hadamard=True, target=RX_TARGET),
+    "rzz": GateRecipe("rzz", H_ISING3, False, np.pi / 4.0, RZZ_TARGET),
+    "rzz_prime": GateRecipe("rzz_prime", H_RZZ_PRIME, False, np.pi / 4.0, RZZ_PRIME_TARGET),
 }
 
 GATE_NAMES = tuple(sorted(_RECIPES))
 
 
+class UnknownGateError(ValueError):
+    """Gate name outside the catalog."""
+
+
 def recipe(name: str) -> GateRecipe:
     if name not in _RECIPES:
-        raise ValueError(f"unknown gate {name!r}; known: {', '.join(GATE_NAMES)}")
+        raise UnknownGateError(f"unknown gate {name!r}; known: {', '.join(GATE_NAMES)}")
     return _RECIPES[name]
 
 

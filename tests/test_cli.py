@@ -210,9 +210,12 @@ def test_epsilon_one_without_a_drive_frequency(capsys):
 
 
 def test_whole_number_edges(capsys):
-    # a rounds count may be written as a float; a worker count may not
-    assert run(["gate-error", "--workers", "1.0"]) == 2
-    assert "bad workers value: '1.0'" in capsys.readouterr().err
+    # a rounds or worker count may be written as a float, if it is whole
+    for value in ("1.0", "2.0", "1e0"):
+        assert run(["gate-error", "--workers", value]) == 0, value
+        assert capsys.readouterr().err == "gate-error: 1 rows\n"
+    assert run(["gate-error", "--workers", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: bad workers value: '1.5'\n"
     assert run(["distill", "--rounds", "5.0"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1].endswith(" rounds=5")
@@ -257,6 +260,19 @@ def test_unknown_gate_exit_code():
     assert run(["fixed-state", "--gate", "decouple_heisenberg"]) == 3
     assert run(["eff-h", "--gate", "decouple_xy"]) == 3
     assert run(["gate-error", "--gate", "decouple_ising"]) == 3
+
+
+def test_unknown_gate_fails_before_any_row(monkeypatch, capsys):
+    def no_rows(*args):
+        raise AssertionError("rows computed for an unknown gate")
+
+    monkeypatch.setattr(cli, "_map_tasks", no_rows)
+    assert run(["gate-error", "--gate", "bogus", "--workers", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "error: unknown gate 'bogus'; known: phase_z, rx, rz, rzz, rzz_prime\n")
+    # the epsilon 1 refusal still comes first
+    assert run(["gate-error", "--gate", "bogus", "--epsilon", "1"]) == 2
+    assert "needs epsilon below 1" in capsys.readouterr().err
 
 
 def test_no_threshold_exit_code():
