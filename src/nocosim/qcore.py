@@ -75,6 +75,15 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kept_qubits(keep, nqubits: int) -> list:
+    """``keep`` as a sorted list of distinct qubits, each a whole number in [0, nqubits)."""
+    keep = sorted(set(keep))
+    outside = [q for q in keep if q not in range(nqubits)]
+    if outside:
+        raise ValueError(f"qubit indices {outside} outside [0, {nqubits})")
+    return [int(q) for q in keep]
+
+
 def partial_trace(mat, nqubits: int, keep) -> np.ndarray:
     """Trace out all qubits except those in ``keep``.
 
@@ -84,7 +93,7 @@ def partial_trace(mat, nqubits: int, keep) -> np.ndarray:
     d = 2 ** nqubits
     if m.shape != (d, d):
         raise ValueError(f"expected shape {(d, d)}, got {m.shape}")
-    keep = set(keep)
+    keep = _kept_qubits(keep, nqubits)
     t = m.reshape([2] * (2 * nqubits))
     # contract row/column indices of each traced qubit pairwise
     for q in reversed([q for q in range(nqubits) if q not in keep]):
@@ -99,8 +108,12 @@ def reduce_superop(s, nqubits: int, keep, env) -> np.ndarray:
     ``s`` acts on ``nqubits`` qubits; T are the qubits outside ``keep``,
     and ``env`` is their input state in position order, interleaved with
     sigma by position.  The kept qubits come out in sorted order.
+
+    ``s`` is read through views only, never copied: the output trace adds
+    its 2^|T| diagonal views in turn into one small array, which for a
+    non-empty ``keep`` is ``np.trace``'s sum on a C-ordered copy, bit for bit.
     """
-    keep = sorted(keep)
+    keep = _kept_qubits(keep, nqubits)
     traced = [q for q in range(nqubits) if q not in keep]
     dk, dt = 2 ** len(keep), 2 ** len(traced)
 
@@ -111,11 +124,14 @@ def reduce_superop(s, nqubits: int, keep, env) -> np.ndarray:
     t = np.asarray(s, dtype=complex).reshape([2] * (4 * nqubits)).transpose(
         axes(0, traced) + axes(1, traced) + axes(0, keep) + axes(1, keep)
         + axes(2, traced) + axes(3, traced) + axes(2, keep) + axes(3, keep)
-    ).reshape(dt, dt, dk * dk, dt, dt, dk * dk)
+    )
     # trace the output first, then feed env into the traced input columns
     # (j) and rows (i): vec(env (x) sigma) carries env[i, j]
-    t = np.trace(t, axis1=0, axis2=1)
-    return np.einsum("ajib,ij->ab", t, np.asarray(env, dtype=complex))
+    acc = np.zeros(t.shape[2 * len(traced):], dtype=complex)
+    for bits in product((0, 1), repeat=len(traced)):
+        acc += t[bits + bits]
+    env = np.asarray(env, dtype=complex)
+    return np.einsum("ajib,ij->ab", acc.reshape(dk * dk, dt, dt, dk * dk), env)
 
 
 def unitary_evolution(hamiltonian, t: float) -> np.ndarray:

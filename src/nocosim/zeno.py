@@ -196,6 +196,9 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
         return NocoResult(superop=np.eye(dr * dr, dtype=complex), n_periods=0,
                           residual_time=duration)
     dt = 2.0 * np.pi / freq_over_h
+    # the d^2 x d^2 flight map is freed before the buffer below exists
+    u = unitary_evolution(spec.hamiltonian, dt)
+    period = kron(u.conj(), u) @ replacement_images(spec)
     # one column-major buffer holds every left operand: only the columns of
     # the inputs |a r><a r'|, one block per actuator state a, are ever
     # written, each column a contiguous run
@@ -209,8 +212,6 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
             block[...] = cols
         return full
 
-    u = unitary_evolution(spec.hamiltonian, dt)
-    period = kron(u.conj(), u) @ replacement_images(spec)
     cols = power_by_squaring(period, n, lambda x, y: expand(x) @ y)
     return NocoResult(
         superop=reduce_superop(expand(cols), nq, range(na, nq), np.eye(da, dtype=complex) / da),
@@ -232,6 +233,7 @@ def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float, sigmas
     n = period_count(duration, freq_over_h)
     na, nq = spec.n_actuators, spec.nqubits
     da, dr = 2 ** na, 2 ** (nq - na)
+    sigmas = list(sigmas)  # read once: a generator is consumed by the check
     for sigma in sigmas:
         if np.shape(sigma) != (dr, dr):
             raise ValueError(f"register state shape {np.shape(sigma)} is not {(dr, dr)}")

@@ -6,7 +6,8 @@ columns of the full-system period map, and reads every phase-budget term off
 the register map of one period.  These helpers build the same objects the
 long way, for comparison: the noisy actuator operations from Kraus sets, the
 dense operations map on the full system, the register channel by dense
-powering of the whole period map, the Pauli twirl of a dense channel by
+powering of the whole period map, the reduction of a superoperator through
+a transposed copy, the Pauli twirl of a dense channel by
 its direct formula, and a distillation round on plain density matrices with
 each of its three noise sources switchable.
 """
@@ -30,7 +31,6 @@ from nocosim.qcore import (
     pauli_string_operator,
     pauli_strings,
     projector,
-    reduce_superop,
     unitary_evolution,
     unvec,
     vec,
@@ -97,7 +97,31 @@ def dense_noco_channel(spec, duration, freq_over_h):
     prop = matrix_power_int(
         period_superop(spec, 2.0 * np.pi / freq_over_h), period_count(duration, freq_over_h)
     )
-    return reduce_superop(prop, nq, range(na, nq), np.eye(2 ** na, dtype=complex) / 2 ** na)
+    return dense_reduce_superop(
+        prop, nq, range(na, nq), np.eye(2 ** na, dtype=complex) / 2 ** na
+    )
+
+
+def dense_reduce_superop(s, nqubits, keep, env):
+    """``qcore.reduce_superop`` through a transposed C-ordered copy and ``np.trace``.
+
+    The form the library computed before it traced through views; its
+    result is the reference the view form must equal bit for bit.
+    """
+    keep = sorted(keep)
+    traced = [q for q in range(nqubits) if q not in keep]
+    dk, dt = 2 ** len(keep), 2 ** len(traced)
+
+    def axes(block, qubits):
+        # blocks: output columns, output rows, input columns, input rows
+        return [block * nqubits + q for q in qubits]
+
+    t = np.asarray(s, dtype=complex).reshape([2] * (4 * nqubits)).transpose(
+        axes(0, traced) + axes(1, traced) + axes(0, keep) + axes(1, keep)
+        + axes(2, traced) + axes(3, traced) + axes(2, keep) + axes(3, keep)
+    ).reshape(dt, dt, dk * dk, dt, dt, dk * dk)
+    t = np.trace(t, axis1=0, axis2=1)
+    return np.einsum("ajib,ij->ab", t, np.asarray(env, dtype=complex))
 
 
 def random_state(rng, dim):

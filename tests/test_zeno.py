@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -351,6 +352,22 @@ def test_noco_channel_powers_only_the_distinct_columns(gate, monkeypatch):
     assert set(shapes) == {(4 ** nq, 4 ** (nq - na))}
 
 
+def test_noco_channel_holds_one_full_system_array():
+    # the period map is built before the powering buffer, and the reduction
+    # reads that buffer through views: the parent peaked at 2.26 buffers
+    rec = recipe("rzz_prime")
+    spec, duration = rec.cycle(0.2), rec.duration(0.2)
+    noco_channel(spec, duration, 1e4)  # warm numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        noco_channel(spec, duration, 1e4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    d2 = 4 ** spec.nqubits
+    assert peak < 1.5 * d2 * d2 * np.dtype(complex).itemsize
+
+
 def test_infidelity_surface():
     eps_values = [0.0, 0.4]
     freq_values = [1e3, 1e4]
@@ -446,3 +463,16 @@ def test_noco_state_edges(monkeypatch):
             assert np.array_equal(got, original)
     with pytest.raises(OverflowError, match="freq_over_h 1e\\+308"):
         noco_state(spec, rec.duration(0.2), 1e308, [sigma])
+
+
+def test_noco_state_reads_a_one_shot_iterable_once():
+    # the shape check must not consume a generator, with or without a whole period
+    rec = recipe("rzz_prime")
+    spec = rec.cycle(0.2)
+    sigmas = [random_state(np.random.default_rng(38), 4), np.kron(projector("1"), projector("+"))]
+    for duration in (rec.duration(0.2), 0.5 * 2.0 * np.pi / 1e3):
+        listed = noco_state(spec, duration, 1e3, sigmas)
+        generated = noco_state(spec, duration, 1e3, (sigma for sigma in sigmas))
+        assert len(generated) == len(listed) == 2
+        for got, expected in zip(generated, listed):
+            assert np.array_equal(got, expected)
