@@ -234,7 +234,7 @@ def _transfer_check_row(mode, eps, f):
 
 
 def _distill_row(n, eps, f):
-    res = faulttol.distill(faulttol.DistillationConfig(rounds=n, eps=eps, freq_over_h=f))
+    res = faulttol.distill(n, eps, f)
     return [str(n), fmt(eps), fmt(f), fmt(res.p_fail)]
 
 

@@ -38,25 +38,6 @@ DIAGONAL_TOLERANCE = 1e-12
 MAX_ROUNDS = 1029
 
 
-@dataclass(frozen=True)
-class DistillationConfig:
-    """Parameters of one n-round distillation run."""
-
-    rounds: int
-    eps: float
-    freq_over_h: float
-
-    def __post_init__(self):
-        if not isinstance(self.rounds, Integral) or self.rounds < 1 or self.rounds % 2 == 0:
-            raise ValueError(f"rounds must be a positive odd integer, got {self.rounds}")
-        if self.rounds > MAX_ROUNDS:
-            raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"eps must be in [0, 1], got {self.eps}")
-        if not (isfinite(self.freq_over_h) and self.freq_over_h > 0):
-            raise ValueError(f"freq_over_h must be finite and positive, got {self.freq_over_h}")
-
-
 @dataclass
 class DistillationResult:
     """Outcome statistics of a distillation run, per class of records.
@@ -127,22 +108,30 @@ def _log_power(rate: float, k: np.ndarray) -> np.ndarray:
     return np.where(k == 0, 0.0, -np.inf)
 
 
-def distill(config: DistillationConfig) -> DistillationResult:
+def distill(rounds: int, eps: float, freq_over_h: float) -> DistillationResult:
     """Score the Bayes failure rate of n-round distillation by record class.
 
     A record with k "-" outcomes has likelihood a_x^(n-k) b_x^k under input
     |x>, where a_x and b_x are the per-round "+" and "-" rates, so
     p_fail = 1/2 sum_k C(n, k) min(p0_k, p1_k).  The sum runs in log space:
     a_x^(n-k) b_x^k underflows at large n long before C(n, k) a_x^(n-k) b_x^k.
+    An n = ``rounds``, eps or f out of range is refused before any round runs.
     """
-    n = config.rounds
-    rates = _round_rates(config.eps, config.freq_over_h)
-    k = np.arange(n + 1)
-    log0, log1 = (_log_power(a, n - k) + _log_power(b, k) for a, b in rates)
-    sizes = np.array([float(comb(n, j)) for j in k])
+    if not isinstance(rounds, Integral) or rounds < 1 or rounds % 2 == 0:
+        raise ValueError(f"rounds must be a positive odd integer, got {rounds}")
+    if rounds > MAX_ROUNDS:
+        raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    if not (isfinite(freq_over_h) and freq_over_h > 0):
+        raise ValueError(f"freq_over_h must be finite and positive, got {freq_over_h}")
+    rates = _round_rates(eps, freq_over_h)
+    k = np.arange(rounds + 1)
+    log0, log1 = (_log_power(a, rounds - k) + _log_power(b, k) for a, b in rates)
+    sizes = np.array([float(comb(rounds, j)) for j in k])
     log_sum = np.logaddexp(log0, log1)
     live = log_sum > -np.inf
-    posteriors = np.full(n + 1, 0.5)
+    posteriors = np.full(rounds + 1, 0.5)
     posteriors[live] = np.exp(log0[live] - log_sum[live])
     return DistillationResult(
         p_fail=float(0.5 * np.exp(np.log(sizes) + np.minimum(log0, log1)).sum()),
@@ -232,8 +221,9 @@ def _idle_weight(interaction: str, duration: float, freq_over_h: float) -> float
 def _gate_term(gate: str, eps: float, freq_over_h: float, rounds: int):
     """(duration, weight) of one occurrence of a schedule gate."""
     if gate == "distill":
-        config = DistillationConfig(rounds=rounds, eps=eps, freq_over_h=freq_over_h)
-        return rounds * recipe("rzz_prime").duration(eps), distill(config).p_fail
+        # distill first, so its refusal of an eps outside [0, 1] comes before the duration's
+        p_fail = distill(rounds, eps, freq_over_h).p_fail
+        return rounds * recipe("rzz_prime").duration(eps), p_fail
     return recipe(gate).duration(eps), _gate_weight(gate, eps, freq_over_h)
 
 

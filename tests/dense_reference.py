@@ -7,10 +7,13 @@ the register map of one period.  These helpers build the same objects the
 long way, for comparison: the noisy actuator operations from Kraus sets, the
 dense operations map on the full system, the register channel by dense
 powering of the whole period map, the reduction of a superoperator through
-a transposed copy, the Pauli twirl of a dense channel by
-its direct formula, and a distillation round on plain density matrices with
-each of its three noise sources switchable.
+a transposed copy, the Pauli twirl of a dense channel by its direct
+formula, and a distillation round on plain density matrices with each of
+its three noise sources switchable.  It also holds the one non-Clifford
+rotation the tests drive, rz at pi/8, off the catalog.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,9 +24,10 @@ from nocosim.channels import (
     kraus_to_superop,
     unitary_channel,
 )
-from nocosim.gates import HADAMARD, RZZ_PRIME_TARGET, realized_channel
+from nocosim.gates import HADAMARD, RZZ_PRIME_TARGET, realized_channel, recipe
 from nocosim.qcore import (
     I2,
+    SZ,
     embed_superop,
     kron,
     matrix_power_int,
@@ -36,6 +40,10 @@ from nocosim.qcore import (
     vec,
 )
 from nocosim.zeno import NoisyCycleSpec, period_count
+
+# rz driven to pi/8: a T-type rotation, off the catalog and not Clifford
+RZ_PI8 = replace(recipe("rz"), name="rz_pi8", angle=np.pi / 8.0,
+                 target=unitary_evolution(SZ, np.pi / 8.0))
 
 
 def initialization_kraus():

@@ -281,7 +281,7 @@ def test_no_threshold_exit_code():
 
 
 def test_unforeseen_error_exit_code(monkeypatch, capsys):
-    def broken(config):
+    def broken(*args):
         raise RuntimeError("distillation broke")
 
     monkeypatch.setattr(cli.faulttol, "distill", broken)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from functools import partial
@@ -17,7 +18,6 @@ from nocosim.cli import _map_tasks, main
 from nocosim.faulttol import (
     IDLE_CYCLES,
     MAX_ROUNDS,
-    DistillationConfig,
     ThresholdError,
     error_rate_mapping,
     distill,
@@ -35,16 +35,16 @@ def binomial_p_fail(n: int, q: float) -> float:
     )
 
 
-def naive_distill(config: DistillationConfig, **noise):
+def naive_distill(rounds: int, eps: float, freq_over_h: float, **noise):
     """Leaf-by-leaf enumeration with plain density matrices.
 
     ``noise`` switches sources off as in ``naive_round``.  Returns (p_fail,
     dict record index -> averaged record probability).
     """
-    step = naive_round(config.eps, config.freq_over_h, **noise)
+    step = naive_round(eps, freq_over_h, **noise)
     p_fail = 0.0
     record_probs = {}
-    for record in product((0, 1), repeat=config.rounds):
+    for record in product((0, 1), repeat=rounds):
         idx = sum(b << k for k, b in enumerate(record))
         ps = []
         for inp in ("0", "1"):
@@ -66,20 +66,19 @@ def test_distill_matches_binomial_oracle(monkeypatch):
             naive_round_rates, noisy_init=noisy_init, noisy_gate=False))
         for n in (1, 3, 5):
             for eps in (0.1, 0.2):
-                got = distill(DistillationConfig(rounds=n, eps=eps, freq_over_h=1e4)).p_fail
+                got = distill(n, eps, 1e4).p_fail
                 assert abs(got - binomial_p_fail(n, q_of(eps))) < 1e-12
 
 
 def test_distill_matches_leaf_enumeration(monkeypatch):
     library = faulttol._round_rates
-    for config, noise in (
-        (DistillationConfig(rounds=3, eps=0.25, freq_over_h=1e3), {}),
-        (DistillationConfig(rounds=7, eps=0.15, freq_over_h=1e3), {"noisy_meas": False}),
-        (DistillationConfig(rounds=9, eps=0.2, freq_over_h=1e4), {}),
+    for (rounds, eps, f), noise in (
+        ((3, 0.25, 1e3), {}),
+        ((7, 0.15, 1e3), {"noisy_meas": False}),
+        ((9, 0.2, 1e4), {}),
         # the remaining combinations of the three noise sources
         *(
-            (DistillationConfig(rounds=3, eps=0.2, freq_over_h=1e3),
-             {"noisy_init": init, "noisy_gate": gate, "noisy_meas": meas})
+            ((3, 0.2, 1e3), {"noisy_init": init, "noisy_gate": gate, "noisy_meas": meas})
             for init, gate, meas in product((False, True), repeat=3)
             if not (init and gate)
         ),
@@ -88,10 +87,10 @@ def test_distill_matches_leaf_enumeration(monkeypatch):
         # round's, so the class sum is checked under every combination
         rates = partial(naive_round_rates, **noise) if noise else library
         monkeypatch.setattr(faulttol, "_round_rates", rates)
-        res = distill(config)
-        p_naive, probs_naive = naive_distill(config, **noise)
+        res = distill(rounds, eps, f)
+        p_naive, probs_naive = naive_distill(rounds, eps, f, **noise)
         assert abs(res.p_fail - p_naive) < 1e-12
-        assert len(probs_naive) == 2 ** config.rounds
+        assert len(probs_naive) == 2 ** rounds
         # a record's probability depends only on its count of "-" outcomes
         for idx, p in probs_naive.items():
             assert abs(res.class_probs[bin(idx).count("1")] - p) < 1e-12
@@ -122,7 +121,7 @@ def test_distill_large_rounds_against_decimal_oracle():
     for n, eps in ((473, 0.05), (757, 0.2), (1029, 0.5)):
         expected = decimal_p_fail(faulttol._round_rates(eps, 1e4), n)
         assert expected > 0.0
-        got = distill(DistillationConfig(rounds=n, eps=eps, freq_over_h=1e4)).p_fail
+        got = distill(n, eps, 1e4).p_fail
         assert abs(got - expected) <= 1e-10 * expected, (n, eps, got, expected)
 
 
@@ -146,7 +145,7 @@ def test_class_sum_matches_decimal_sum_on_random_rates(rows, n):
     # library's noisy round does; hypothesis refuses monkeypatch, so patch here
     rates = np.array(rows)
     with patch.object(faulttol, "_round_rates", lambda *_: rates):
-        got = distill(DistillationConfig(rounds=n, eps=0.1, freq_over_h=1e4)).p_fail
+        got = distill(n, 0.1, 1e4).p_fail
     expected = decimal_p_fail(rates, n)
     # below 1e-300 a double keeps too few digits for a relative bound
     assert abs(got - expected) <= 1e-10 * expected + 1e-300, (rows, n, got, expected)
@@ -160,15 +159,14 @@ def test_distill_rejects_non_diagonal_round(monkeypatch):
     tilted = replace(rec, hamiltonian=rec.hamiltonian + embed_operator(SX, (2,), 4))
     monkeypatch.setitem(gates._RECIPES, "rzz_prime", tilted)
     with pytest.raises(ValueError, match="off the data input"):
-        distill(DistillationConfig(rounds=3, eps=0.1, freq_over_h=1e4))
+        distill(3, 0.1, 1e4)
 
 
 def test_distill_many_rounds_stays_small(monkeypatch):
     # 2^61 records would not fit in memory; the 62 classes do.  The ideal
     # gate keeps each round's trace at 1, so the classes' total is 1
     monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, noisy_gate=False))
-    config = DistillationConfig(rounds=61, eps=0.2, freq_over_h=1e4)
-    res = distill(config)
+    res = distill(61, 0.2, 1e4)
     assert len(res.class_sizes) == len(res.class_probs) == 62
     assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-12
     assert 0.0 < res.p_fail < 1e-6
@@ -177,7 +175,7 @@ def test_distill_many_rounds_stays_small(monkeypatch):
     monkeypatch.undo()
     rates = faulttol._round_rates(0.2, 1e4)
     expected = 0.5 * np.sum(rates.sum(axis=1) ** 61)
-    res = distill(config)
+    res = distill(61, 0.2, 1e4)
     assert abs(np.dot(res.class_sizes, res.class_probs) - expected) < 1e-12
 
 
@@ -185,13 +183,13 @@ def test_distill_noiseless_classification_is_sharp(monkeypatch):
     # with every source ideal the record determines the input exactly
     monkeypatch.setattr(faulttol, "_round_rates", partial(
         naive_round_rates, noisy_init=False, noisy_gate=False, noisy_meas=False))
-    res = distill(DistillationConfig(rounds=3, eps=0.0, freq_over_h=1e4))
+    res = distill(3, 0.0, 1e4)
     live = res.class_probs > 1e-15
     assert np.all(np.isin(np.round(res.posteriors[live], 12), (0.0, 1.0)))
 
 
 def test_distill_bookkeeping():
-    res = distill(DistillationConfig(rounds=5, eps=0.3, freq_over_h=1e3))
+    res = distill(5, 0.3, 1e3)
     assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-9
     assert 0.0 <= res.p_fail <= 0.5
     assert np.all(res.posteriors >= 0.0) and np.all(res.posteriors <= 1.0)
@@ -202,11 +200,11 @@ def test_distill_bookkeeping():
 def test_distill_noiseless_sources(monkeypatch):
     # with the gate ideal every record is deterministic and nothing fails
     monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, noisy_gate=False))
-    res = distill(DistillationConfig(rounds=3, eps=0.0, freq_over_h=1e4))
+    res = distill(3, 0.0, 1e4)
     assert res.p_fail <= 1e-15
     # the finite-frequency gate leaves a small floor even at eps = 0
     monkeypatch.undo()
-    res = distill(DistillationConfig(rounds=1, eps=0.0, freq_over_h=1e4))
+    res = distill(1, 0.0, 1e4)
     assert 0.0 < res.p_fail < 1e-3
 
 
@@ -214,7 +212,7 @@ def test_distill_without_a_whole_period_is_a_coin_toss():
     # at a subnormal frequency the gate spans no period and acts as the
     # identity, so the record says nothing about the input; the period's
     # infinite length must not reach a unitary (warnings are errors here)
-    res = distill(DistillationConfig(rounds=3, eps=0.2, freq_over_h=1e-320))
+    res = distill(3, 0.2, 1e-320)
     assert abs(res.p_fail - 0.5) < 1e-12
     assert np.allclose(res.posteriors, 0.5, rtol=0, atol=1e-12)
 
@@ -222,28 +220,44 @@ def test_distill_without_a_whole_period_is_a_coin_toss():
 def test_distill_weakly_decreasing_in_rounds():
     previous = None
     for n in (1, 3, 5, 7, 9):
-        p = distill(DistillationConfig(rounds=n, eps=0.1, freq_over_h=1e4)).p_fail
+        p = distill(n, 0.1, 1e4).p_fail
         if previous is not None:
             assert p <= previous + 1e-12
         previous = p
 
 
-def test_distill_validation():
-    # an even count, and a float count whole or not, is refused before math.comb sees it
-    for rounds in (2, 2.5, 3.0):
-        with pytest.raises(ValueError, match="positive odd integer"):
-            DistillationConfig(rounds=rounds, eps=0.1, freq_over_h=1e4)
-    with pytest.raises(ValueError, match="positive odd integer"):
-        threshold(1e3, 2.5)
-    with pytest.raises(ValueError):
-        DistillationConfig(rounds=3, eps=1.2, freq_over_h=1e4)
-    for f in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            DistillationConfig(rounds=3, eps=0.1, freq_over_h=f)
-    # C(1030, 515) overflows a double; every C(1029, k) still fits
-    with pytest.raises(ValueError):
-        DistillationConfig(rounds=1031, eps=0.1, freq_over_h=1e4)
-    res = distill(DistillationConfig(rounds=faulttol.MAX_ROUNDS, eps=0.1, freq_over_h=1e3))
+def test_distill_validation(monkeypatch):
+    # every refusal comes before a round is propagated: an even count, and a
+    # float count whole or not, before math.comb sees it; C(1030, 515)
+    # overflows a double, while every C(1029, k) still fits
+    def refuse(*_args):
+        raise AssertionError("a round was propagated")
+
+    monkeypatch.setattr(faulttol, "noco_state", refuse)
+    nan, inf = float("nan"), float("inf")
+    for args, message in (
+        ((2, 0.1, 1e4), "rounds must be a positive odd integer, got 2"),
+        ((2.5, 0.1, 1e4), "rounds must be a positive odd integer, got 2.5"),
+        ((3.0, 0.1, 1e4), "rounds must be a positive odd integer, got 3.0"),
+        ((1031, 0.1, 1e4), "rounds must be at most 1029, got 1031"),
+        ((3, 1.2, 1e4), "eps must be in [0, 1], got 1.2"),
+        ((3, nan, 1e4), "eps must be in [0, 1], got nan"),
+        ((3, 0.1, 0.0), "freq_over_h must be finite and positive, got 0.0"),
+        ((3, 0.1, nan), "freq_over_h must be finite and positive, got nan"),
+        ((3, 0.1, inf), "freq_over_h must be finite and positive, got inf"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            distill(*args)
+    # a budget, and so a threshold search, refuses through its distillation term
+    for search, args, message in (
+        (threshold, (1e3, 2.5), "rounds must be a positive odd integer, got 2.5"),
+        (threshold, (nan, 3), "freq_over_h must be finite and positive, got nan"),
+        (vacuum_error_budget, (1.2, 1e4, 3), "eps must be in [0, 1], got 1.2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            search(*args)
+    monkeypatch.undo()
+    res = distill(faulttol.MAX_ROUNDS, 0.1, 1e3)
     assert np.isfinite(res.class_sizes).all()
     assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-9
 
@@ -253,7 +267,7 @@ def test_budget_composition():
     assert b.idle_weights == {}
     w = b.gate_weights
     assert list(w) == ["distill", "rx", "rzz"]
-    assert w["distill"] == distill(DistillationConfig(rounds=3, eps=0.2, freq_over_h=1e4)).p_fail
+    assert w["distill"] == distill(3, 0.2, 1e4).p_fail
     # the weight is read off the register map; the twirl of the dense
     # channel agrees to 2.1e-10 for both gates at this point
     for gate in ("rx", "rzz"):

@@ -17,21 +17,16 @@ random cycles approach the same limit with c = -Tr(D) / d_r^2 and the
 target exp(-i H_eff N dt).
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dense_reference import random_cycle
+from dense_reference import RZ_PI8, random_cycle
 from nocosim.channels import entanglement_fidelity
 from nocosim.gates import GATE_NAMES, recipe
-from nocosim.qcore import SX, SZ, pauli_coefficients, unitary_evolution
+from nocosim.qcore import SX, pauli_coefficients
 from nocosim.zeno import noco_channel
-
-RZ_PI8 = replace(recipe("rz"), name="rz_pi8", angle=np.pi / 8.0,
-                 target=unitary_evolution(SZ, np.pi / 8.0))
 
 # gate -> (t(eps), c(eps)); a catalog gate missing here fails its case
 LEADING_ORDER = {
