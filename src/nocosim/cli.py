@@ -234,8 +234,7 @@ def _transfer_check_row(mode, eps, f):
 
 
 def _distill_row(n, eps, f):
-    res = faulttol.distill(n, eps, f)
-    return [str(n), fmt(eps), fmt(f), fmt(res.p_fail)]
+    return [str(n), fmt(eps), fmt(f), fmt(faulttol.distill(n, eps, f))]
 
 
 def _threshold_row(f, n, budget, bisect_tol, include_decoupling):

@@ -38,23 +38,6 @@ DIAGONAL_TOLERANCE = 1e-12
 MAX_ROUNDS = 1029
 
 
-@dataclass
-class DistillationResult:
-    """Outcome statistics of a distillation run, per class of records.
-
-    Class k holds the ``class_sizes[k] = C(n, k)`` records with k "-"
-    outcomes.  ``class_probs[k]`` is the probability of any one of those
-    records under the uniform prior over the two data-qubit inputs, and
-    ``posteriors[k]`` the posterior probability that the input was |0>
-    (0.5 where the record has probability zero under both inputs).
-    """
-
-    p_fail: float
-    class_sizes: np.ndarray
-    class_probs: np.ndarray
-    posteriors: np.ndarray
-
-
 # the ancilla's |+> preparation, the data qubit's two z inputs, and the x-basis
 # readout rows vec(|+><+|), vec(|-><-|) that score the ancilla
 _PLUS = projector("+")
@@ -108,8 +91,8 @@ def _log_power(rate: float, k: np.ndarray) -> np.ndarray:
     return np.where(k == 0, 0.0, -np.inf)
 
 
-def distill(rounds: int, eps: float, freq_over_h: float) -> DistillationResult:
-    """Score the Bayes failure rate of n-round distillation by record class.
+def distill(rounds: int, eps: float, freq_over_h: float) -> float:
+    """Bayes failure rate p_fail of n-round distillation, summed by record class.
 
     A record with k "-" outcomes has likelihood a_x^(n-k) b_x^k under input
     |x>, where a_x and b_x are the per-round "+" and "-" rates, so
@@ -129,16 +112,7 @@ def distill(rounds: int, eps: float, freq_over_h: float) -> DistillationResult:
     k = np.arange(rounds + 1)
     log0, log1 = (_log_power(a, rounds - k) + _log_power(b, k) for a, b in rates)
     sizes = np.array([float(comb(rounds, j)) for j in k])
-    log_sum = np.logaddexp(log0, log1)
-    live = log_sum > -np.inf
-    posteriors = np.full(rounds + 1, 0.5)
-    posteriors[live] = np.exp(log0[live] - log_sum[live])
-    return DistillationResult(
-        p_fail=float(0.5 * np.exp(np.log(sizes) + np.minimum(log0, log1)).sum()),
-        class_sizes=sizes,
-        class_probs=0.5 * np.exp(log_sum),
-        posteriors=posteriors,
-    )
+    return float(0.5 * np.exp(np.log(sizes) + np.minimum(log0, log1)).sum())
 
 
 # The prepare-and-measure schedule of one data qubit, slot by slot:
@@ -222,7 +196,7 @@ def _gate_term(gate: str, eps: float, freq_over_h: float, rounds: int):
     """(duration, weight) of one occurrence of a schedule gate."""
     if gate == "distill":
         # distill first, so its refusal of an eps outside [0, 1] comes before the duration's
-        p_fail = distill(rounds, eps, freq_over_h).p_fail
+        p_fail = distill(rounds, eps, freq_over_h)
         return rounds * recipe("rzz_prime").duration(eps), p_fail
     return recipe(gate).duration(eps), _gate_weight(gate, eps, freq_over_h)
 

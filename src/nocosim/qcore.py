@@ -151,8 +151,9 @@ def embed_operator(op, positions, nqubits: int) -> np.ndarray:
     k = len(positions)
     if o.shape != (2 ** k, 2 ** k):
         raise ValueError(f"operator shape {o.shape} does not match {k} positions")
-    if len(set(positions)) != k or not all(0 <= p < nqubits for p in positions):
+    if len(set(positions)) != k or not all(p in range(nqubits) for p in positions):
         raise ValueError(f"bad positions {positions} for {nqubits} qubits")
+    positions = [int(p) for p in positions]
     rest = [q for q in range(nqubits) if q not in positions]
     full = kron(o, np.eye(2 ** len(rest), dtype=complex))
     # current axis order is list(positions) + rest; permute into 0..n-1

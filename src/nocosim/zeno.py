@@ -87,6 +87,8 @@ class NoisyCycleSpec:
         shape = np.shape(self.hamiltonian)
         if len(shape) != 2 or not shape[0] or shape != (2 ** self.nqubits,) * 2:
             raise ValueError(f"hamiltonian shape {shape} is not 2^n x 2^n")
+        if not np.isfinite(self.hamiltonian).all():
+            raise ValueError("hamiltonian has a non-finite entry")
         if not np.array_equal(self.hamiltonian, np.conj(self.hamiltonian).T):
             raise ValueError("hamiltonian is not Hermitian")
         shape = np.shape(self.rho_u)

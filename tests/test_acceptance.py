@@ -175,7 +175,7 @@ def test_criterion_6_oracle_equivalence(monkeypatch):
         naive_round_rates, noisy_init=False, noisy_gate=False))
     worst_distill = 0.0
     for n in (1, 3, 5):
-        got = distill(n, 0.2, 1e4).p_fail
+        got = distill(n, 0.2, 1e4)
         q = 0.1
         expected = sum(
             comb(n, k) * q ** k * (1 - q) ** (n - k) for k in range(n // 2 + 1, n + 1)
@@ -191,15 +191,15 @@ def test_criterion_7_distillation_behavior(monkeypatch):
     # the ideal-gate rounds come from the dense round; the library runs
     # only the all-noisy one, which the monotonicity check below uses
     monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, noisy_gate=False))
-    p_zero = distill(3, 0.0, 1e4).p_fail
+    p_zero = distill(3, 0.0, 1e4)
     monkeypatch.setattr(faulttol, "_round_rates", partial(
         naive_round_rates, noisy_init=False, noisy_gate=False))
-    p_028 = distill(3, 0.2, 1e4).p_fail
+    p_028 = distill(3, 0.2, 1e4)
     monkeypatch.undo()
     decreasing = True
     previous = None
     for n in (1, 3, 5, 7, 9):
-        p = distill(n, 0.1, 1e4).p_fail
+        p = distill(n, 0.1, 1e4)
         if previous is not None and p > previous + 1e-12:
             decreasing = False
         previous = p
@@ -300,7 +300,7 @@ def test_pi8_injection_below_the_distillation_threshold():
     # the default threshold sweep's 25 points
     for f, n in product((1e3, 3e3, 1e4, 3e4, 1e5), (9, 11, 13, 15, 17)):
         star = _eps_star(f, n)
-        p = distill(n, star, f).p_fail
+        p = distill(n, star, f)
         rho = (1.0 - p) * projector("0") + p * projector("1")
         rho = apply_channel(realized_channel("rx", star, f).superop, rho)
         rotation = noco_channel(RZ_PI8.cycle(star), RZ_PI8.duration(star), f)

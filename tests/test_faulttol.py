@@ -57,6 +57,23 @@ def naive_distill(rounds: int, eps: float, freq_over_h: float, **noise):
     return 0.5 * p_fail, record_probs
 
 
+def class_probs(rates, n: int) -> np.ndarray:
+    """Probability of any one record with k "-" outcomes, k = 0..n, at per-round rates.
+
+    Under the uniform prior over the two inputs it is
+    1/2 (a0^(n-k) b0^k + a1^(n-k) b1^k), with ``rates[x] = (a_x, b_x)``.
+    """
+    k = np.arange(n + 1)
+    (a0, b0), (a1, b1) = rates
+    return 0.5 * (a0 ** (n - k) * b0 ** k + a1 ** (n - k) * b1 ** k)
+
+
+def class_total(rates, n: int) -> float:
+    """Total probability of all 2^n records: sum_k C(n, k) times the class probability."""
+    sizes = np.array([float(comb(n, k)) for k in range(n + 1)])
+    return float(np.dot(sizes, class_probs(rates, n)))
+
+
 def test_distill_matches_binomial_oracle(monkeypatch):
     # with the gate ideal each round flips the readout iid: at eps/2 from the
     # readout alone, at eps (1 - eps/2) when the init's flips compose with it.
@@ -66,7 +83,7 @@ def test_distill_matches_binomial_oracle(monkeypatch):
             naive_round_rates, noisy_init=noisy_init, noisy_gate=False))
         for n in (1, 3, 5):
             for eps in (0.1, 0.2):
-                got = distill(n, eps, 1e4).p_fail
+                got = distill(n, eps, 1e4)
                 assert abs(got - binomial_p_fail(n, q_of(eps))) < 1e-12
 
 
@@ -87,13 +104,15 @@ def test_distill_matches_leaf_enumeration(monkeypatch):
         # round's, so the class sum is checked under every combination
         rates = partial(naive_round_rates, **noise) if noise else library
         monkeypatch.setattr(faulttol, "_round_rates", rates)
-        res = distill(rounds, eps, f)
+        p_fail = distill(rounds, eps, f)
         p_naive, probs_naive = naive_distill(rounds, eps, f, **noise)
-        assert abs(res.p_fail - p_naive) < 1e-12
+        assert abs(p_fail - p_naive) < 1e-12
         assert len(probs_naive) == 2 ** rounds
-        # a record's probability depends only on its count of "-" outcomes
+        # a record's probability depends only on its count of "-" outcomes,
+        # through the per-round rates that distill scores
+        per_class = class_probs(faulttol._round_rates(eps, f), rounds)
         for idx, p in probs_naive.items():
-            assert abs(res.class_probs[bin(idx).count("1")] - p) < 1e-12
+            assert abs(per_class[bin(idx).count("1")] - p) < 1e-12
 
 
 def decimal_p_fail(rates, n: int) -> float:
@@ -121,7 +140,7 @@ def test_distill_large_rounds_against_decimal_oracle():
     for n, eps in ((473, 0.05), (757, 0.2), (1029, 0.5)):
         expected = decimal_p_fail(faulttol._round_rates(eps, 1e4), n)
         assert expected > 0.0
-        got = distill(n, eps, 1e4).p_fail
+        got = distill(n, eps, 1e4)
         assert abs(got - expected) <= 1e-10 * expected, (n, eps, got, expected)
 
 
@@ -145,7 +164,7 @@ def test_class_sum_matches_decimal_sum_on_random_rates(rows, n):
     # library's noisy round does; hypothesis refuses monkeypatch, so patch here
     rates = np.array(rows)
     with patch.object(faulttol, "_round_rates", lambda *_: rates):
-        got = distill(n, 0.1, 1e4).p_fail
+        got = distill(n, 0.1, 1e4)
     expected = decimal_p_fail(rates, n)
     # below 1e-300 a double keeps too few digits for a relative bound
     assert abs(got - expected) <= 1e-10 * expected + 1e-300, (rows, n, got, expected)
@@ -166,61 +185,51 @@ def test_distill_many_rounds_stays_small(monkeypatch):
     # 2^61 records would not fit in memory; the 62 classes do.  The ideal
     # gate keeps each round's trace at 1, so the classes' total is 1
     monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, noisy_gate=False))
-    res = distill(61, 0.2, 1e4)
-    assert len(res.class_sizes) == len(res.class_probs) == 62
-    assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-12
-    assert 0.0 < res.p_fail < 1e-6
+    assert abs(class_total(faulttol._round_rates(0.2, 1e4), 61) - 1.0) < 1e-12
+    assert 0.0 < distill(61, 0.2, 1e4) < 1e-6
     # the realized gate's trace drifts by 1e-14 to 1e-11 per round, so
     # its total is checked against the per-round rates, not against 1
     monkeypatch.undo()
     rates = faulttol._round_rates(0.2, 1e4)
     expected = 0.5 * np.sum(rates.sum(axis=1) ** 61)
-    res = distill(61, 0.2, 1e4)
-    assert abs(np.dot(res.class_sizes, res.class_probs) - expected) < 1e-12
-
-
-def test_distill_noiseless_classification_is_sharp(monkeypatch):
-    # with every source ideal the record determines the input exactly
-    monkeypatch.setattr(faulttol, "_round_rates", partial(
-        naive_round_rates, noisy_init=False, noisy_gate=False, noisy_meas=False))
-    res = distill(3, 0.0, 1e4)
-    live = res.class_probs > 1e-15
-    assert np.all(np.isin(np.round(res.posteriors[live], 12), (0.0, 1.0)))
+    assert abs(class_total(rates, 61) - expected) < 1e-12
+    assert 0.0 < distill(61, 0.2, 1e4) < 1e-6
 
 
 def test_distill_bookkeeping():
-    res = distill(5, 0.3, 1e3)
-    assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-9
-    assert 0.0 <= res.p_fail <= 0.5
-    assert np.all(res.posteriors >= 0.0) and np.all(res.posteriors <= 1.0)
-    assert len(res.class_sizes) == 6
-    assert res.class_sizes.sum() == 2 ** 5
+    p_fail = distill(5, 0.3, 1e3)
+    assert type(p_fail) is float
+    assert 0.0 <= p_fail <= 0.5
+    assert abs(class_total(faulttol._round_rates(0.3, 1e3), 5) - 1.0) < 1e-9
 
 
 def test_distill_noiseless_sources(monkeypatch):
-    # with the gate ideal every record is deterministic and nothing fails
-    monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, noisy_gate=False))
-    res = distill(3, 0.0, 1e4)
-    assert res.p_fail <= 1e-15
+    # with the gate ideal every record is deterministic and nothing fails,
+    # and so with every source ideal, where the record names the input
+    for noise in ({"noisy_gate": False},
+                  {"noisy_init": False, "noisy_gate": False, "noisy_meas": False}):
+        monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, **noise))
+        assert distill(3, 0.0, 1e4) <= 1e-15
     # the finite-frequency gate leaves a small floor even at eps = 0
     monkeypatch.undo()
-    res = distill(1, 0.0, 1e4)
-    assert 0.0 < res.p_fail < 1e-3
+    assert 0.0 < distill(1, 0.0, 1e4) < 1e-3
 
 
 def test_distill_without_a_whole_period_is_a_coin_toss():
     # at a subnormal frequency the gate spans no period and acts as the
-    # identity, so the record says nothing about the input; the period's
-    # infinite length must not reach a unitary (warnings are errors here)
-    res = distill(3, 0.2, 1e-320)
-    assert abs(res.p_fail - 0.5) < 1e-12
-    assert np.allclose(res.posteriors, 0.5, rtol=0, atol=1e-12)
+    # identity, so the record says nothing about the input: both inputs
+    # share their per-round rates; the period's infinite length must not
+    # reach a unitary (warnings are errors here)
+    p_fail = distill(3, 0.2, 1e-320)
+    assert abs(p_fail - 0.5) < 1e-12
+    rates = faulttol._round_rates(0.2, 1e-320)
+    assert np.allclose(rates[0], rates[1], rtol=0, atol=1e-12)
 
 
 def test_distill_weakly_decreasing_in_rounds():
     previous = None
     for n in (1, 3, 5, 7, 9):
-        p = distill(n, 0.1, 1e4).p_fail
+        p = distill(n, 0.1, 1e4)
         if previous is not None:
             assert p <= previous + 1e-12
         previous = p
@@ -257,9 +266,9 @@ def test_distill_validation(monkeypatch):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             search(*args)
     monkeypatch.undo()
-    res = distill(faulttol.MAX_ROUNDS, 0.1, 1e3)
-    assert np.isfinite(res.class_sizes).all()
-    assert abs(np.dot(res.class_sizes, res.class_probs) - 1.0) < 1e-9
+    p_fail = distill(faulttol.MAX_ROUNDS, 0.1, 1e3)
+    assert np.isfinite(p_fail) and 0.0 <= p_fail <= 0.5
+    assert abs(class_total(faulttol._round_rates(0.1, 1e3), faulttol.MAX_ROUNDS) - 1.0) < 1e-9
 
 
 def test_budget_composition():
@@ -267,7 +276,7 @@ def test_budget_composition():
     assert b.idle_weights == {}
     w = b.gate_weights
     assert list(w) == ["distill", "rx", "rzz"]
-    assert w["distill"] == distill(3, 0.2, 1e4).p_fail
+    assert w["distill"] == distill(3, 0.2, 1e4)
     # the weight is read off the register map; the twirl of the dense
     # channel agrees to 2.1e-10 for both gates at this point
     for gate in ("rx", "rzz"):

@@ -138,6 +138,19 @@ def test_embed_operator():
     op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     emb = embed_operator(op, (0, 1), 2)
     assert np.allclose(emb, op)
+    # a position must be a whole number in [0, n); a fractional one would
+    # otherwise fail inside numpy's reshape
+    for positions in ((2.5,), (3,), (-1,), (float("nan"),)):
+        with pytest.raises(ValueError, match="^bad positions"):
+            embed_operator(SX, positions, 3)
+        with pytest.raises(ValueError, match="^bad positions"):
+            embed_superop(np.eye(4), positions, 3)
+    with pytest.raises(ValueError, match="^bad positions"):
+        embed_operator(np.eye(4), (1, 1.0), 3)
+    # whole floats are read as integers
+    assert np.array_equal(embed_operator(SX, (1.0,), 3), embed_operator(SX, (1,), 3))
+    s = np.arange(16.0).reshape(4, 4)
+    assert np.array_equal(embed_superop(s, (2.0,), 3), embed_superop(s, (2,), 3))
 
 
 def test_vec_column_stacking():

@@ -74,6 +74,13 @@ def test_cycle_spec_validation():
     for h in (upper, 1j * HEISENBERG):
         with pytest.raises(ValueError, match="not Hermitian"):
             NoisyCycleSpec(h, rho)
+    # an inf entry passes as Hermitian and would send every map to NaN; a NaN
+    # one, unequal to itself, would be refused only as not Hermitian
+    off = HEISENBERG.copy()
+    off[1, 2] = off[2, 1] = np.inf
+    for h in (np.diag([np.inf, 0, 0, 0]), np.diag([np.nan, 0, 0, 0]), off):
+        with pytest.raises(ValueError, match="^hamiltonian has a non-finite entry$"):
+            NoisyCycleSpec(h, rho)
     for bad in (np.eye(3) / 3.0, np.ones((1, 1)), np.eye(2)[:, :1], vec(rho)):
         with pytest.raises(ValueError, match="actuator state shape"):
             NoisyCycleSpec(HEISENBERG, bad)
