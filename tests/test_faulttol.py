@@ -203,13 +203,23 @@ def test_distill_bookkeeping():
     assert abs(class_total(faulttol._round_rates(0.3, 1e3), 5) - 1.0) < 1e-9
 
 
+def test_distill_noiseless_classification_is_sharp(monkeypatch):
+    # with every source ideal the record determines the input exactly: on
+    # each class one input's probability vanishes, so nothing fails
+    rates = naive_round_rates(0.0, 1e4, noisy_init=False, noisy_gate=False, noisy_meas=False)
+    monkeypatch.setattr(faulttol, "_round_rates", lambda *_args: rates)
+    (a0, b0), (a1, b1) = rates
+    k = np.arange(4)
+    p0, p1 = a0 ** (3 - k) * b0 ** k, a1 ** (3 - k) * b1 ** k
+    live = class_probs(rates, 3) > 1e-15
+    assert np.all(np.minimum(p0, p1)[live] <= 1e-12 * (p0 + p1)[live])
+    assert distill(3, 0.0, 1e4) <= 1e-15
+
+
 def test_distill_noiseless_sources(monkeypatch):
-    # with the gate ideal every record is deterministic and nothing fails,
-    # and so with every source ideal, where the record names the input
-    for noise in ({"noisy_gate": False},
-                  {"noisy_init": False, "noisy_gate": False, "noisy_meas": False}):
-        monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, **noise))
-        assert distill(3, 0.0, 1e4) <= 1e-15
+    # with the gate ideal every record is deterministic and nothing fails
+    monkeypatch.setattr(faulttol, "_round_rates", partial(naive_round_rates, noisy_gate=False))
+    assert distill(3, 0.0, 1e4) <= 1e-15
     # the finite-frequency gate leaves a small floor even at eps = 0
     monkeypatch.undo()
     assert 0.0 < distill(1, 0.0, 1e4) < 1e-3
