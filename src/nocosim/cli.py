@@ -112,11 +112,11 @@ CONFIG = {
 
 def read_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not a key
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    out = {}
+    out, key_lines = {}, {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -127,6 +127,9 @@ def read_config_file(path: str) -> dict:
         key = key.strip()
         if key not in CONFIG:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in key_lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {key_lines[key]}")
+        key_lines[key] = lineno
         out[key] = value.strip()
     return out
 

@@ -56,21 +56,21 @@ def _round_rates(eps: float, freq_over_h: float) -> np.ndarray:
     ``distill`` needs, and the block is the vec of the conditional ancilla
     state that the noisy x-basis readout rows score.  Every operation is
     noisy: the ancilla's |+> and its readout are depolarized at rate eps,
-    and the realized gate is propagated on the two inputs by
-    ``zeno.noco_state``, never built as a channel.  The rates do not depend
-    on the round count, so a threshold search computes them once per
-    (eps, f).  Cached, so the array is read-only.
+    and the realized gate is applied to the two inputs as the register map
+    that ``zeno.noco_state`` returns, never built as a full-system channel.
+    The rates do not depend on the round count, so a threshold search
+    computes them once per (eps, f).  Cached, so the array is read-only.
     """
     noise = depolarizing(eps)
     anc = unvec(noise @ vec(_PLUS), 2)
     inputs = [kron(p, anc) for p in _DATA_INPUTS]
     rec = recipe("rzz_prime")
-    outputs = noco_state(rec.cycle(eps), rec.duration(eps), freq_over_h, inputs)
+    t_n = noco_state(rec.cycle(eps), rec.duration(eps), freq_over_h)
     readout = _READOUT @ noise
 
     rates = np.empty((2, 2))
     for x in (0, 1):
-        out = vec(outputs[x]).reshape(2, 2, 2, 2)
+        out = (t_n @ vec(inputs[x])).reshape(2, 2, 2, 2)
         block = out[x, :, x, :].copy()
         out[x, :, x, :] = 0.0
         off = np.abs(out).max()
@@ -163,12 +163,14 @@ def _phase_weight(
     register map of the cycle's N whole periods.  A Pauli twirl keeps every
     Pauli eigenvalue lambda_P = Re Tr(P E(P)) / d, and the strings with Y or
     Z on qubit 0 are the ones that anticommute with X_0, so their weight is
-    (1 - lambda_X0) / 2: one operator, U^dag X_0 U, propagated by
-    ``zeno.noco_state``.  No full-system map or twirl table is formed.
+    (1 - lambda_X0) / 2: one operator, U^dag X_0 U, sent through the
+    register map that ``zeno.noco_state`` returns.  No full-system map or
+    twirl table is formed.
     """
     d = len(target)
     x0 = kron(SX, np.eye(d // 2))
-    (out,) = noco_state(spec, duration, freq_over_h, [target.conj().T @ x0 @ target])
+    t_n = noco_state(spec, duration, freq_over_h)
+    out = unvec(t_n @ vec(target.conj().T @ x0 @ target), d)
     return float((1.0 - np.real(np.trace(x0 @ out)) / d) / 2.0)
 
 

@@ -238,8 +238,10 @@ def pauli_coefficients(op) -> dict[str, float]:
     c_s = Tr(P_s op) / 2**n.
     """
     m = np.asarray(op, dtype=complex)
-    nqubits = int(round(np.log2(m.shape[0])))
-    d = 2 ** nqubits
+    d = len(m) if m.ndim else 0
+    nqubits = d.bit_length() - 1
+    if nqubits < 1 or m.shape != (2 ** nqubits,) * 2:
+        raise ValueError(f"operator shape {m.shape} is not 2^n x 2^n with n >= 1")
     return {
         s: float(np.trace(pauli_string_operator(s) @ m).real / d)
         for s in pauli_strings(nqubits)

@@ -13,8 +13,8 @@ averaging the interaction over that state.  At finite repetition frequency
 the register picks up a residual error channel, which is what this module
 computes exactly (for small systems): as a register channel, by powering
 the d_r^2 distinct columns of the full-system period map
-(``noco_channel``), or on given register operators, by powering the
-register map of one period (``noco_state``).
+(``noco_channel``), or as the N-th power of one period's register map
+(``noco_state``), which its callers apply to the operators they need.
 
 Units: hbar = J = 1 internally.  User-facing frequencies are quoted in
 J/h; since h = 2*pi*hbar, a drive at ``freq_over_h`` J/h has period
@@ -33,8 +33,6 @@ from .qcore import (
     power_by_squaring,
     reduce_superop,
     unitary_evolution,
-    unvec,
-    vec,
 )
 
 # float dust tolerated in t * f at a whole count: a few ulps from ~1.1e6 periods up
@@ -222,28 +220,22 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
     )
 
 
-def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float, sigmas) -> list:
-    """Register operators T^N(sigma) after N whole periods, for each sigma.
+def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> np.ndarray:
+    """Register map T^N of N whole periods, a d_r^2 x d_r^2 superoperator.
 
-    The same N periods as ``noco_channel``, applied to given register
-    operators: states, or any operator the map acts on linearly, such as a
-    Pauli string whose Pauli eigenvalue is wanted.  The actuators are
-    re-prepared in rho_U every period, so N periods act on the register as
-    the N-th power of one period's register map
-    T(sigma) = Tr_A[U (rho_U (x) sigma) U^dag].
+    The same N periods as ``noco_channel``: the actuators are re-prepared
+    in rho_U every period, so N periods act on the register as the N-th
+    power of one period's register map T(sigma) = Tr_A[U (rho_U (x) sigma) U^dag],
+    with sigma any register operator the map acts on linearly (a state, or
+    a Pauli string whose Pauli eigenvalue is wanted).
     """
     n = period_count(duration, freq_over_h)
     na, nq = spec.n_actuators, spec.nqubits
     da, dr = 2 ** na, 2 ** (nq - na)
-    sigmas = list(sigmas)  # read once: a generator is consumed by the check
-    for sigma in sigmas:
-        if np.shape(sigma) != (dr, dr):
-            raise ValueError(f"register state shape {np.shape(sigma)} is not {(dr, dr)}")
     if n == 0:  # T^0 = I; build no period, whose 2 pi / f is inf at a subnormal f
-        return [np.array(sigma, dtype=complex) for sigma in sigmas]
+        return np.eye(dr * dr, dtype=complex)
     u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / freq_over_h).reshape(da, dr, da, dr)
     # T[i + dr j, k + dr l] = sum_abc U[ai, bk] rho_U[b, c] conj(U[aj, cl]), read
     # off the d x d unitary: the d^2 x d^2 kron(conj U, U) is never formed
     t = np.einsum("aibk,bc,ajcl->jilk", u, spec.rho_u, u.conj()).reshape(dr * dr, dr * dr)
-    t_n = matrix_power_int(t, n)
-    return [unvec(t_n @ vec(sigma), dr) for sigma in sigmas]
+    return matrix_power_int(t, n)

@@ -346,6 +346,25 @@ def test_non_utf8_config_file_exit_code(tmp_path, capsys):
     assert "not UTF-8" in captured.err
 
 
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    # an editor may save UTF-8 with a leading U+FEFF, which is no part of the first key
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfepsilon = 0.2\n")
+    assert run(["fixed-state", "--config", str(cfg), "--gate", "rx"]) == 0
+    assert run(["fixed-state", "--gate", "rx", "--epsilon", "0.2"]) == 0
+    from_file, from_flag = capsys.readouterr().out.split("# nocosim", 2)[1:]
+    assert from_file == from_flag
+
+
+def test_config_file_key_given_twice_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("epsilon = 0.2\n# comment\nepsilon = 0.3\n", encoding="utf-8")
+    assert run(["fixed-state", "--config", str(cfg), "--gate", "rx"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{cfg}:3: key 'epsilon' already set on line 1" in captured.err
+
+
 def test_noise_check_reports_failures_with_exit_zero(capsys):
     assert run(["noise-check", "--epsilon", "0.2,1.0"]) == 0
     out = capsys.readouterr().out

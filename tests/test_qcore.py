@@ -213,6 +213,15 @@ def test_pauli_coefficients_reconstruct():
     assert np.allclose(rebuilt, h, atol=1e-12)
 
 
+def test_pauli_coefficients_refuses_a_shape_that_is_not_2n_by_2n():
+    # a 2 x 4 array returned coefficients; 3 x 3 and 1 x 1 failed inside numpy
+    for shape in ((2, 4), (3, 3), (1, 1), (0, 0), (4,), (2, 2, 2), ()):
+        op = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"^operator shape .* is not 2\^n x 2\^n with n >= 1$"):
+            pauli_coefficients(op)
+    assert pauli_coefficients(np.eye(2)) == {"I": 1.0, "X": 0.0, "Y": 0.0, "Z": 0.0}
+
+
 def random_kraus(rng, nqubits, count):
     """Kraus operators of a random channel: blocks of a random isometry."""
     d = 2 ** nqubits

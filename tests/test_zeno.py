@@ -389,26 +389,27 @@ def test_infidelity_surface():
 
 @pytest.mark.parametrize("gate", GATE_NAMES)
 def test_noco_state_matches_dense_channel_and_steps(gate):
-    # measured worst entry differences: 5.4e-14 against the dense channel
-    # and 2.7e-13 against period-by-period steps (up to 5000 periods)
+    # measured worst entry differences: 8.9e-13 against the dense channel's
+    # map and 2.7e-13 against period-by-period steps (up to 5000 periods)
     rng = np.random.default_rng(36)
     rec = recipe(gate)
     for eps, f in product((0.0, 0.2, 0.5), (1e3, 1e4)):
         spec, duration = rec.cycle(eps), rec.duration(eps)
         na, nq = spec.n_actuators, spec.nqubits
         da, dr = 2 ** na, 2 ** (nq - na)
-        sigmas = [random_state(rng, dr) for _ in range(2)]
-        got = noco_state(spec, duration, f, sigmas)
+        got = noco_state(spec, duration, f)
+        assert got.shape == (dr * dr, dr * dr)
         dense = noco_channel(spec, duration, f).superop
+        assert np.allclose(got, dense, rtol=0, atol=1e-12)
+        sigmas = [random_state(rng, dr) for _ in range(2)]
         u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / f)
         s_flight, s_ops = np.kron(u.conj(), u), cycle_superop(spec)
         v = np.stack([vec(np.kron(np.eye(da) / da, sigma)) for sigma in sigmas], axis=1)
         for _ in range(period_count(duration, f)):
             v = s_flight @ (s_ops @ v)
         for k, sigma in enumerate(sigmas):
-            assert np.allclose(got[k], apply_channel(dense, sigma), rtol=0, atol=1e-12)
             stepped = partial_trace(unvec(v[:, k], 2 ** nq), nq, range(na, nq))
-            assert np.allclose(got[k], stepped, rtol=0, atol=1e-12)
+            assert np.allclose(apply_channel(got, sigma), stepped, rtol=0, atol=1e-12)
 
 
 def test_noco_state_powers_one_register_map(monkeypatch):
@@ -428,58 +429,59 @@ def test_noco_state_powers_one_register_map(monkeypatch):
 
     monkeypatch.setattr(zeno, "matrix_power_int", recording_power)
     refuse_embedding(monkeypatch, refuse)
-    inputs = [np.kron(projector(x), projector("+")) for x in "01"]
     for eps, f in ((0.27, 6524.0), (0.0, 1e3)):
         shapes.clear()
-        noco_state(rec.cycle(eps), rec.duration(eps), f, inputs)
+        noco_state(rec.cycle(eps), rec.duration(eps), f)
         assert shapes == [(16, 16)]
 
 
 @given(st.integers(2, 3), st.integers(0, 2000), st.integers(0, 2 ** 32 - 1))
 @example(3, 2000, 0)
 def test_noco_state_matches_noco_channel_on_random_cycles(nqubits, n_periods, seed):
-    rng = np.random.default_rng(seed)
-    spec = random_cycle(rng, nqubits)
+    # measured worst entry difference on 40 random cycles: 3.8e-13
+    spec = random_cycle(np.random.default_rng(seed), nqubits)
     f = 1e3
     duration = (n_periods + 0.5) * 2.0 * np.pi / f
     assert period_count(duration, f) == n_periods
-    sigma = random_state(rng, 2 ** (spec.nqubits - spec.n_actuators))
-    (got,) = noco_state(spec, duration, f, [sigma])
-    expected = apply_channel(noco_channel(spec, duration, f).superop, sigma)
-    assert np.allclose(got, expected, rtol=0, atol=1e-12)
+    got = noco_state(spec, duration, f)
+    assert np.allclose(got, noco_channel(spec, duration, f).superop, rtol=0, atol=1e-12)
 
 
 def test_noco_state_edges(monkeypatch):
     rec = recipe("rzz_prime")
     spec = rec.cycle(0.2)
-    sigma = random_state(np.random.default_rng(37), 4)
-    with pytest.raises(ValueError, match="register state shape"):
-        noco_state(spec, 1.0, 1e3, [np.eye(2)])
     # without a whole period, and from 2^53 periods up, no period unitary is
     # computed: at a subnormal frequency 2 pi / f is inf and its unitary NaN
     def refuse(*_args):
         raise AssertionError("period unitary computed")
 
     monkeypatch.setattr(zeno, "unitary_evolution", refuse)
-    # no whole period: each operator comes back as a complex copy, bit for bit
-    sigmas = [sigma, np.kron(projector("1"), projector("+"))]
+    # no whole period: the map is T^0, the identity, exactly
     for duration, f in ((0.5 * 2.0 * np.pi / 1e3, 1e3), (rec.duration(0.2), 1e-320)):
         assert period_count(duration, f) == 0
-        for got, original in zip(noco_state(spec, duration, f, sigmas), sigmas):
-            assert got.dtype == complex and not np.shares_memory(got, original)
-            assert np.array_equal(got, original)
+        got = noco_state(spec, duration, f)
+        assert got.dtype == complex
+        assert np.array_equal(got, np.eye(16))
     with pytest.raises(OverflowError, match="freq_over_h 1e\\+308"):
-        noco_state(spec, rec.duration(0.2), 1e308, [sigma])
+        noco_state(spec, rec.duration(0.2), 1e308)
 
 
-def test_noco_state_reads_a_one_shot_iterable_once():
-    # the shape check must not consume a generator, with or without a whole period
-    rec = recipe("rzz_prime")
-    spec = rec.cycle(0.2)
-    sigmas = [random_state(np.random.default_rng(38), 4), np.kron(projector("1"), projector("+"))]
-    for duration in (rec.duration(0.2), 0.5 * 2.0 * np.pi / 1e3):
-        listed = noco_state(spec, duration, 1e3, sigmas)
-        generated = noco_state(spec, duration, 1e3, (sigma for sigma in sigmas))
-        assert len(generated) == len(listed) == 2
-        for got, expected in zip(generated, listed):
-            assert np.array_equal(got, expected)
+@pytest.mark.parametrize("propagator", ("noco_state", "noco_channel"))
+def test_register_maps_drift_from_trace_preservation_at_most_linearly_in_n(propagator):
+    # each of N periods may add a few ulps to the defect max|vec(I)^dag S - vec(I)^dag|
+    # of an exactly trace-preserving map: measured worst 4.2 N 2^-52 for
+    # noco_state (rzz_prime, eps 0.9) and 4.1 N 2^-52 for noco_channel (rx,
+    # eps 0.9, N = 1.25e6); the bound pins that growth law
+    cases = [(g, f) for g in ("rx", "rzz", "rzz_prime") for f in (1e3, 1e4, 1e5)]
+    cases.append(("rx", 1e6))
+    for (gate, f), eps in product(cases, (0.0, 0.2, 0.9)):
+        rec = recipe(gate)
+        spec, duration = rec.cycle(eps), rec.duration(eps)
+        if propagator == "noco_state":
+            s = noco_state(spec, duration, f)
+        else:
+            s = noco_channel(spec, duration, f).superop
+        n = period_count(duration, f)
+        trace = vec(np.eye(2 ** (spec.nqubits - spec.n_actuators)))
+        defect = np.abs(trace.conj() @ s - trace.conj()).max()
+        assert defect < 16 * n * 2.0 ** -52, (gate, eps, f, n, defect)
