@@ -76,9 +76,11 @@ def _whole(text: str) -> int:
 def _grid(parse_entry):
     """A parser of a comma-separated grid whose entries parse_entry reads."""
     def parse(value: str, key: str) -> list:
-        entries = [s for s in value.split(",") if s.strip()]
-        if not entries:
+        entries = value.split(",")
+        if not value.strip():
             raise ConfigError(f"{key} grid is empty")
+        if not all(s.strip() for s in entries):  # refused, not shortened
+            raise ConfigError(f"{key} grid has an empty entry: {value.strip()!r}")
         return [parse_entry(s, key) for s in entries]
     return parse
 
@@ -194,22 +196,23 @@ def _row_or_error(row, *args):
         return str(exc)
 
 
-# Row functions compute one table row from one grid point.  They are module
-# level so they pickle into pool workers, and they look library functions up
-# on their modules at call time, so a function rebound there (by a tracer,
-# say) is the one that runs.
+# Row functions compute one table row from one grid point.  They return the
+# row's values (floats, ints, 0/1 flags as ints, text), and render_table
+# formats them.  They are module level so they pickle into pool workers, and
+# they look library functions up on their modules at call time, so a function
+# rebound there (by a tracer, say) is the one that runs.
 
 
 def _fixed_state_row(gate, eps):
     rec = gates.recipe(gate)
     p = pauli_coefficients(rec.rho_u(eps))
-    return [fmt(eps), fmt(eps if rec.hadamard else 0.0)] + [fmt(p[k]) for k in "XYZ"]
+    return [eps, eps if rec.hadamard else 0.0] + [p[k] for k in "XYZ"]
 
 
 def _eff_h_row(gate, eps):
     rec = gates.recipe(gate)
     coeffs = pauli_coefficients(zeno.effective_hamiltonian(rec.cycle(eps)))
-    return [fmt(eps), fmt(eps if rec.hadamard else 0.0)] + [fmt(c) for c in coeffs.values()]
+    return [eps, eps if rec.hadamard else 0.0, *coeffs.values()]
 
 
 def _eff_h_columns(cfg):
@@ -218,13 +221,11 @@ def _eff_h_columns(cfg):
 
 
 def _gate_error_row(gate, eps, f):
-    infid, n_periods = gates.gate_infidelity(gate, eps, f)
-    return [fmt(eps), fmt(f), fmt(infid), str(n_periods)]
+    return [eps, f, *gates.gate_infidelity(gate, eps, f)]
 
 
 def _swap_check_row():
-    chk = gates.swap_identity_check()
-    return [fmt(chk.deviation), fmt(chk.halftime_deviation)]
+    return gates.swap_identity_check()
 
 
 def _transfer_check_row(mode, eps, f):
@@ -232,23 +233,21 @@ def _transfer_check_row(mode, eps, f):
         gate, eps, f = unitary_channel(gates.RZZ_TARGET), 0.0, 0.0
     else:
         gate = gates.realized_channel("rzz", eps, f).superop
-    rep = gates.transfer_independence_report(gate)
-    return [mode, fmt(eps), fmt(f), fmt(rep.max_pair_distance), fmt(rep.max_distance_to_rzz)]
+    return [mode, eps, f, *gates.transfer_independence_report(gate)]
 
 
 def _distill_row(n, eps, f):
-    return [str(n), fmt(eps), fmt(f), fmt(faulttol.distill(n, eps, f))]
+    return [n, eps, f, faulttol.distill(n, eps, f)]
 
 
 def _threshold_row(f, n, budget, bisect_tol, include_decoupling):
     p = faulttol.threshold(f, n, budget, bisect_tol, include_decoupling)
-    return [fmt(f), str(n), fmt(p.eps_star), str(p.iterations)]
+    return [f, n, p.eps_star, p.iterations]
 
 
 def _noise_check_row(eps):
-    res = gates.noise_conditions(*gates.depolarizing_fixed_states(eps))
-    return [fmt(eps), fmt(res.cross_norm), fmt(res.trz_s),
-            str(int(res.pass_c1)), str(int(res.pass_c2))]
+    cross_norm, trz_s, c1, c2 = gates.noise_conditions(*gates.depolarizing_fixed_states(eps))
+    return [eps, cross_norm, trz_s, int(c1), int(c2)]
 
 
 # command -> (row function, grid, columns).  The grid lists the row
@@ -295,7 +294,10 @@ def _axis(cfg: dict, entry):
 
 
 def render_table(command: str, cfg: dict, cols, rows, errors) -> str:
-    """Provenance lines, the header, the rows, then one '# error:' line per failed point."""
+    """Provenance lines, the header, the rows, then one '# error:' line per failed point.
+
+    The one place a cell is formatted: floats by fmt, anything else by str.
+    """
     canonical = _canonical_config(command, cfg)
     digest = sha256(canonical.encode()).hexdigest()
     lines = [
@@ -304,7 +306,7 @@ def render_table(command: str, cfg: dict, cols, rows, errors) -> str:
         f"# config-sha256 {digest}",
         ",".join(cols),
     ]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(fmt(x) if isinstance(x, float) else str(x) for x in row) for row in rows)
     lines.extend(f"# error: {message}" for message in errors)
     return "\n".join(lines) + "\n"
 

@@ -166,18 +166,14 @@ SWAP_2Q = np.array(
 _SWAP_EVOLUTION_TIME = np.pi / (2.0 * np.sqrt(2.0))
 
 
-@dataclass
-class SwapIdentityCheck:
-    deviation: float
-    halftime_deviation: float
-
-
-def swap_identity_check() -> SwapIdentityCheck:
+def swap_identity_check() -> tuple:
     """Free XY-ring evolution versus the phased swap of its outer qubits.
 
     exp(-i H_xy t) at t = pi/(2 sqrt 2) equals
     (Z_a Z_c1 + Z_a Z_p2 + Z_c1 Z_p2 - 1)/2 * SWAP(c1, p2) exactly; at t/2
     it does not, which guards the check against passing trivially.
+    Returns (deviation, halftime_deviation), the Frobenius distances at t
+    and t/2.
     """
     phase = 0.5 * (
         embed_operator(kron(SZ, SZ), (0, 1), 3)
@@ -188,7 +184,7 @@ def swap_identity_check() -> SwapIdentityCheck:
     rhs = phase @ embed_operator(SWAP_2Q, (1, 2), 3)
     dev = float(np.linalg.norm(unitary_evolution(H_XY, _SWAP_EVOLUTION_TIME) - rhs))
     half = float(np.linalg.norm(unitary_evolution(H_XY, _SWAP_EVOLUTION_TIME / 2.0) - rhs))
-    return SwapIdentityCheck(deviation=dev, halftime_deviation=half)
+    return dev, half
 
 
 def transfer_cphase_circuit(gate: np.ndarray) -> np.ndarray:
@@ -215,17 +211,13 @@ TRANSFER_PROBE_STATES = (
 )
 
 
-@dataclass
-class TransferIndependenceReport:
-    max_pair_distance: float
-    max_distance_to_rzz: float
-
-
-def transfer_independence_report(gate: np.ndarray) -> TransferIndependenceReport:
+def transfer_independence_report(gate: np.ndarray) -> tuple:
     """Spread of the (c1, c2) transfer channel over probe initial states.
 
     ``gate`` is the two-qubit phase-gate superoperator: the exact RZZ, or a
-    realized rzz channel.
+    realized rzz channel.  Returns (max_pair_distance, max_distance_to_rzz):
+    the largest distance between two probes' channels, and from any probe's
+    channel to the exact RZZ.
     """
     circuit = transfer_cphase_circuit(gate)
     chans = [
@@ -237,40 +229,27 @@ def transfer_independence_report(gate: np.ndarray) -> TransferIndependenceReport
             pair = max(pair, float(np.linalg.norm(chans[i] - chans[j])))
     s_rzz = unitary_channel(RZZ_TARGET)
     to_rzz = max(float(np.linalg.norm(ch - s_rzz)) for ch in chans)
-    return TransferIndependenceReport(max_pair_distance=pair, max_distance_to_rzz=to_rzz)
-
-
-@dataclass
-class NoiseAdmissibility:
-    """Polarization checks on the frozen actuator states."""
-
-    cross_norm: float
-    trz_s: float
-    pass_c1: bool
-    pass_c2: bool
+    return pair, to_rzz
 
 
 # smallest cross product norm and z polarization counted as nonzero
 NOISE_CONDITION_TOL = 1e-9
 
 
-def noise_conditions(rho_i, rho_h, rho_s) -> NoiseAdmissibility:
+def noise_conditions(rho_i, rho_h, rho_s) -> tuple:
     """Evaluate the two polarization conditions on frozen actuator states.
 
     The first requires the reset-cycle and the reset+Hadamard-cycle fixed
     states to be polarized in non-parallel directions (nonzero cross
     product of Bloch vectors); the second requires the square-actuator
-    fixed state to retain z polarization.
+    fixed state to retain z polarization.  Returns (cross_norm, trz_s,
+    pass_c1, pass_c2): the cross product's norm, Tr(Z rho_s), and whether
+    each condition holds.
     """
     p_i, p_h = ([pauli_coefficients(rho)[k] for k in "XYZ"] for rho in (rho_i, rho_h))
     cross_norm = float(np.linalg.norm(np.cross(p_i, p_h)))
     trz = float(np.trace(SZ @ np.asarray(rho_s, dtype=complex)).real)
-    return NoiseAdmissibility(
-        cross_norm=cross_norm,
-        trz_s=trz,
-        pass_c1=cross_norm > NOISE_CONDITION_TOL,
-        pass_c2=abs(trz) > NOISE_CONDITION_TOL,
-    )
+    return cross_norm, trz, cross_norm > NOISE_CONDITION_TOL, abs(trz) > NOISE_CONDITION_TOL
 
 
 def depolarizing_fixed_states(eps: float):

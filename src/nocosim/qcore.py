@@ -235,13 +235,17 @@ def pauli_coefficients(op) -> dict[str, float]:
     """Expansion coefficients of a Hermitian operator in the Pauli basis.
 
     Returns {string: c} with op = sum_s c_s * P_s and c_s real,
-    c_s = Tr(P_s op) / 2**n.
+    c_s = Tr(P_s op) / 2**n.  An operator farther than 1e-12 (entrywise)
+    from its adjoint is refused: its imaginary coefficients would be lost.
     """
     m = np.asarray(op, dtype=complex)
     d = len(m) if m.ndim else 0
     nqubits = d.bit_length() - 1
     if nqubits < 1 or m.shape != (2 ** nqubits,) * 2:
         raise ValueError(f"operator shape {m.shape} is not 2^n x 2^n with n >= 1")
+    defect = np.abs(m - m.conj().T).max()
+    if defect > 1e-12:
+        raise ValueError(f"operator is not Hermitian: max |op - op^dagger| = {defect:.3e}")
     return {
         s: float(np.trace(pauli_string_operator(s) @ m).real / d)
         for s in pauli_strings(nqubits)

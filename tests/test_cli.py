@@ -147,6 +147,10 @@ def test_invalid_config_exit_codes(tmp_path):
     assert run(["distill", "--epsilon", "1.4"]) == 2
     assert run(["distill", "--epsilon", "abc"]) == 2
     assert run(["gate-error", "--freq_over_h", ""]) == 2
+    # an empty grid entry is refused, not dropped
+    for value in ("0.2,,0.3", "0.2,0.3,", ",0.2", "0.2, ,0.3"):
+        assert run(["gate-error", "--epsilon", value]) == 2
+    assert run(["distill", "--rounds", "3,,5"]) == 2
     assert run(["threshold", "--bisect_tol", "-1"]) == 2
     assert run(["threshold", "--budget", "abc"]) == 2
     assert run(["threshold", "--bisect_tol", "abc"]) == 2

@@ -4,15 +4,17 @@ Provenance lines, headers, text cells and integer columns must match
 exactly.  Floats must satisfy |a - b| <= 1e-10 * max(|a|, |b|) + 1e-12.
 The absolute 1e-12 floor is there only for the deviation columns of
 `swap-check` and `transfer-check`, which sit at roundoff (about 1e-15)
-and carry no relative precision.  Never regenerate a golden table to
-make this test pass: a mismatch means the program's output changed.
+and carry no relative precision.  Every cell must also be in the one
+format `cli.render_table` writes: a float exactly as `cli.fmt` prints it,
+an integer in decimal.  Never regenerate a golden table to make this test
+pass: a mismatch means the program's output changed.
 """
 
 from pathlib import Path
 
 import pytest
 
-from nocosim.cli import main
+from nocosim.cli import fmt, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +64,18 @@ def _cells_agree(expected: str, actual: str) -> bool:
     return abs(a - b) <= REL_TOL * max(abs(a), abs(b)) + ABS_TOL
 
 
+def _in_cell_format(cell: str) -> bool:
+    """A float cell as fmt writes it, an integer cell in decimal, or text."""
+    try:
+        return cell == str(int(cell))
+    except ValueError:
+        pass
+    try:
+        return cell == fmt(float(cell))
+    except ValueError:
+        return True  # text, such as transfer-check's mode
+
+
 def test_every_golden_table_has_a_command():
     assert sorted(p.name for p in GOLDEN.glob("*.csv")) == sorted(COMMANDS)
 
@@ -81,3 +95,4 @@ def test_table_matches_golden(name, tmp_path):
         assert len(act_cells) == len(exp_cells), f"{name}:{lineno}"
         for col, (e, a) in enumerate(zip(exp_cells, act_cells)):
             assert _cells_agree(e, a), f"{name}:{lineno} column {col}: {a} != {e}"
+            assert _in_cell_format(a), f"{name}:{lineno} column {col}: {a} is not a cell"

@@ -222,6 +222,17 @@ def test_pauli_coefficients_refuses_a_shape_that_is_not_2n_by_2n():
     assert pauli_coefficients(np.eye(2)) == {"I": 1.0, "X": 0.0, "Y": 0.0, "Z": 0.0}
 
 
+def test_pauli_coefficients_refuses_a_non_hermitian_operator():
+    # |0><1| = (X + iY)/2: a real expansion would drop its imaginary Y coefficient
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pauli_coefficients([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pauli_coefficients(np.eye(4) + 1e-9j * pauli_string_operator("XI"))
+    # roundoff far below the 1e-12 tolerance is accepted
+    h = pauli_string_operator("XY") + 1e-14 * np.triu(np.ones((4, 4)), 1)
+    assert np.isclose(pauli_coefficients(h)["XY"], 1.0)
+
+
 def random_kraus(rng, nqubits, count):
     """Kraus operators of a random channel: blocks of a random isometry."""
     d = 2 ** nqubits
