@@ -232,7 +232,7 @@ def _transfer_check_row(mode, eps, f):
     if mode == "ideal":
         gate, eps, f = unitary_channel(gates.RZZ_TARGET), 0.0, 0.0
     else:
-        gate = gates.realized_channel("rzz", eps, f).superop
+        gate = gates.realized_channel("rzz", eps, f)
     return [mode, eps, f, *gates.transfer_independence_report(gate)]
 
 

@@ -26,7 +26,6 @@ from numbers import Integral
 
 import numpy as np
 
-from .channels import depolarizing
 from .gates import H_HEISENBERG, H_ISING3, recipe
 from .qcore import I2, SX, kron, projector, unvec, vec
 from .zeno import NoisyCycleSpec, noco_state
@@ -56,17 +55,18 @@ def _round_rates(eps: float, freq_over_h: float) -> np.ndarray:
     ``distill`` needs, and the block is the vec of the conditional ancilla
     state that the noisy x-basis readout rows score.  Every operation is
     noisy: the ancilla's |+> and its readout are depolarized at rate eps,
-    and the realized gate is applied to the two inputs as the register map
-    that ``zeno.noco_state`` returns, never built as a full-system channel.
+    in the closed form rho -> (1 - eps) rho + eps Tr(rho) I/2 (each readout
+    projector has trace 1, so its row gains eps/2 vec(I)), and the realized
+    gate is applied to the two inputs as the register map that
+    ``zeno.noco_state`` returns, never built as a full-system channel.
     The rates do not depend on the round count, so a threshold search
     computes them once per (eps, f).  Cached, so the array is read-only.
     """
-    noise = depolarizing(eps)
-    anc = unvec(noise @ vec(_PLUS), 2)
+    anc = (1.0 - eps) * _PLUS + (eps / 2.0) * I2
     inputs = [kron(p, anc) for p in _DATA_INPUTS]
     rec = recipe("rzz_prime")
     t_n = noco_state(rec.cycle(eps), rec.duration(eps), freq_over_h)
-    readout = _READOUT @ noise
+    readout = (1.0 - eps) * _READOUT + (eps / 2.0) * vec(I2)
 
     rates = np.empty((2, 2))
     for x in (0, 1):

@@ -34,7 +34,7 @@ from .qcore import (
     unvec,
     vec,
 )
-from .zeno import NocoResult, NoisyCycleSpec, noco_channel, period_count
+from .zeno import NoisyCycleSpec, noco_channel, period_count
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -130,8 +130,8 @@ def recipe(name: str) -> GateRecipe:
     return _RECIPES[name]
 
 
-def realized_channel(name: str, eps: float, freq_over_h: float) -> NocoResult:
-    """Finite-frequency register channel of a catalog gate."""
+def realized_channel(name: str, eps: float, freq_over_h: float) -> np.ndarray:
+    """Finite-frequency register superoperator of a catalog gate."""
     rec = recipe(name)
     duration = rec.duration(eps)
     period_count(duration, freq_over_h)  # refuse a bad duration before the cycle's rate
@@ -140,8 +140,9 @@ def realized_channel(name: str, eps: float, freq_over_h: float) -> NocoResult:
 
 def gate_infidelity(name: str, eps: float, freq_over_h: float):
     """(1 - entanglement fidelity against the target, period count) of a catalog gate."""
-    run = realized_channel(name, eps, freq_over_h)
-    return 1.0 - entanglement_fidelity(run.superop, recipe(name).target), run.n_periods
+    rec = recipe(name)
+    n = period_count(rec.duration(eps), freq_over_h)
+    return 1.0 - entanglement_fidelity(realized_channel(name, eps, freq_over_h), rec.target), n
 
 
 def infidelity_surface(eps_values, freq_values, gate_name: str):

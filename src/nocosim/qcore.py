@@ -182,16 +182,6 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def matrix_power_int(m: np.ndarray, n: int) -> np.ndarray:
-    """m**n for integer n >= 0 by squaring."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"exponent must be a non-negative integer, got {n}")
-    n = int(n)
-    if n == 0:
-        return np.eye(m.shape[0], dtype=complex)
-    return power_by_squaring(np.array(m, dtype=complex), n, np.matmul)
-
-
 def power_by_squaring(base, n: int, mul):
     """base**n for integer n >= 1 under the associative product ``mul``.
 
@@ -244,7 +234,7 @@ def pauli_coefficients(op) -> dict[str, float]:
     if nqubits < 1 or m.shape != (2 ** nqubits,) * 2:
         raise ValueError(f"operator shape {m.shape} is not 2^n x 2^n with n >= 1")
     defect = np.abs(m - m.conj().T).max()
-    if defect > 1e-12:
+    if not defect <= 1e-12:  # a NaN defect is refused too
         raise ValueError(f"operator is not Hermitian: max |op - op^dagger| = {defect:.3e}")
     return {
         s: float(np.trace(pauli_string_operator(s) @ m).real / d)

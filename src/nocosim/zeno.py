@@ -15,6 +15,8 @@ computes exactly (for small systems): as a register channel, by powering
 the d_r^2 distinct columns of the full-system period map
 (``noco_channel``), or as the N-th power of one period's register map
 (``noco_state``), which its callers apply to the operators they need.
+Both return the plain d_r^2 x d_r^2 superoperator, and both power by
+``qcore.power_by_squaring``; the period count is ``period_count``'s.
 
 Units: hbar = J = 1 internally.  User-facing frequencies are quoted in
 J/h; since h = 2*pi*hbar, a drive at ``freq_over_h`` J/h has period
@@ -27,13 +29,7 @@ from math import isfinite
 
 import numpy as np
 
-from .qcore import (
-    kron,
-    matrix_power_int,
-    power_by_squaring,
-    reduce_superop,
-    unitary_evolution,
-)
+from .qcore import kron, power_by_squaring, reduce_superop, unitary_evolution
 
 # float dust tolerated in t * f at a whole count: a few ulps from ~1.1e6 periods up
 _PERIOD_COUNT_NUDGE = 1e-9
@@ -161,22 +157,14 @@ def effective_hamiltonian(spec: NoisyCycleSpec) -> np.ndarray:
     return np.einsum("ac,cras->rs", spec.rho_u, h4)
 
 
-@dataclass(frozen=True)
-class NocoResult:
-    """Realized register channel of a frequently driven cycle."""
-
-    superop: np.ndarray
-    n_periods: int
-    residual_time: float
-
-
-def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> NocoResult:
+def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> np.ndarray:
     """Exact register channel after driving the cycle for ``duration``.
 
-    Composes N = floor(duration * f) whole periods (operations then free
-    flight), starting from the maximally mixed actuator state, then traces
-    the actuators out.  Time left over after the last whole period is
-    discarded and reported as ``residual_time``.
+    Composes N = ``period_count(duration, freq_over_h)`` whole periods
+    (operations then free flight), starting from the maximally mixed
+    actuator state, then traces the actuators out, and returns the
+    d_r^2 x d_r^2 register superoperator.  Time left over after the last
+    whole period is discarded.
 
     The full-system period map P is powered by squaring, each power held
     as its d_r^2 distinct columns, those of the inputs |0 r><0 r'|: the
@@ -193,11 +181,9 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
     if n == 0:
         # the reduced P^0, exactly; the column form starts at P^1.  No period
         # is built: its 2 pi / f is inf at a subnormal f
-        return NocoResult(superop=np.eye(dr * dr, dtype=complex), n_periods=0,
-                          residual_time=duration)
-    dt = 2.0 * np.pi / freq_over_h
+        return np.eye(dr * dr, dtype=complex)
     # the d^2 x d^2 flight map is freed before the buffer below exists
-    u = unitary_evolution(spec.hamiltonian, dt)
+    u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / freq_over_h)
     period = kron(u.conj(), u) @ replacement_images(spec)
     # one column-major buffer holds every left operand: only the columns of
     # the inputs |a r><a r'|, one block per actuator state a, are ever
@@ -213,11 +199,7 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> N
         return full
 
     cols = power_by_squaring(period, n, lambda x, y: expand(x) @ y)
-    return NocoResult(
-        superop=reduce_superop(expand(cols), nq, range(na, nq), np.eye(da, dtype=complex) / da),
-        n_periods=n,
-        residual_time=duration - n * dt,
-    )
+    return reduce_superop(expand(cols), nq, range(na, nq), np.eye(da, dtype=complex) / da)
 
 
 def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> np.ndarray:
@@ -238,4 +220,4 @@ def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> np.
     # T[i + dr j, k + dr l] = sum_abc U[ai, bk] rho_U[b, c] conj(U[aj, cl]), read
     # off the d x d unitary: the d^2 x d^2 kron(conj U, U) is never formed
     t = np.einsum("aibk,bc,ajcl->jilk", u, spec.rho_u, u.conj()).reshape(dr * dr, dr * dr)
-    return matrix_power_int(t, n)
+    return power_by_squaring(t, n, np.matmul)

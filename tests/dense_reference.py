@@ -10,7 +10,10 @@ powering of the whole period map, the reduction of a superoperator through
 a transposed copy, the Pauli twirl of a dense channel by its direct
 formula, and a distillation round on plain density matrices with each of
 its three noise sources switchable.  It also holds the one non-Clifford
-rotation the tests drive, rz at pi/8, off the catalog.
+rotation the tests drive, rz at pi/8, off the catalog; the depolarizing
+superoperator as a Kraus sum, which the library's closed form is checked
+against; integer matrix powers from the identity up; and a CPTP check
+through the Choi matrix.
 """
 
 from dataclasses import replace
@@ -30,10 +33,10 @@ from nocosim.qcore import (
     SZ,
     embed_superop,
     kron,
-    matrix_power_int,
     partial_trace,
     pauli_string_operator,
     pauli_strings,
+    power_by_squaring,
     projector,
     unitary_evolution,
     unvec,
@@ -44,6 +47,48 @@ from nocosim.zeno import NoisyCycleSpec, period_count
 # rz driven to pi/8: a T-type rotation, off the catalog and not Clifford
 RZ_PI8 = replace(recipe("rz"), name="rz_pi8", angle=np.pi / 8.0,
                  target=unitary_evolution(SZ, np.pi / 8.0))
+
+
+def matrix_power_int(m, n):
+    """m**n for integer n >= 0 by squaring."""
+    if n < 0 or n != int(n):
+        raise ValueError(f"exponent must be a non-negative integer, got {n}")
+    n = int(n)
+    if n == 0:
+        return np.eye(m.shape[0], dtype=complex)
+    return power_by_squaring(np.array(m, dtype=complex), n, np.matmul)
+
+
+def depolarizing(eps):
+    """Single-qubit depolarizing map with Kraus weights (1 - 3e/4, e/4, e/4, e/4)."""
+    return kraus_to_superop(depolarizing_kraus(eps))
+
+
+def superop_to_choi(s):
+    """Reshuffle a superoperator into its Choi matrix (involution).
+
+    The convention is C = sum_ij |i><j| (x) E(|i><j|), which has trace d for
+    a trace-preserving channel on a d-dimensional system.
+    """
+    d2 = s.shape[0]
+    d = int(round(np.sqrt(d2)))
+    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
+
+
+# largest trace defect and negative Choi eigenvalue check_cptp lets pass
+CPTP_ATOL = 1e-9
+
+
+def check_cptp(s):
+    """Check trace preservation and complete positivity; raise if violated."""
+    d = 2 ** channel_nqubits(s)
+    ident = vec(np.eye(d, dtype=complex))
+    defect = np.linalg.norm(s.conj().T @ ident - ident)
+    if defect > CPTP_ATOL:
+        raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
+    w = np.linalg.eigvalsh(superop_to_choi(s))
+    if w.min() < -CPTP_ATOL:
+        raise ValueError(f"Choi matrix has negative eigenvalue {w.min():.3e}")
 
 
 def initialization_kraus():
@@ -183,7 +228,7 @@ def naive_round(eps, freq_over_h, noisy_init=True, noisy_gate=True, noisy_meas=T
     if noisy_init:
         anc = sum(k @ anc @ k.conj().T for k in depolarizing_kraus(eps))
     if noisy_gate:
-        s_gate = realized_channel("rzz_prime", eps, freq_over_h).superop
+        s_gate = realized_channel("rzz_prime", eps, freq_over_h)
     else:
         s_gate = unitary_channel(RZZ_PRIME_TARGET)
     if noisy_meas:

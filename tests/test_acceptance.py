@@ -158,7 +158,7 @@ def test_criterion_6_oracle_equivalence(monkeypatch):
     s_flight = np.kron(u.conj(), u)
     worst_prop = 0.0
     for n in (1, 7, 64):
-        run = noco_channel(spec, (n + 0.25) * dt, f)
+        s = noco_channel(spec, (n + 0.25) * dt, f)
         for _ in range(3):
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = m @ m.conj().T
@@ -167,7 +167,7 @@ def test_criterion_6_oracle_equivalence(monkeypatch):
             for _ in range(n):
                 sigma = s_flight @ (s_ops @ sigma)
             stepped = partial_trace(unvec(sigma, 4), 2, (1,))
-            dev = np.max(np.abs(apply_channel(run.superop, rho) - stepped))
+            dev = np.max(np.abs(apply_channel(s, rho) - stepped))
             worst_prop = max(worst_prop, dev)
 
     # readout noise alone, at the rates of the dense round: the library
@@ -303,9 +303,9 @@ def test_pi8_injection_below_the_distillation_threshold():
         star = _eps_star(f, n)
         p = distill(n, star, f)
         rho = (1.0 - p) * projector("0") + p * projector("1")
-        rho = apply_channel(realized_channel("rx", star, f).superop, rho)
+        rho = apply_channel(realized_channel("rx", star, f), rho)
         rotation = noco_channel(RZ_PI8.cycle(star), RZ_PI8.duration(star), f)
-        rho = apply_channel(rotation.superop, rho)
+        rho = apply_channel(rotation, rho)
         errors[f, n] = 1.0 - float(np.real(np.vdot(ideal, rho @ ideal)))
     worst = max(errors, key=errors.get)
     raw = _eps_star(1e4, 17) / 2.0

@@ -20,6 +20,7 @@ KNOWN_ABSENT = {
     ("faulttol", "threshold_sweep"),
     ("channels", "pauli_twirl"),
     ("gates", "gate_error_channel"),
+    ("qcore", "matrix_power_int"),
 }
 
 

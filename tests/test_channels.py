@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
+from dense_reference import check_cptp, depolarizing, superop_to_choi
 from nocosim.channels import (
     apply_channel,
-    check_cptp,
-    depolarizing,
     depolarizing_kraus,
     entanglement_fidelity,
     kraus_to_superop,
-    superop_to_choi,
     unitary_channel,
 )
 from nocosim.qcore import (

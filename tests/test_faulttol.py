@@ -290,7 +290,7 @@ def test_budget_composition():
     # the weight is read off the register map; the twirl of the dense
     # channel agrees to 2.1e-10 for both gates at this point
     for gate in ("rx", "rzz"):
-        dense = realized_channel(gate, 0.2, 1e4).superop
+        dense = realized_channel(gate, 0.2, 1e4)
         assert w[gate] == pytest.approx(dense_phase_weight(dense, recipe(gate).target), rel=1e-8)
     # two distillations, two x rotations, four phase gates on the data qubit
     recon = 2 * w["distill"] + 2 * w["rx"] + 4 * w["rzz"]
@@ -312,8 +312,8 @@ def test_budget_with_decoupling_terms():
     assert all(weight >= 0.0 for weight in b.idle_weights.values())
     # four Ising neighbors idle through each x rotation
     # read off the register map; the dense channel's twirl agrees to 1.4e-10
-    run = zeno.noco_channel(IDLE_CYCLES["ising"], recipe("rx").duration(0.2), 1e4)
-    residual = dense_phase_weight(run.superop, np.eye(4))
+    dense = zeno.noco_channel(IDLE_CYCLES["ising"], recipe("rx").duration(0.2), 1e4)
+    residual = dense_phase_weight(dense, np.eye(4))
     assert b.idle_weights["rx_1", "ising"] == b.idle_weights["rx_2", "ising"]
     assert b.idle_weights["rx_1", "ising"] == pytest.approx(4 * residual, rel=1e-8)
     extra = sum(b.idle_weights.values())
@@ -467,16 +467,16 @@ def test_threshold_powers_no_map_above_16(monkeypatch):
     # register qubit (4 x 4), and rzz's, rzz_prime's and the idle couplings'
     # on two (16 x 16); no register channel is realized
     sizes = []
-    original_power = zeno.matrix_power_int
+    original_power = zeno.power_by_squaring
 
-    def recording_power(m, n):
-        sizes.append(m.shape)
-        return original_power(m, n)
+    def recording_power(base, n, mul):
+        sizes.append(base.shape)
+        return original_power(base, n, mul)
 
     def refuse(*_args):
         raise AssertionError("register channel realized")
 
-    monkeypatch.setattr(zeno, "matrix_power_int", recording_power)
+    monkeypatch.setattr(zeno, "power_by_squaring", recording_power)
     monkeypatch.setattr(zeno, "noco_channel", refuse)
     monkeypatch.setattr(gates, "noco_channel", refuse)
     monkeypatch.setattr(gates, "realized_channel", refuse)
@@ -501,5 +501,5 @@ def test_phase_weight_matches_the_dense_twirl_on_random_cycles(nqubits, n_period
     f = 1e3
     duration = (n_periods + 0.5) * 2.0 * np.pi / f
     got = faulttol._phase_weight(spec, duration, f, target)
-    dense = zeno.noco_channel(spec, duration, f).superop
+    dense = zeno.noco_channel(spec, duration, f)
     assert np.isclose(got, dense_phase_weight(dense, target), rtol=0, atol=1e-12)

@@ -7,19 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dense_reference import (
+    check_cptp,
     cycle_superop,
     dense_phase_weight,
+    depolarizing,
     kraus_built_operations,
     pauli_twirl,
 )
 from nocosim import faulttol, gates, zeno
 from nocosim.cli import _gate_error_row, _transfer_check_row
-from nocosim.channels import (
-    check_cptp,
-    depolarizing,
-    entanglement_fidelity,
-    unitary_channel,
-)
+from nocosim.channels import entanglement_fidelity, unitary_channel
 from nocosim.gates import (
     GATE_NAMES,
     RZ_TARGET,
@@ -46,7 +43,7 @@ from nocosim.qcore import (
     reduce_superop,
     unitary_evolution,
 )
-from nocosim.zeno import noco_channel
+from nocosim.zeno import noco_channel, period_count
 
 
 def test_gate_catalog():
@@ -100,16 +97,14 @@ def test_rzz_infidelity_is_not_negative_at_f_1e9():
 
 def test_noiseless_high_frequency_limit():
     for name in ("rz", "phase_z", "rx", "rzz", "rzz_prime"):
-        run = realized_channel(name, 0.0, 1e6)
-        fid = entanglement_fidelity(run.superop, recipe(name).target)
+        fid = entanglement_fidelity(realized_channel(name, 0.0, 1e6), recipe(name).target)
         assert fid > 1.0 - 1e-4, name
 
 
 def test_noisy_duration_compensation():
     # the stretched duration compensates the polarization loss: the noisy
     # gate still converges to the same target as the frequency grows
-    run = realized_channel("rz", 0.4, 1e6)
-    assert entanglement_fidelity(run.superop, RZ_TARGET) > 1.0 - 1e-3
+    assert entanglement_fidelity(realized_channel("rz", 0.4, 1e6), RZ_TARGET) > 1.0 - 1e-3
 
 
 def test_swap_identity():
@@ -178,14 +173,14 @@ def test_driven_cycles_refuse_rates_outside_the_depolarizing_range():
 )
 def test_realized_channels_stay_cptp(name, eps, f):
     realized = realized_channel(name, eps, f)
-    check_cptp(realized.superop)
+    check_cptp(realized)
     # the error channel E with realized = E o ideal
-    check_cptp(realized.superop @ unitary_channel(recipe(name).target).conj().T)
+    check_cptp(realized @ unitary_channel(recipe(name).target).conj().T)
 
 
 def test_gate_error_channel_is_small_at_low_noise():
     realized = realized_channel("rz", 0.0, 1e5)
-    err = realized.superop @ unitary_channel(RZ_TARGET).conj().T
+    err = realized @ unitary_channel(RZ_TARGET).conj().T
     assert entanglement_fidelity(err, I2) > 1.0 - 1e-3
     check_cptp(err)
 
@@ -196,9 +191,9 @@ def test_gate_error_channel_is_small_at_low_noise():
 ])
 def test_gate_error_row_and_surface_share_one_score(gate, eps, f):
     infid, n_periods = gate_infidelity(gate, eps, f)
-    run = realized_channel(gate, eps, f)
-    assert infid.hex() == (1.0 - entanglement_fidelity(run.superop, recipe(gate).target)).hex()
-    assert n_periods == run.n_periods
+    realized = realized_channel(gate, eps, f)
+    assert infid.hex() == (1.0 - entanglement_fidelity(realized, recipe(gate).target)).hex()
+    assert n_periods == period_count(recipe(gate).duration(eps), f)
     surface, counts = infidelity_surface([eps], [f], gate)
     assert float(surface[0, 0]).hex() == infid.hex() and counts[0, 0] == n_periods
     assert _gate_error_row(gate, eps, f) == [eps, f, infid, n_periods]
@@ -209,21 +204,21 @@ def test_decouple_single_period_residuals():
     dt = 2.0 * np.pi / f
     # twirled Ising neighbor: one period leaves a ZZ rotation pair whose
     # twirl weight is sin^2(dt)
-    run = noco_channel(faulttol.IDLE_CYCLES["ising"], dt, f)
-    assert run.n_periods == 1
-    probs = pauli_twirl(run.superop)
+    ch = noco_channel(faulttol.IDLE_CYCLES["ising"], dt, f)
+    assert period_count(dt, f) == 1
+    probs = pauli_twirl(ch)
     assert np.isclose(probs["ZZ"], np.sin(dt) ** 2, atol=1e-12)
     assert np.isclose(probs["II"], np.cos(dt) ** 2, atol=1e-12)
-    assert np.isclose(dense_phase_weight(run.superop, np.eye(4)), np.sin(dt) ** 2, atol=1e-12)
+    assert np.isclose(dense_phase_weight(ch, np.eye(4)), np.sin(dt) ** 2, atol=1e-12)
     # the budget reads the same weight off the register map
     assert np.isclose(faulttol._idle_weight("ising", dt, f), np.sin(dt) ** 2, rtol=0, atol=1e-12)
     # twirled exchange coupling: one period depolarizes at sin^2(2 dt)
-    run = noco_channel(faulttol.IDLE_CYCLES["heisenberg"], dt, f)
-    probs = pauli_twirl(run.superop)
+    ch = noco_channel(faulttol.IDLE_CYCLES["heisenberg"], dt, f)
+    probs = pauli_twirl(ch)
     s = np.sin(2.0 * dt) ** 2
     for p in "XYZ":
         assert np.isclose(probs[p], s / 4.0, atol=1e-12)
-    assert np.isclose(dense_phase_weight(run.superop, I2), s / 2.0, atol=1e-12)
+    assert np.isclose(dense_phase_weight(ch, I2), s / 2.0, atol=1e-12)
     assert np.isclose(faulttol._idle_weight("heisenberg", dt, f), s / 2.0, rtol=0, atol=1e-12)
 
 
@@ -236,12 +231,12 @@ def test_transfer_ideal_independence():
 
 def test_transfer_finite_frequency():
     max_pair_distance, max_distance_to_rzz = transfer_independence_report(
-        realized_channel("rzz", 0.2, 1e3).superop)
+        realized_channel("rzz", 0.2, 1e3))
     # the realized phase gate is z-diagonal, so the reduced channel stays
     # independent of the parked states even though it deviates from ideal
     assert max_pair_distance < 1e-8
     assert 1e-3 < max_distance_to_rzz < 0.1
-    circuit = transfer_cphase_circuit(realized_channel("rzz", 0.2, 1e3).superop)
+    circuit = transfer_cphase_circuit(realized_channel("rzz", 0.2, 1e3))
     check_cptp(reduce_superop(circuit, 4, (1, 3), kron(I2 / 2.0, projector("+"))))
 
 
@@ -314,5 +309,5 @@ def test_effective_rotation_angle_tracks_duration():
     full = realized_channel("rz", 0.0, 1e5)
     half = noco_channel(recipe("rz").cycle(0.0), recipe("rz").duration(0.0) / 2, 1e5)
     u_half = unitary_evolution(SZ, np.pi / 8.0)
-    assert entanglement_fidelity(half.superop, u_half) > 1.0 - 1e-4
-    assert entanglement_fidelity(full.superop, u_half) < 0.99
+    assert entanglement_fidelity(half, u_half) > 1.0 - 1e-4
+    assert entanglement_fidelity(full, u_half) < 0.99

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dense_reference import dense_reduce_superop
+from dense_reference import dense_reduce_superop, matrix_power_int
 from nocosim.channels import kraus_to_superop
 from nocosim.qcore import (
     I2,
@@ -17,7 +17,6 @@ from nocosim.qcore import (
     embed_superop,
     ket,
     kron,
-    matrix_power_int,
     partial_trace,
     pauli_coefficients,
     pauli_string_operator,
@@ -226,8 +225,11 @@ def test_pauli_coefficients_refuses_a_non_hermitian_operator():
     # |0><1| = (X + iY)/2: a real expansion would drop its imaginary Y coefficient
     with pytest.raises(ValueError, match="not Hermitian"):
         pauli_coefficients([[0, 1], [0, 0]])
-    with pytest.raises(ValueError, match="not Hermitian"):
-        pauli_coefficients(np.eye(4) + 1e-9j * pauli_string_operator("XI"))
+    # a NaN defect compares false against any tolerance, so it is refused too
+    for op in (np.eye(4) + 1e-9j * pauli_string_operator("XI"), np.nan * np.eye(2),
+               np.diag([1.0, np.nan])):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pauli_coefficients(op)
     # roundoff far below the 1e-12 tolerance is accepted
     h = pauli_string_operator("XY") + 1e-14 * np.triu(np.ones((4, 4)), 1)
     assert np.isclose(pauli_coefficients(h)["XY"], 1.0)

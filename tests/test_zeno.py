@@ -8,8 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dense_reference import (
+    check_cptp,
     cycle_superop,
     dense_noco_channel,
+    depolarizing,
     noisy_hadamard,
     noisy_init,
     period_superop,
@@ -18,7 +20,7 @@ from dense_reference import (
     random_state,
 )
 from nocosim import zeno
-from nocosim.channels import apply_channel, check_cptp, depolarizing
+from nocosim.channels import apply_channel
 from nocosim.faulttol import IDLE_CYCLES
 from nocosim.gates import (
     GATE_NAMES,
@@ -212,9 +214,8 @@ def test_noco_channel_matches_step_propagation():
     u = unitary_evolution(HEISENBERG, dt)
     s_flight = np.kron(u.conj(), u)
     for n in (1, 7, 64):
-        run = noco_channel(spec, (n + 0.5) * dt, f)
-        assert run.n_periods == n
-        assert np.isclose(run.residual_time, 0.5 * dt)
+        s = noco_channel(spec, (n + 0.5) * dt, f)
+        assert period_count((n + 0.5) * dt, f) == n
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho_r = m @ m.conj().T
         rho_r /= np.trace(rho_r)
@@ -222,13 +223,13 @@ def test_noco_channel_matches_step_propagation():
         for _ in range(n):
             sigma = s_flight @ (s_ops @ sigma)
         expected = partial_trace(unvec(sigma, 4), 2, (1,))
-        assert np.allclose(apply_channel(run.superop, rho_r), expected, atol=1e-10)
+        assert np.allclose(apply_channel(s, rho_r), expected, atol=1e-10)
 
 
 def test_noco_channel_is_trace_preserving():
-    run = noco_channel(init_cycle(0.4), 1.3, 500.0)
-    check_cptp(run.superop)
-    assert run.superop.shape == (4, 4)  # the one register qubit
+    s = noco_channel(init_cycle(0.4), 1.3, 500.0)
+    check_cptp(s)
+    assert s.shape == (4, 4)  # the one register qubit
 
 
 def test_period_superop_composition_order():
@@ -275,7 +276,7 @@ def test_noco_channel_equals_dense_powering(gate):
     rec = recipe(gate)
     for eps, f in product((0.0, 0.2, 0.5), (1e3, 1e4, 1e5, 1e6)):
         spec, duration = rec.cycle(eps), rec.duration(eps)
-        got = noco_channel(spec, duration, f).superop
+        got = noco_channel(spec, duration, f)
         assert np.array_equal(got, dense_noco_channel(spec, duration, f)), (eps, f)
 
 
@@ -286,9 +287,8 @@ def test_noco_channel_equals_dense_powering_on_random_cycles(nqubits, n_periods,
     spec = random_cycle(np.random.default_rng(seed), nqubits)
     f = 1e3
     duration = (n_periods + 0.5) * 2.0 * np.pi / f
-    run = noco_channel(spec, duration, f)
-    assert run.n_periods == n_periods
-    assert np.array_equal(run.superop, dense_noco_channel(spec, duration, f))
+    assert period_count(duration, f) == n_periods
+    assert np.array_equal(noco_channel(spec, duration, f), dense_noco_channel(spec, duration, f))
 
 
 @pytest.mark.parametrize("gate", GATE_NAMES)
@@ -299,25 +299,22 @@ def test_noco_channel_without_a_whole_period_is_the_identity(gate):
     dr = 2 ** (spec.nqubits - spec.n_actuators)
     f = 1e3
     for duration in (0.0, 0.5 * 2.0 * np.pi / f, 0.999 * 2.0 * np.pi / f):
-        run = noco_channel(spec, duration, f)
-        assert run.n_periods == 0
-        assert run.residual_time == duration
-        assert np.array_equal(run.superop, np.eye(dr * dr))
-        assert np.array_equal(run.superop, dense_noco_channel(spec, duration, f))
+        s = noco_channel(spec, duration, f)
+        assert period_count(duration, f) == 0
+        assert np.array_equal(s, np.eye(dr * dr))
+        assert np.array_equal(s, dense_noco_channel(spec, duration, f))
 
 
 def test_noco_channel_at_a_subnormal_frequency_builds_no_period(monkeypatch):
-    # 2 pi / f is inf at f = 1e-320: no period unitary, and the residual is
-    # the whole duration, not duration - 0 * inf = nan
+    # 2 pi / f is inf at f = 1e-320: no period unitary, and the channel is
+    # the register identity, not a map of an inf-time flight
     def refuse(*_args):
         raise AssertionError("period unitary computed")
 
     monkeypatch.setattr(zeno, "unitary_evolution", refuse)
     rec = recipe("rz")
-    run = noco_channel(rec.cycle(0.2), rec.duration(0.2), 1e-320)
-    assert run.n_periods == 0
-    assert run.residual_time == rec.duration(0.2)
-    assert np.array_equal(run.superop, np.eye(4))
+    assert period_count(rec.duration(0.2), 1e-320) == 0
+    assert np.array_equal(noco_channel(rec.cycle(0.2), rec.duration(0.2), 1e-320), np.eye(4))
 
 
 def refuse_embedding(monkeypatch, refuse):
@@ -331,9 +328,9 @@ def refuse_embedding(monkeypatch, refuse):
 @pytest.mark.parametrize("gate", GATE_NAMES)
 def test_noco_channel_powers_only_the_distinct_columns(gate, monkeypatch):
     # every product's right operand is the d_r^2 distinct columns of a power
-    # of the period map: never the dense d^2 x d^2 map, nor matrix_power_int;
-    # the chain starts from the replacement images, so the dense operations
-    # map is never built either
+    # of the period map, never the dense d^2 x d^2 map, whose shape the set
+    # below excludes; the chain starts from the replacement images, so the
+    # dense operations map is never built either
     shapes = []
     original = zeno.power_by_squaring
 
@@ -348,13 +345,13 @@ def test_noco_channel_powers_only_the_distinct_columns(gate, monkeypatch):
     def refuse(*_args):
         raise AssertionError("dense map built or powered")
 
-    monkeypatch.setattr(zeno, "matrix_power_int", refuse)
     refuse_embedding(monkeypatch, refuse)
     monkeypatch.setattr(zeno, "power_by_squaring", recording_power)
-    spec = recipe(gate).cycle(0.2)
+    rec = recipe(gate)
+    spec = rec.cycle(0.2)
     nq, na = spec.nqubits, spec.n_actuators
-    run = realized_channel(gate, 0.2, 1e4)
-    assert run.n_periods > 1000
+    realized_channel(gate, 0.2, 1e4)
+    assert period_count(rec.duration(0.2), 1e4) > 1000
     assert len(shapes) > 10
     assert set(shapes) == {(4 ** nq, 4 ** (nq - na))}
 
@@ -399,7 +396,7 @@ def test_noco_state_matches_dense_channel_and_steps(gate):
         da, dr = 2 ** na, 2 ** (nq - na)
         got = noco_state(spec, duration, f)
         assert got.shape == (dr * dr, dr * dr)
-        dense = noco_channel(spec, duration, f).superop
+        dense = noco_channel(spec, duration, f)
         assert np.allclose(got, dense, rtol=0, atol=1e-12)
         sigmas = [random_state(rng, dr) for _ in range(2)]
         u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / f)
@@ -418,16 +415,16 @@ def test_noco_state_powers_one_register_map(monkeypatch):
     # full-system map, not even the operations', is ever built
     rec = recipe("rzz_prime")
     shapes = []
-    original = zeno.matrix_power_int
+    original = zeno.power_by_squaring
 
-    def recording_power(m, n):
-        shapes.append(m.shape)
-        return original(m, n)
+    def recording_power(base, n, mul):
+        shapes.append(base.shape)
+        return original(base, n, mul)
 
     def refuse(*_args):
         raise AssertionError("full-system map built")
 
-    monkeypatch.setattr(zeno, "matrix_power_int", recording_power)
+    monkeypatch.setattr(zeno, "power_by_squaring", recording_power)
     refuse_embedding(monkeypatch, refuse)
     for eps, f in ((0.27, 6524.0), (0.0, 1e3)):
         shapes.clear()
@@ -444,7 +441,7 @@ def test_noco_state_matches_noco_channel_on_random_cycles(nqubits, n_periods, se
     duration = (n_periods + 0.5) * 2.0 * np.pi / f
     assert period_count(duration, f) == n_periods
     got = noco_state(spec, duration, f)
-    assert np.allclose(got, noco_channel(spec, duration, f).superop, rtol=0, atol=1e-12)
+    assert np.allclose(got, noco_channel(spec, duration, f), rtol=0, atol=1e-12)
 
 
 def test_noco_state_edges(monkeypatch):
@@ -480,7 +477,7 @@ def test_register_maps_drift_from_trace_preservation_at_most_linearly_in_n(propa
         if propagator == "noco_state":
             s = noco_state(spec, duration, f)
         else:
-            s = noco_channel(spec, duration, f).superop
+            s = noco_channel(spec, duration, f)
         n = period_count(duration, f)
         trace = vec(np.eye(2 ** (spec.nqubits - spec.n_actuators)))
         defect = np.abs(trace.conj() @ s - trace.conj()).max()
