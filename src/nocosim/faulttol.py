@@ -20,7 +20,6 @@ until that budget hits the correcting code's tolerance.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, isfinite, log
 from numbers import Integral
 
@@ -44,7 +43,6 @@ _DATA_INPUTS = (projector("0"), projector("1"))
 _READOUT = np.stack([vec(projector(outcome)) for outcome in "+-"])
 
 
-@lru_cache()
 def _round_rates(eps: float, freq_over_h: float) -> np.ndarray:
     """Per-round outcome rates: ``rates[x, o]`` for data input |x> and outcome o.
 
@@ -59,8 +57,6 @@ def _round_rates(eps: float, freq_over_h: float) -> np.ndarray:
     projector has trace 1, so its row gains eps/2 vec(I)), and the realized
     gate is applied to the two inputs as the register map that
     ``zeno.noco_state`` returns, never built as a full-system channel.
-    The rates do not depend on the round count, so a threshold search
-    computes them once per (eps, f).  Cached, so the array is read-only.
     """
     anc = (1.0 - eps) * _PLUS + (eps / 2.0) * I2
     inputs = [kron(p, anc) for p in _DATA_INPUTS]
@@ -80,7 +76,6 @@ def _round_rates(eps: float, freq_over_h: float) -> np.ndarray:
                 "distillation needs a gate that commutes with Z on the data qubit"
             )
         rates[x] = (readout @ block.reshape(4)).real
-    rates.setflags(write=False)
     return rates
 
 
@@ -155,7 +150,7 @@ class ErrorBudget:
 
 
 def _phase_weight(
-    spec: NoisyCycleSpec, duration: float, freq_over_h: float, target: np.ndarray
+    spec: NoisyCycleSpec, duration: float, freq_over_h: float, target: np.ndarray | None = None
 ) -> float:
     """Y/Z weight on register qubit 0 of a driven cycle's twirled error channel.
 
@@ -164,34 +159,15 @@ def _phase_weight(
     Pauli eigenvalue lambda_P = Re Tr(P E(P)) / d, and the strings with Y or
     Z on qubit 0 are the ones that anticommute with X_0, so their weight is
     (1 - lambda_X0) / 2: one operator, U^dag X_0 U, sent through the
-    register map that ``zeno.noco_state`` returns.  No full-system map or
-    twirl table is formed.
+    register map that ``zeno.noco_state`` returns.  An idle coupling has no
+    ``target``: U is the identity.  No full-system map or twirl table is formed.
     """
-    d = len(target)
+    d = len(spec.hamiltonian) // len(spec.rho_u)
     x0 = kron(SX, np.eye(d // 2))
+    moved = x0 if target is None else target.conj().T @ x0 @ target
     t_n = noco_state(spec, duration, freq_over_h)
-    out = unvec(t_n @ vec(target.conj().T @ x0 @ target), d)
+    out = unvec(t_n @ vec(moved), d)
     return float((1.0 - np.real(np.trace(x0 @ out)) / d) / 2.0)
-
-
-# A threshold sweep bisects at several round counts per frequency, so the
-# same (eps, f) terms come back; these memos and ``_round_rates`` keep the
-# terms that do not depend on the round count.
-
-
-@lru_cache()
-def _gate_weight(gate: str, eps: float, freq_over_h: float) -> float:
-    """Y/Z weight on the data qubit of a unitary gate's twirled error channel."""
-    rec = recipe(gate)
-    return _phase_weight(rec.cycle(eps), rec.duration(eps), freq_over_h, rec.target)
-
-
-@lru_cache()
-def _idle_weight(interaction: str, duration: float, freq_over_h: float) -> float:
-    """Y/Z weight on the data qubit of an idle coupling's twirled residual."""
-    spec = IDLE_CYCLES[interaction]
-    register = np.eye(2 ** (spec.nqubits - spec.n_actuators), dtype=complex)
-    return _phase_weight(spec, duration, freq_over_h, register)
 
 
 def _gate_term(gate: str, eps: float, freq_over_h: float, rounds: int):
@@ -200,7 +176,9 @@ def _gate_term(gate: str, eps: float, freq_over_h: float, rounds: int):
         # distill first, so its refusal of an eps outside [0, 1] comes before the duration's
         p_fail = distill(rounds, eps, freq_over_h)
         return rounds * recipe("rzz_prime").duration(eps), p_fail
-    return recipe(gate).duration(eps), _gate_weight(gate, eps, freq_over_h)
+    rec = recipe(gate)
+    duration = rec.duration(eps)
+    return duration, _phase_weight(rec.cycle(eps), duration, freq_over_h, rec.target)
 
 
 def vacuum_error_budget(
@@ -230,7 +208,7 @@ def vacuum_error_budget(
     if include_decoupling:
         for slot, gate, _, idles in SCHEDULE:
             for interaction, count in idles:
-                weight = _idle_weight(interaction, durations[gate], freq_over_h)
+                weight = _phase_weight(IDLE_CYCLES[interaction], durations[gate], freq_over_h)
                 idle_weights[slot, interaction] = count * weight
 
     p_phase = 0.0

@@ -20,6 +20,7 @@ Conventions used throughout the package:
   actuator state rho then induces sum_k 2 p_k(rho) sigma_k on the register.
 """
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -136,9 +137,28 @@ def reduce_superop(s, nqubits: int, keep, env) -> np.ndarray:
 
 def unitary_evolution(hamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) through the Hermitian eigendecomposition."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    w, v = np.linalg.eigh(h)
+    w, v = hermitian_eigh(hamiltonian)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def hermitian_eigh(hamiltonian) -> tuple:
+    """Read-only (w, v) of ``eigh``, kept for the last 32 distinct Hamiltonians.
+    One with a non-finite entry, or off its adjoint (``eigh`` reads one triangle),
+    is refused on every call: a refusal is not kept."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    return _eigh(h.tobytes(), h.shape)
+
+
+@lru_cache(maxsize=32)  # a threshold sweep evolves under three Hamiltonians
+def _eigh(data: bytes, shape: tuple) -> tuple:
+    h = np.frombuffer(data, dtype=complex).reshape(shape)
+    if not np.isfinite(h).all():
+        raise ValueError("hamiltonian has a non-finite entry")
+    if not np.array_equal(h, h.conj().T):
+        raise ValueError("hamiltonian is not Hermitian")
+    w, v = np.linalg.eigh(h)
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 def embed_operator(op, positions, nqubits: int) -> np.ndarray:
@@ -225,16 +245,18 @@ def pauli_coefficients(op) -> dict[str, float]:
     """Expansion coefficients of a Hermitian operator in the Pauli basis.
 
     Returns {string: c} with op = sum_s c_s * P_s and c_s real,
-    c_s = Tr(P_s op) / 2**n.  An operator farther than 1e-12 (entrywise)
-    from its adjoint is refused: its imaginary coefficients would be lost.
+    c_s = Tr(P_s op) / 2**n.  A non-finite operator is refused, and one farther
+    than 1e-12 (entrywise) from its adjoint, whose imaginary coefficients would be lost.
     """
     m = np.asarray(op, dtype=complex)
     d = len(m) if m.ndim else 0
     nqubits = d.bit_length() - 1
     if nqubits < 1 or m.shape != (2 ** nqubits,) * 2:
         raise ValueError(f"operator shape {m.shape} is not 2^n x 2^n with n >= 1")
+    if not np.isfinite(m).all():
+        raise ValueError("operator has a non-finite entry")
     defect = np.abs(m - m.conj().T).max()
-    if not defect <= 1e-12:  # a NaN defect is refused too
+    if defect > 1e-12:
         raise ValueError(f"operator is not Hermitian: max |op - op^dagger| = {defect:.3e}")
     return {
         s: float(np.trace(pauli_string_operator(s) @ m).real / d)

@@ -29,7 +29,7 @@ from math import isfinite
 
 import numpy as np
 
-from .qcore import kron, power_by_squaring, reduce_superop, unitary_evolution
+from .qcore import hermitian_eigh, kron, power_by_squaring, reduce_superop, unitary_evolution
 
 # float dust tolerated in t * f at a whole count: a few ulps from ~1.1e6 periods up
 _PERIOD_COUNT_NUDGE = 1e-9
@@ -81,10 +81,7 @@ class NoisyCycleSpec:
         shape = np.shape(self.hamiltonian)
         if len(shape) != 2 or not shape[0] or shape != (2 ** self.nqubits,) * 2:
             raise ValueError(f"hamiltonian shape {shape} is not 2^n x 2^n")
-        if not np.isfinite(self.hamiltonian).all():
-            raise ValueError("hamiltonian has a non-finite entry")
-        if not np.array_equal(self.hamiltonian, np.conj(self.hamiltonian).T):
-            raise ValueError("hamiltonian is not Hermitian")
+        hermitian_eigh(self.hamiltonian)  # refuses a non-finite or non-Hermitian one
         shape = np.shape(self.rho_u)
         if len(shape) != 2 or shape[0] < 2 or shape != (2 ** self.n_actuators,) * 2:
             raise ValueError(f"actuator state shape {shape} is not 2^k x 2^k with k > 0")
@@ -106,11 +103,11 @@ class NoisyCycleSpec:
 
     @property
     def n_actuators(self) -> int:
-        return int(np.log2(len(self.rho_u)))
+        return len(self.rho_u).bit_length() - 1
 
     @property
     def nqubits(self) -> int:
-        return int(np.log2(len(self.hamiltonian)))
+        return len(self.hamiltonian).bit_length() - 1
 
 
 def replacement_images(spec: NoisyCycleSpec) -> np.ndarray:
@@ -217,7 +214,10 @@ def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> np.
     if n == 0:  # T^0 = I; build no period, whose 2 pi / f is inf at a subnormal f
         return np.eye(dr * dr, dtype=complex)
     u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / freq_over_h).reshape(da, dr, da, dr)
-    # T[i + dr j, k + dr l] = sum_abc U[ai, bk] rho_U[b, c] conj(U[aj, cl]), read
-    # off the d x d unitary: the d^2 x d^2 kron(conj U, U) is never formed
-    t = np.einsum("aibk,bc,ajcl->jilk", u, spec.rho_u, u.conj()).reshape(dr * dr, dr * dr)
+    # T[i + dr j, k + dr l] = sum_abc U[ai, bk] rho_U[b, c] conj(U[aj, cl]) in two
+    # products: W[i, k, ac] = sum_b U[ai, bk] rho_U[b, c], then an einsum over x = ac,
+    # whose plain multiply-adds (not BLAS's fused ones) round as the 3-operand einsum
+    u = u.transpose(1, 3, 0, 2)
+    w = (u.reshape(-1, da) @ spec.rho_u).reshape(dr, dr, da * da)
+    t = np.einsum("ikx,jlx->jilk", w, u.conj().reshape(w.shape)).reshape(dr * dr, dr * dr)
     return power_by_squaring(t, n, np.matmul)

@@ -5,8 +5,8 @@ replacement map of the re-prepared actuator state, powers only the distinct
 columns of the full-system period map, and reads every phase-budget term off
 the register map of one period.  These helpers build the same objects the
 long way, for comparison: the noisy actuator operations from Kraus sets, the
-dense operations map on the full system, the register channel by dense
-powering of the whole period map, the reduction of a superoperator through
+dense operations map on the full system, one period's register map as a
+single einsum, the register channel by dense powering of the whole period map, the reduction of a superoperator through
 a transposed copy, the Pauli twirl of a dense channel by its direct
 formula, and a distillation round on plain density matrices with each of
 its three noise sources switchable.  It also holds the one non-Clifford
@@ -142,6 +142,20 @@ def period_superop(spec, period):
     """Full-system superoperator of one period: ops, then free flight."""
     u = unitary_evolution(spec.hamiltonian, period)
     return kron(u.conj(), u) @ cycle_superop(spec)
+
+
+def einsum_register_map(spec, period):
+    """One period's register map T of ``zeno.noco_state`` as one 3-operand einsum.
+
+    T[i + dr j, k + dr l] = sum_abc U[ai, bk] rho_U[b, c] conj(U[aj, cl]) in
+    one contraction: the reference for the library's two products, the sum
+    over b and then the sum over (a, c).
+    """
+    da = len(spec.rho_u)
+    dr = 2 ** spec.nqubits // da
+    u = unitary_evolution(spec.hamiltonian, period).reshape(da, dr, da, dr)
+    t = np.einsum("aibk,bc,ajcl->jilk", u, spec.rho_u, u.conj())
+    return t.reshape(dr * dr, dr * dr)
 
 
 def dense_noco_channel(spec, duration, freq_over_h):

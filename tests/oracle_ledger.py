@@ -25,8 +25,8 @@ from nocosim.faulttol import _round_rates
 ROOT = Path(__file__).resolve().parent.parent
 TABLES = (sorted((ROOT / "perfbench" / "reference" / "gate-grid").glob("cycle0-cmd*.csv"))
           + sorted((ROOT / "tests" / "golden").glob("gate-error*.csv")))
-RATE_EPS = (0.0, 0.2)
-RATE_FREQS = (1e4, 1e5, 1e6)
+RATE_EPS = (0.0, 0.05, 0.2, 0.5, 0.9)
+RATE_FREQS = (1e3, 1e4, 1e5, 1e6)
 
 
 def relative_error(value: float, exact: float) -> float:

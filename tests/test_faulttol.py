@@ -427,7 +427,8 @@ def test_threshold_sweep_workers_agree():
 
 
 def test_threshold_builds_each_channel_once(monkeypatch):
-    # every budget term is one register propagation, and none depends on rounds
+    # every budget term is one register propagation; no term is kept from one
+    # budget evaluation to the next, so each evaluation propagates all three
     propagations = []
     original_state = faulttol.noco_state
     original_budget = faulttol.vacuum_error_budget
@@ -439,11 +440,11 @@ def test_threshold_builds_each_channel_once(monkeypatch):
         propagations.append(args)
         return original_state(*args)
 
-    seen = set()
+    evaluations = []
 
-    def recording_budget(eps, *args):
-        seen.add(float(eps))
-        return original_budget(eps, *args)
+    def recording_budget(*args):
+        evaluations.append(args)
+        return original_budget(*args)
 
     monkeypatch.setattr(zeno, "noco_channel", refuse)
     monkeypatch.setattr(gates, "noco_channel", refuse)
@@ -451,15 +452,9 @@ def test_threshold_builds_each_channel_once(monkeypatch):
     monkeypatch.setattr(faulttol, "vacuum_error_budget", recording_budget)
     for n in (15, 17):
         threshold(1e3, n, bisect_tol=1e-3)
-    # per distinct eps: one propagation each for rx, rzz and the round rates
-    assert len(propagations) == 3 * len(seen)
-    # faulttol's memos, not gates, hold the terms the second round count reuses
-    assert faulttol._gate_weight.cache_info().misses == 2 * len(seen)
-    assert faulttol._round_rates.cache_info().misses == len(seen)
-    # memoized, so shared by every caller: the rates are read-only
-    rates = faulttol._round_rates(0.2, 1e3)
-    with pytest.raises(ValueError):
-        rates[0, 0] = 0.0
+    # per evaluation: one propagation each for rx, rzz and the round rates
+    assert evaluations
+    assert len(propagations) == 3 * len(evaluations)
 
 
 def test_threshold_powers_no_map_above_16(monkeypatch):

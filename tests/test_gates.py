@@ -211,7 +211,8 @@ def test_decouple_single_period_residuals():
     assert np.isclose(probs["II"], np.cos(dt) ** 2, atol=1e-12)
     assert np.isclose(dense_phase_weight(ch, np.eye(4)), np.sin(dt) ** 2, atol=1e-12)
     # the budget reads the same weight off the register map
-    assert np.isclose(faulttol._idle_weight("ising", dt, f), np.sin(dt) ** 2, rtol=0, atol=1e-12)
+    weight = faulttol._phase_weight(faulttol.IDLE_CYCLES["ising"], dt, f)
+    assert np.isclose(weight, np.sin(dt) ** 2, rtol=0, atol=1e-12)
     # twirled exchange coupling: one period depolarizes at sin^2(2 dt)
     ch = noco_channel(faulttol.IDLE_CYCLES["heisenberg"], dt, f)
     probs = pauli_twirl(ch)
@@ -219,7 +220,8 @@ def test_decouple_single_period_residuals():
     for p in "XYZ":
         assert np.isclose(probs[p], s / 4.0, atol=1e-12)
     assert np.isclose(dense_phase_weight(ch, I2), s / 2.0, atol=1e-12)
-    assert np.isclose(faulttol._idle_weight("heisenberg", dt, f), s / 2.0, rtol=0, atol=1e-12)
+    weight = faulttol._phase_weight(faulttol.IDLE_CYCLES["heisenberg"], dt, f)
+    assert np.isclose(weight, s / 2.0, rtol=0, atol=1e-12)
 
 
 def test_transfer_ideal_independence():

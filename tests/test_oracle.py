@@ -1,8 +1,8 @@
 """40-digit oracle for the register channels and the phase budget's terms.
 
-Recomputes ``gates.gate_infidelity``, ``faulttol._round_rates``
-and ``faulttol._gate_weight`` from the register map of one period powered in
-mpmath (``register_oracle``), sharing no numerics with the float path.  The
+Recomputes ``gates.gate_infidelity``, ``faulttol._round_rates`` and the gate
+weights of ``faulttol.vacuum_error_budget`` from the register map of one period
+powered in mpmath (``register_oracle``), sharing no numerics with the float path.  The
 round rates are the noisy x-basis readout of the ancilla conditioned on each
 data bit; a gate weight is (1 - lambda)/2, with
 lambda = Re Tr(X_0 T^N(V^dag X_0 V)) / d the Pauli eigenvalue of X on
@@ -25,7 +25,7 @@ from register_oracle import (
     target,
 )
 
-from nocosim.faulttol import _gate_weight, _round_rates
+from nocosim.faulttol import _round_rates, vacuum_error_budget
 from nocosim.gates import GATE_NAMES, gate_infidelity
 from nocosim.qcore import pauli_string_operator
 
@@ -37,7 +37,7 @@ def test_round_rates_match_the_register_map_oracle(eps, freq_over_h):
     assert np.allclose(got, expected, rtol=1e-9, atol=0), (got, expected)
 
 
-def oracle_gate_weight(gate: str, eps: float, freq_over_h: float) -> float:
+def oracle_phase_weight(gate: str, eps: float, freq_over_h: float) -> float:
     """(1 - lambda_X0) / 2 of the error channel T^N o V^dag of rx or rzz."""
     with mpmath.workdps(DIGITS):
         e = mpmath.mpf(eps)
@@ -58,8 +58,8 @@ def oracle_gate_weight(gate: str, eps: float, freq_over_h: float) -> float:
 @pytest.mark.parametrize("gate", ["rx", "rzz"])
 def test_gate_weights_match_the_register_map_oracle(gate):
     # the float path measured 2.1e-10 off for both gates
-    expected = oracle_gate_weight(gate, 0.2, 1e4)
-    got = _gate_weight(gate, 0.2, 1e4)
+    expected = oracle_phase_weight(gate, 0.2, 1e4)
+    got = vacuum_error_budget(0.2, 1e4, 1).gate_weights[gate]
     assert np.isclose(got, expected, rtol=1e-9, atol=0), (got, expected)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dense_reference import dense_reduce_superop, matrix_power_int
+from nocosim import qcore
 from nocosim.channels import kraus_to_superop
 from nocosim.qcore import (
     I2,
@@ -15,6 +16,7 @@ from nocosim.qcore import (
     SZ,
     embed_operator,
     embed_superop,
+    hermitian_eigh,
     ket,
     kron,
     partial_trace,
@@ -114,6 +116,33 @@ def test_unitary_evolution():
         # composite of half steps
         uh = unitary_evolution(h, 0.35)
         assert np.allclose(uh @ uh, u, atol=1e-12)
+
+
+def test_unitary_evolution_refuses_a_bad_hamiltonian_on_every_call():
+    # eigh reads only one triangle, so [[0, 1], [0, 0]] evolved as the
+    # identity, and diag(inf, 0) as an all-NaN matrix
+    before = qcore._eigh.cache_info().currsize
+    for h, message in (([[0, 1], [0, 0]], "is not Hermitian"),
+                       (np.diag([np.inf, 0.0]), "has a non-finite entry")):
+        for _ in range(2):  # a refusal is not kept
+            with pytest.raises(ValueError, match=f"^hamiltonian {message}$"):
+                unitary_evolution(h, 0.3)
+    assert qcore._eigh.cache_info().currsize == before
+
+
+def test_hermitian_eigh_is_read_only_and_bounded():
+    w, v = hermitian_eigh(SZ)
+    for array in (w, v):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # keyed by the entries, not the array: an equal copy reads the same pair
+    assert hermitian_eigh(SZ.copy())[1] is v
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        unitary_evolution(m + m.conj().T, 0.1)
+    info = qcore._eigh.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_bloch_vector_half_normalization():
@@ -225,14 +254,19 @@ def test_pauli_coefficients_refuses_a_non_hermitian_operator():
     # |0><1| = (X + iY)/2: a real expansion would drop its imaginary Y coefficient
     with pytest.raises(ValueError, match="not Hermitian"):
         pauli_coefficients([[0, 1], [0, 0]])
-    # a NaN defect compares false against any tolerance, so it is refused too
-    for op in (np.eye(4) + 1e-9j * pauli_string_operator("XI"), np.nan * np.eye(2),
-               np.diag([1.0, np.nan])):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            pauli_coefficients(op)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pauli_coefficients(np.eye(4) + 1e-9j * pauli_string_operator("XI"))
     # roundoff far below the 1e-12 tolerance is accepted
     h = pauli_string_operator("XY") + 1e-14 * np.triu(np.ones((4, 4)), 1)
     assert np.isclose(pauli_coefficients(h)["XY"], 1.0)
+
+
+def test_pauli_coefficients_refuses_a_non_finite_operator():
+    # an inf entry made op - op^dagger warn "invalid value" (an error under
+    # the suite's warning filter); a NaN one was refused only as not Hermitian
+    for op in (np.diag([np.inf, 1.0]), np.nan * np.eye(2), np.diag([1.0, np.nan])):
+        with pytest.raises(ValueError, match="^operator has a non-finite entry$"):
+            pauli_coefficients(op)
 
 
 def random_kraus(rng, nqubits, count):
