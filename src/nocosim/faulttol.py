@@ -136,15 +136,16 @@ IDLE_CYCLES = {
 class ErrorBudget:
     """Per-data-qubit phase error budget over ``SCHEDULE``, term by term.
 
-    ``gate_weights[gate]`` is the weight of one occurrence of a gate: the
-    distillation failure probability, or the Y/Z weight on the data qubit
-    of the gate's twirled error channel.  ``idle_weights[slot, interaction]``
-    is multiplicity times the twirl-decoupled residual of that idle
-    interaction over the slot.  ``duration`` is in internal time units.
+    ``terms[slot, gate]`` is count times the weight of one occurrence of the
+    slot's gate: the distillation failure probability, or the Y/Z weight on
+    the data qubit of the gate's twirled error channel.  With
+    ``include_decoupling``, ``terms[slot, interaction]`` is multiplicity times
+    the twirl-decoupled residual of that idle interaction over the slot.
+    Keys follow the schedule, each gate before its idles.  ``p_phase`` is
+    their sum; ``duration`` is in internal time units.
     """
 
-    gate_weights: dict
-    idle_weights: dict
+    terms: dict
     p_phase: float
     duration: float
 
@@ -197,29 +198,23 @@ def vacuum_error_budget(
     frequency, and idle dephasing during the z-basis distillation segments
     is largely harmless there anyway.
 
-    Gate weights are summed by total count in the order each gate first
-    appears in the schedule, then the idle terms in schedule order.
+    Each distinct term, a gate or an (idle interaction, gate) pair, is
+    propagated once per evaluation and shared by every slot that repeats it.
     """
-    durations, gate_weights = {}, {}
-    for gate in dict.fromkeys(gate for _, gate, _, _ in SCHEDULE):
-        durations[gate], gate_weights[gate] = _gate_term(gate, eps, freq_over_h, rounds)
-
-    idle_weights = {}
-    if include_decoupling:
-        for slot, gate, _, idles in SCHEDULE:
-            for interaction, count in idles:
-                weight = _phase_weight(IDLE_CYCLES[interaction], durations[gate], freq_over_h)
-                idle_weights[slot, interaction] = count * weight
-
-    p_phase = 0.0
-    for gate, weight in gate_weights.items():
-        p_phase += sum(count for _, g, count, _ in SCHEDULE if g == gate) * weight
-    return ErrorBudget(
-        gate_weights=gate_weights,
-        idle_weights=idle_weights,
-        p_phase=float(p_phase + sum(idle_weights.values())),
-        duration=float(sum(durations[gate] for _, gate, _, _ in SCHEDULE)),
-    )
+    distinct = {}  # gate -> (duration, weight); (interaction, gate) -> idle weight
+    terms, duration = {}, 0.0
+    for slot, gate, count, idles in SCHEDULE:
+        if gate not in distinct:
+            distinct[gate] = _gate_term(gate, eps, freq_over_h, rounds)
+        gate_duration, weight = distinct[gate]
+        terms[slot, gate] = count * weight
+        duration += gate_duration
+        for interaction, multiplicity in idles if include_decoupling else ():
+            key = interaction, gate
+            if key not in distinct:
+                distinct[key] = _phase_weight(IDLE_CYCLES[interaction], gate_duration, freq_over_h)
+            terms[slot, interaction] = multiplicity * distinct[key]
+    return ErrorBudget(terms=terms, p_phase=float(sum(terms.values())), duration=float(duration))
 
 
 class ThresholdError(RuntimeError):
@@ -261,8 +256,7 @@ def threshold(
         return vacuum_error_budget(eps, freq_over_h, rounds, include_decoupling).p_phase
 
     grid = list(np.arange(0.0, 0.99, 0.05)) + [0.99]
-    prev_val = None
-    lo = hi = None
+    lo = prev_val = None
     for eps in grid:
         val = p_phase(eps)
         if prev_val is not None and val < prev_val - 1e-12:
@@ -271,36 +265,27 @@ def threshold(
                 f"({prev_val:.6e} -> {val:.6e}) at freq={freq_over_h}, n={rounds}"
             )
         if val >= budget:
-            if prev_val is None:
-                raise ThresholdError(
-                    f"budget {val:.4e} already above target {budget} at eps=0 "
-                    f"(freq={freq_over_h}, n={rounds})"
-                )
-            hi = eps
             break
         lo, prev_val = eps, val
-    if hi is None:
+    else:
         raise ThresholdError(
             f"budget stays below target {budget} up to eps=0.99 "
             f"(freq={freq_over_h}, n={rounds})"
         )
+    if lo is None:
+        raise ThresholdError(
+            f"budget {val:.4e} already above target {budget} at eps=0 "
+            f"(freq={freq_over_h}, n={rounds})"
+        )
 
-    history = [(lo, hi)]
-    iterations = 0
-    while hi - lo > bisect_tol:
+    history = [(lo, eps)]
+    while True:
+        lo, hi = history[-1]
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent doubles
+        if hi - lo <= bisect_tol or not lo < mid < hi:  # or lo and hi are adjacent doubles
             break
-        if p_phase(mid) < budget:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-        history.append((lo, hi))
-
-    return ThresholdPoint(
-        eps_star=0.5 * (lo + hi), iterations=iterations, history=tuple(history)
-    )
+        history.append((mid, hi) if p_phase(mid) < budget else (lo, mid))
+    return ThresholdPoint(eps_star=mid, iterations=len(history) - 1, history=tuple(history))
 
 
 def error_rate_mapping(eps: float):

@@ -20,8 +20,8 @@ Both return the plain d_r^2 x d_r^2 superoperator, and both power by
 
 Units: hbar = J = 1 internally.  User-facing frequencies are quoted in
 J/h; since h = 2*pi*hbar, a drive at ``freq_over_h`` J/h has period
-2*pi / freq_over_h in internal time.  Durations returned in "per (J/h)"
-units are internal durations divided by 2*pi.
+2*pi / freq_over_h in internal time.  ``faulttol.ErrorBudget.duration`` is
+in internal units; acceptance criterion 10 divides it by 2*pi.
 """
 
 from dataclasses import dataclass
