@@ -143,7 +143,8 @@ RUN_KEYS = ("workers", "out")
 
 def _command_keys(command: str) -> list:
     """The config keys a command takes: the keys its grid names, then RUN_KEYS."""
-    return [key for key in CONFIG if key in COMMANDS[command][1] or key in RUN_KEYS]
+    grid = COMMANDS[command][1]
+    return [key for key in CONFIG if key in grid or [key] in grid or key in RUN_KEYS]
 
 
 def resolve_config(command: str, args) -> dict:
@@ -196,8 +197,8 @@ def _row_or_error(row, *args):
         return str(exc)
 
 
-# Row functions compute one table row from one grid point.  They return the
-# row's values (floats, ints, 0/1 flags as ints, text), and render_table
+# Row functions compute one table row from one grid point (threshold's, one
+# row per round count from one frequency).  They return the row's values (floats, ints, 0/1 flags as ints, text), and render_table
 # formats them.  They are module level so they pickle into pool workers, and
 # they look library functions up on their modules at call time, so a function
 # rebound there (by a tracer, say) is the one that runs.
@@ -240,9 +241,16 @@ def _distill_row(n, eps, f):
     return [n, eps, f, faulttol.distill(n, eps, f)]
 
 
-def _threshold_row(f, n, budget, bisect_tol, include_decoupling):
-    p = faulttol.threshold(f, n, budget, bisect_tol, include_decoupling)
-    return [f, n, p.eps_star, p.iterations]
+def _threshold_rows(f, rounds, budget, bisect_tol, include_decoupling):
+    # one frequency's round counts, in order, share one pass's table of terms;
+    # a count without a crossing costs its own row
+    search = faulttol.ThresholdPass(f, budget, bisect_tol, include_decoupling)
+
+    def row(n):
+        p = search.threshold(n)
+        return [f, n, p.eps_star, p.iterations]
+
+    return [_row_or_error(row, n) for n in rounds]
 
 
 def _noise_check_row(eps):
@@ -253,7 +261,9 @@ def _noise_check_row(eps):
 # command -> (row function, grid, columns).  The grid lists the row
 # function's arguments: a config key, whose value or values are swept, or a
 # tuple of fixed values.  Rows follow itertools.product, the first entry
-# outermost.  Columns are a list, or a function of the config.
+# outermost.  A key in a list, [key], passes the key's whole grid to one
+# call, which returns a row or error message per value, in order.  Columns
+# are a list, or a function of the config.
 COMMANDS = {
     "fixed-state": (_fixed_state_row, ("gate", "epsilon"),
                     ["epsilon_i", "epsilon_h", "px", "py", "pz"]),
@@ -267,8 +277,8 @@ COMMANDS = {
                         "max_distance_to_rzz"]),
     "distill": (_distill_row, ("rounds", "epsilon", "freq_over_h"),
                 ["rounds", "epsilon", "freq_over_h", "p_fail"]),
-    "threshold": (_threshold_row,
-                  ("freq_over_h", "rounds", "budget", "bisect_tol", "include_decoupling"),
+    "threshold": (_threshold_rows,
+                  ("freq_over_h", ["rounds"], "budget", "bisect_tol", "include_decoupling"),
                   ["freq_over_h", "rounds", "epsilon_star", "iterations"]),
     "noise-check": (_noise_check_row, ("epsilon",),
                     ["epsilon", "cross_norm", "trz_s", "pass_c1", "pass_c2"]),
@@ -289,6 +299,8 @@ def _check_command(command: str, cfg: dict) -> None:
 def _axis(cfg: dict, entry):
     if isinstance(entry, tuple):
         return entry
+    if isinstance(entry, list):
+        return [cfg[entry[0]]]
     value = cfg[entry]
     return value if isinstance(value, list) else [value]
 
@@ -341,6 +353,8 @@ def main(argv=None) -> int:
         row, grid, columns = COMMANDS[args.command]
         tasks = [(row, *t) for t in itertools.product(*(_axis(cfg, entry) for entry in grid))]
         results = _map_tasks(_row_or_error, tasks, cfg["workers"])
+        if any(isinstance(entry, list) for entry in grid):  # each task returned a list
+            results = list(itertools.chain.from_iterable(results))
         rows = [r for r in results if not isinstance(r, str)]
         errors = [r for r in results if isinstance(r, str)]
         cols = columns(cfg) if callable(columns) else columns

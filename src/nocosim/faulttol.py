@@ -19,9 +19,9 @@ of every gate the qubit participates in, and bisects the depolarizing rate
 until that budget hits the correcting code's tolerance.
 """
 
-from dataclasses import dataclass
 from math import comb, isfinite, log
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +57,12 @@ def _round_rates(eps: float, freq_over_h: float) -> np.ndarray:
     projector has trace 1, so its row gains eps/2 vec(I)), and the realized
     gate is applied to the two inputs as the register map that
     ``zeno.noco_state`` returns, never built as a full-system channel.
+    An eps or f out of range is refused before the round runs.
     """
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    if not (isfinite(freq_over_h) and freq_over_h > 0):
+        raise ValueError(f"freq_over_h must be finite and positive, got {freq_over_h}")
     anc = (1.0 - eps) * _PLUS + (eps / 2.0) * I2
     inputs = [kron(p, anc) for p in _DATA_INPUTS]
     rec = recipe("rzz_prime")
@@ -86,6 +91,26 @@ def _log_power(rate: float, k: np.ndarray) -> np.ndarray:
     return np.where(k == 0, 0.0, -np.inf)
 
 
+def _record_classes(rounds: int):
+    """(n, k, log C(n, k)) over the n + 1 classes k of n-round records, n = ``rounds``.
+
+    A round count out of range is refused here, before any round runs.
+    """
+    if not isinstance(rounds, Integral) or rounds < 1 or rounds % 2 == 0:
+        raise ValueError(f"rounds must be a positive odd integer, got {rounds}")
+    if rounds > MAX_ROUNDS:
+        raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
+    k = np.arange(rounds + 1)
+    return rounds, k, np.log(np.array([float(comb(rounds, j)) for j in k]))
+
+
+def _class_sum(rates: np.ndarray, classes) -> float:
+    """Bayes failure rate of the record classes ``classes`` at per-round ``rates``."""
+    rounds, k, log_sizes = classes
+    log0, log1 = (_log_power(a, rounds - k) + _log_power(b, k) for a, b in rates)
+    return float(0.5 * np.exp(log_sizes + np.minimum(log0, log1)).sum())
+
+
 def distill(rounds: int, eps: float, freq_over_h: float) -> float:
     """Bayes failure rate p_fail of n-round distillation, summed by record class.
 
@@ -95,19 +120,8 @@ def distill(rounds: int, eps: float, freq_over_h: float) -> float:
     a_x^(n-k) b_x^k underflows at large n long before C(n, k) a_x^(n-k) b_x^k.
     An n = ``rounds``, eps or f out of range is refused before any round runs.
     """
-    if not isinstance(rounds, Integral) or rounds < 1 or rounds % 2 == 0:
-        raise ValueError(f"rounds must be a positive odd integer, got {rounds}")
-    if rounds > MAX_ROUNDS:
-        raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    if not (isfinite(freq_over_h) and freq_over_h > 0):
-        raise ValueError(f"freq_over_h must be finite and positive, got {freq_over_h}")
-    rates = _round_rates(eps, freq_over_h)
-    k = np.arange(rounds + 1)
-    log0, log1 = (_log_power(a, rounds - k) + _log_power(b, k) for a, b in rates)
-    sizes = np.array([float(comb(rounds, j)) for j in k])
-    return float(0.5 * np.exp(np.log(sizes) + np.minimum(log0, log1)).sum())
+    classes = _record_classes(rounds)  # a bad n is refused before a bad eps or f
+    return _class_sum(_round_rates(eps, freq_over_h), classes)
 
 
 # The prepare-and-measure schedule of one data qubit, slot by slot:
@@ -132,8 +146,7 @@ IDLE_CYCLES = {
 }
 
 
-@dataclass
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     """Per-data-qubit phase error budget over ``SCHEDULE``, term by term.
 
     ``terms[slot, gate]`` is count times the weight of one occurrence of the
@@ -171,15 +184,47 @@ def _phase_weight(
     return float((1.0 - np.real(np.trace(x0 @ out)) / d) / 2.0)
 
 
-def _gate_term(gate: str, eps: float, freq_over_h: float, rounds: int):
-    """(duration, weight) of one occurrence of a schedule gate."""
+def _gate_term(gate: str, eps: float, freq_over_h: float, classes, shared: dict):
+    """(duration, weight) of one occurrence of a schedule gate.
+
+    Distillation's round rates are read from ``shared``, filled on first use.
+    """
     if gate == "distill":
-        # distill first, so its refusal of an eps outside [0, 1] comes before the duration's
-        p_fail = distill(rounds, eps, freq_over_h)
-        return rounds * recipe("rzz_prime").duration(eps), p_fail
+        if "rates" not in shared:
+            shared["rates"] = _round_rates(eps, freq_over_h)
+        p_fail = _class_sum(shared["rates"], classes)
+        return classes[0] * recipe("rzz_prime").duration(eps), p_fail
     rec = recipe(gate)
     duration = rec.duration(eps)
     return duration, _phase_weight(rec.cycle(eps), duration, freq_over_h, rec.target)
+
+
+def _budget(eps: float, freq_over_h: float, classes, include_decoupling: bool, shared: dict):
+    """The budget at eps for the round count of ``classes``, walking ``SCHEDULE`` once.
+
+    ``shared`` holds the terms at eps that no round count changes: the round
+    rates, rx's and rzz's (duration, weight), and the idle weights of their
+    slots.  It is filled on first use and may be handed to the next round
+    count.  Distillation's term and its slots' idles, whose duration is n
+    rounds, are kept for this evaluation alone.  Each distinct term is
+    propagated once and shared by every slot that repeats it, in schedule
+    order, so the first term that fails is the one that raises.
+    """
+    own = {}  # "distill" -> (duration, weight); (interaction, "distill") -> idle weight
+    terms, duration = {}, 0.0
+    for slot, gate, count, idles in SCHEDULE:
+        memo = own if gate == "distill" else shared
+        if gate not in memo:
+            memo[gate] = _gate_term(gate, eps, freq_over_h, classes, shared)
+        gate_duration, weight = memo[gate]
+        terms[slot, gate] = count * weight
+        duration += gate_duration
+        for interaction, multiplicity in idles if include_decoupling else ():
+            key = interaction, gate
+            if key not in memo:
+                memo[key] = _phase_weight(IDLE_CYCLES[interaction], gate_duration, freq_over_h)
+            terms[slot, interaction] = multiplicity * memo[key]
+    return ErrorBudget(terms=terms, p_phase=float(sum(terms.values())), duration=float(duration))
 
 
 def vacuum_error_budget(
@@ -201,28 +246,14 @@ def vacuum_error_budget(
     Each distinct term, a gate or an (idle interaction, gate) pair, is
     propagated once per evaluation and shared by every slot that repeats it.
     """
-    distinct = {}  # gate -> (duration, weight); (interaction, gate) -> idle weight
-    terms, duration = {}, 0.0
-    for slot, gate, count, idles in SCHEDULE:
-        if gate not in distinct:
-            distinct[gate] = _gate_term(gate, eps, freq_over_h, rounds)
-        gate_duration, weight = distinct[gate]
-        terms[slot, gate] = count * weight
-        duration += gate_duration
-        for interaction, multiplicity in idles if include_decoupling else ():
-            key = interaction, gate
-            if key not in distinct:
-                distinct[key] = _phase_weight(IDLE_CYCLES[interaction], gate_duration, freq_over_h)
-            terms[slot, interaction] = multiplicity * distinct[key]
-    return ErrorBudget(terms=terms, p_phase=float(sum(terms.values())), duration=float(duration))
+    return _budget(eps, freq_over_h, _record_classes(rounds), include_decoupling, {})
 
 
 class ThresholdError(RuntimeError):
     """Threshold search failed (no crossing or non-monotone budget)."""
 
 
-@dataclass
-class ThresholdPoint:
+class ThresholdPoint(NamedTuple):
     """Bisection result: largest tolerable depolarizing rate at (freq, rounds).
 
     ``history`` holds the bracket before the first step and after each one;
@@ -234,6 +265,83 @@ class ThresholdPoint:
     history: tuple
 
 
+class ThresholdPass:
+    """Threshold searches at one frequency, one round count after another.
+
+    Most of a budget evaluation does not depend on the round count: the
+    round rates, rx's and rzz's terms and their slots' idles.  The pass
+    keeps them in a table keyed by eps, filled on first use, so every
+    round count that evaluates an eps (each count's scan visits the same
+    grid) reuses them, bit for bit.  The table lives as long as the pass.
+    """
+
+    def __init__(
+        self,
+        freq_over_h: float,
+        budget: float = 0.03,
+        bisect_tol: float = 1e-4,
+        include_decoupling: bool = False,
+    ):
+        for name, value in (("budget", budget), ("bisect_tol", bisect_tol)):
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        self.freq_over_h = freq_over_h
+        self.budget = budget
+        self.bisect_tol = bisect_tol
+        self.include_decoupling = include_decoupling
+        self.table = {}  # eps -> the round-independent terms at eps
+
+    def p_phase(self, eps: float, classes) -> float:
+        """The budget's p_phase at eps for the round count of ``classes``.
+
+        Every step of a search, scan or bisection, evaluates through here.
+        """
+        shared = self.table.setdefault(eps, {})
+        return _budget(eps, self.freq_over_h, classes, self.include_decoupling, shared).p_phase
+
+    def threshold(self, rounds: int) -> ThresholdPoint:
+        """Bisect the depolarizing rate where the phase budget crosses ``budget``.
+
+        A coarse upward scan in steps of 0.05 first verifies the budget is
+        monotone along the scanned grid and brackets the crossing; bisection
+        then narrows the bracket to ``bisect_tol``, or to adjacent doubles if
+        that comes first.
+        """
+        classes = _record_classes(rounds)
+        freq_over_h, budget = self.freq_over_h, self.budget
+        grid = list(np.arange(0.0, 0.99, 0.05)) + [0.99]
+        lo = prev_val = None
+        for eps in grid:
+            val = self.p_phase(eps, classes)
+            if prev_val is not None and val < prev_val - 1e-12:
+                raise ThresholdError(
+                    f"budget decreases between eps={lo:.4f} and eps={eps:.4f} "
+                    f"({prev_val:.6e} -> {val:.6e}) at freq={freq_over_h}, n={rounds}"
+                )
+            if val >= budget:
+                break
+            lo, prev_val = eps, val
+        else:
+            raise ThresholdError(
+                f"budget stays below target {budget} up to eps=0.99 "
+                f"(freq={freq_over_h}, n={rounds})"
+            )
+        if lo is None:
+            raise ThresholdError(
+                f"budget {val:.4e} already above target {budget} at eps=0 "
+                f"(freq={freq_over_h}, n={rounds})"
+            )
+
+        history = [(lo, eps)]
+        while True:
+            lo, hi = history[-1]
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= self.bisect_tol or not lo < mid < hi:  # or lo and hi are adjacent doubles
+                break
+            history.append((mid, hi) if self.p_phase(mid, classes) < budget else (lo, mid))
+        return ThresholdPoint(eps_star=mid, iterations=len(history) - 1, history=tuple(history))
+
+
 def threshold(
     freq_over_h: float,
     rounds: int,
@@ -241,51 +349,8 @@ def threshold(
     bisect_tol: float = 1e-4,
     include_decoupling: bool = False,
 ) -> ThresholdPoint:
-    """Bisect the depolarizing rate where the phase budget crosses ``budget``.
-
-    A coarse upward scan in steps of 0.05 first verifies the budget is
-    monotone along the scanned grid and brackets the crossing; bisection
-    then narrows the bracket to ``bisect_tol``, or to adjacent doubles if
-    that comes first.
-    """
-    for name, value in (("budget", budget), ("bisect_tol", bisect_tol)):
-        if not (isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-    def p_phase(eps: float) -> float:
-        return vacuum_error_budget(eps, freq_over_h, rounds, include_decoupling).p_phase
-
-    grid = list(np.arange(0.0, 0.99, 0.05)) + [0.99]
-    lo = prev_val = None
-    for eps in grid:
-        val = p_phase(eps)
-        if prev_val is not None and val < prev_val - 1e-12:
-            raise ThresholdError(
-                f"budget decreases between eps={lo:.4f} and eps={eps:.4f} "
-                f"({prev_val:.6e} -> {val:.6e}) at freq={freq_over_h}, n={rounds}"
-            )
-        if val >= budget:
-            break
-        lo, prev_val = eps, val
-    else:
-        raise ThresholdError(
-            f"budget stays below target {budget} up to eps=0.99 "
-            f"(freq={freq_over_h}, n={rounds})"
-        )
-    if lo is None:
-        raise ThresholdError(
-            f"budget {val:.4e} already above target {budget} at eps=0 "
-            f"(freq={freq_over_h}, n={rounds})"
-        )
-
-    history = [(lo, eps)]
-    while True:
-        lo, hi = history[-1]
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= bisect_tol or not lo < mid < hi:  # or lo and hi are adjacent doubles
-            break
-        history.append((mid, hi) if p_phase(mid) < budget else (lo, mid))
-    return ThresholdPoint(eps_star=mid, iterations=len(history) - 1, history=tuple(history))
+    """``ThresholdPass.threshold`` at one round count: a pass of its own."""
+    return ThresholdPass(freq_over_h, budget, bisect_tol, include_decoupling).threshold(rounds)
 
 
 def error_rate_mapping(eps: float):

@@ -9,7 +9,7 @@ The interaction Hamiltonians, the recipes and the transfer probes are module
 constants, built once at import.
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ RZZ_TARGET = (np.eye(4, dtype=complex) - 1j * kron(SZ, SZ)) / np.sqrt(2.0)
 RZZ_PRIME_TARGET = unitary_evolution(kron(I2, SZ) + kron(SZ, SZ), np.pi / 4.0)
 
 
-@dataclass(frozen=True)
-class GateRecipe:
+class GateRecipe(NamedTuple):
     """A driven gate: cycle template, actuator preparation, drive angle, and ideal target."""
 
     name: str
@@ -111,8 +110,8 @@ def _reset_hadamard(eps):
 _RZ = GateRecipe("rz", H_HEISENBERG, False, np.pi / 4.0, RZ_TARGET)
 _RECIPES = {
     "rz": _RZ,
-    "phase_z": replace(_RZ, name="phase_z", angle=np.pi / 2.0, target=PHASE_Z_TARGET),
-    "rx": replace(_RZ, name="rx", hadamard=True, target=RX_TARGET),
+    "phase_z": _RZ._replace(name="phase_z", angle=np.pi / 2.0, target=PHASE_Z_TARGET),
+    "rx": _RZ._replace(name="rx", hadamard=True, target=RX_TARGET),
     "rzz": GateRecipe("rzz", H_ISING3, False, np.pi / 4.0, RZZ_TARGET),
     "rzz_prime": GateRecipe("rzz_prime", H_RZZ_PRIME, False, np.pi / 4.0, RZZ_PRIME_TARGET),
 }

@@ -24,7 +24,6 @@ J/h; since h = 2*pi*hbar, a drive at ``freq_over_h`` J/h has period
 in internal units; acceptance criterion 10 divides it by 2*pi.
 """
 
-from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
@@ -63,7 +62,6 @@ def period_count(duration: float, freq_over_h: float) -> int:
 DENSITY_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
 class NoisyCycleSpec:
     """One drive period: the actuators re-prepared, then free flight.
 
@@ -72,12 +70,14 @@ class NoisyCycleSpec:
     operations act as the replacement map vec(rho_U) vec(I)^dag.  The
     Hermitian ``hamiltonian`` acts on all ``nqubits`` qubits, actuators
     first, and generates the free flight for the rest of the period.
+    Both are checked when the spec is made.
     """
 
-    hamiltonian: np.ndarray
-    rho_u: np.ndarray
+    __slots__ = ("hamiltonian", "rho_u")
 
-    def __post_init__(self):
+    def __init__(self, hamiltonian: np.ndarray, rho_u: np.ndarray):
+        self.hamiltonian = hamiltonian
+        self.rho_u = rho_u
         shape = np.shape(self.hamiltonian)
         if len(shape) != 2 or not shape[0] or shape != (2 ** self.nqubits,) * 2:
             raise ValueError(f"hamiltonian shape {shape} is not 2^n x 2^n")

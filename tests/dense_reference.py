@@ -16,8 +16,6 @@ against; integer matrix powers from the identity up; and a CPTP check
 through the Choi matrix.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from nocosim.channels import (
@@ -45,8 +43,8 @@ from nocosim.qcore import (
 from nocosim.zeno import NoisyCycleSpec, period_count
 
 # rz driven to pi/8: a T-type rotation, off the catalog and not Clifford
-RZ_PI8 = replace(recipe("rz"), name="rz_pi8", angle=np.pi / 8.0,
-                 target=unitary_evolution(SZ, np.pi / 8.0))
+RZ_PI8 = recipe("rz")._replace(name="rz_pi8", angle=np.pi / 8.0,
+                               target=unitary_evolution(SZ, np.pi / 8.0))
 
 
 def matrix_power_int(m, n):

@@ -73,7 +73,8 @@ def test_workers_do_not_change_bytes(tmp_path):
         ["fixed-state", "--epsilon", "0.1,0.2"],
         ["eff-h", "--gate", "rzz", "--epsilon", "0.1,0.2"],
         ["noise-check", "--epsilon", "0.2,1.0"],
-        ["threshold", "--freq_over_h", "1e3", "--rounds", "1,3", "--bisect_tol", "1e-3"],
+        # two frequencies, since a threshold task is one frequency's rounds
+        ["threshold", "--freq_over_h", "1e3,3e3", "--rounds", "1,3", "--bisect_tol", "1e-3"],
     ):
         assert run(args + ["--workers", "1", "--out", str(a)]) == 0
         assert run(args + ["--workers", "2", "--out", str(b)]) == 0
@@ -293,30 +294,56 @@ def test_unforeseen_error_exit_code(monkeypatch, capsys):
     assert "error: distillation broke" in capsys.readouterr().err.splitlines()
 
 
+# the decoupled 3 x 2 grid below with each (f, rounds) point searched on its
+# own: the rows that succeed in grid order, then one error line per failed point
+FAILED_POINT_TABLE = """\
+# nocosim 0.1.0
+# command=threshold bisect_tol=0.0001 budget=0.03 freq_over_h=10000.0,100000.0,300000.0 \
+include_decoupling=True rounds=3,5
+# config-sha256 23476f4756c3eafcb7f0542aecb1fb625320059b25feb0fb307dbca0411f6c44
+freq_over_h,rounds,epsilon_star,iterations
+1.00000000000e+04,3,2.71972656250e-02,9
+1.00000000000e+05,3,7.15332031250e-02,9
+1.00000000000e+05,5,1.22900390625e-01,9
+3.00000000000e+05,3,7.40722656250e-02,9
+3.00000000000e+05,5,1.28076171875e-01,9
+# error: budget 3.6416e-02 already above target 0.03 at eps=0 (freq=10000.0, n=5)
+"""
+
+
 def test_failed_threshold_point_keeps_the_other_rows(tmp_path, capsys):
-    # (1e4, 5) is over budget already at eps = 0; the other five points have a threshold
+    # (1e4, 5) is over budget already at eps = 0; the other five points have a
+    # threshold.  A task solves one frequency's round counts, so the failure
+    # ends (1e4, 5) alone, and a pool of two splits the frequencies
     args = ["threshold", "--include_decoupling", "true", "--freq_over_h", "1e4,1e5,3e5",
             "--rounds", "3,5"]
-    tables = {}
+    error = "budget 3.6416e-02 already above target 0.03 at eps=0 (freq=10000.0, n=5)"
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}.csv"
         assert run(args + ["--workers", workers, "--out", str(out)]) == 4
-        tables[workers] = read(out)
-        assert "error: budget 3.6416e-02 already above target 0.03 at eps=0" in (
-            capsys.readouterr().err)
-    assert tables["1"] == tables["2"]
-    lines = tables["1"].splitlines()
-    assert lines[3] == "freq_over_h,rounds,epsilon_star,iterations"
-    # the rows that succeed in grid order, then one error line per failed point
-    assert [l.split(",")[:2] for l in lines[4:9]] == [
-        ["1.00000000000e+04", "3"], ["1.00000000000e+05", "3"], ["1.00000000000e+05", "5"],
-        ["3.00000000000e+05", "3"], ["3.00000000000e+05", "5"]]
-    assert lines[9:] == [
-        "# error: budget 3.6416e-02 already above target 0.03 at eps=0 "
-        "(freq=10000.0, n=5)"]
-    # stdout mode writes the same table
-    assert run(args) == 4
-    assert capsys.readouterr().out == tables["1"]
+        assert read(out) == FAILED_POINT_TABLE
+        assert capsys.readouterr().err == f"error: {error}\n"
+        # stdout mode writes the same table
+        assert run(args + ["--workers", workers]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == FAILED_POINT_TABLE
+        assert captured.err == f"threshold: 5 rows\nerror: {error}\n"
+
+
+def test_a_threshold_task_is_one_frequency(monkeypatch):
+    # a task solves one frequency's whole rounds list, in the given order, so
+    # its round counts share one pass and a pool maps frequencies
+    tasks = []
+    map_tasks = cli._map_tasks
+
+    def recording(fn, task_list, workers):
+        tasks.extend(t[1:3] for t in task_list)
+        return map_tasks(fn, task_list, workers)
+
+    monkeypatch.setattr(cli, "_map_tasks", recording)
+    args = ["threshold", "--freq_over_h", "1e3,1e4", "--rounds", "3,1", "--bisect_tol", "1e-3"]
+    assert run(args + ["--out", os.devnull]) == 0
+    assert tasks == [(1e3, [3, 1]), (1e4, [3, 1])]
 
 
 def test_period_count_overflow_exit_code(capsys):
@@ -496,8 +523,9 @@ def test_the_cli_alone_freezes_its_import_time_heap():
 
 def test_a_fresh_cli_process_writes_the_whole_table(tmp_path):
     # the frozen heap loses no buffered output at exit, serially or from
-    # spawned workers, which import nocosim.cli and freeze too
-    args = ["threshold", "--freq_over_h", "1e4", "--rounds", "3,5", "--bisect_tol", "1e-3"]
+    # spawned workers, which import nocosim.cli and freeze too; one worker
+    # per frequency
+    args = ["threshold", "--freq_over_h", "1e4,1e5", "--rounds", "3", "--bisect_tol", "1e-3"]
     expected = tmp_path / "in-process.csv"
     assert run(args + ["--out", str(expected)]) == 0
     for workers in ("1", "2"):

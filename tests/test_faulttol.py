@@ -1,10 +1,8 @@
 import re
-from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from functools import partial
 from itertools import product
 from math import comb
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -175,7 +173,7 @@ def test_distill_rejects_non_diagonal_round(monkeypatch):
     # no longer commutes with Z on the data qubit, so weight leaves the
     # data input's block
     rec = recipe("rzz_prime")
-    tilted = replace(rec, hamiltonian=rec.hamiltonian + embed_operator(SX, (2,), 4))
+    tilted = rec._replace(hamiltonian=rec.hamiltonian + embed_operator(SX, (2,), 4))
     monkeypatch.setitem(gates._RECIPES, "rzz_prime", tilted)
     with pytest.raises(ValueError, match="off the data input"):
         distill(3, 0.1, 1e4)
@@ -360,12 +358,12 @@ def test_threshold_ends_at_adjacent_doubles(monkeypatch):
     # a tolerance below the float spacing at eps* used to bisect forever
     calls = []
 
-    def budget(eps, *_args):
+    def p_phase(_search, eps, _classes):
         calls.append(eps)
         assert len(calls) < 500, "bisection does not end"
-        return SimpleNamespace(p_phase=eps / 10.0)
+        return eps / 10.0
 
-    monkeypatch.setattr(faulttol, "vacuum_error_budget", budget)
+    monkeypatch.setattr(faulttol.ThresholdPass, "p_phase", p_phase)
     lo, hi = threshold(1e3, 1, bisect_tol=1e-20).history[-1]
     assert lo < hi == np.nextafter(lo, 1.0)
     assert lo / 10.0 < 0.03 <= hi / 10.0
@@ -380,10 +378,10 @@ def test_threshold_no_crossing():
 
 def test_threshold_non_monotone_budget(monkeypatch, capsys):
     # a budget that dips between two points of the 0.05 scan grid
-    def budget(eps, *_args):
-        return SimpleNamespace(p_phase=0.02 if 0.07 < eps < 0.12 else 0.01)
+    def p_phase(_search, eps, _classes):
+        return 0.02 if 0.07 < eps < 0.12 else 0.01
 
-    monkeypatch.setattr(faulttol, "vacuum_error_budget", budget)
+    monkeypatch.setattr(faulttol.ThresholdPass, "p_phase", p_phase)
     with pytest.raises(ThresholdError, match="decreases"):
         threshold(1e3, 1)
     assert main(["threshold", "--freq_over_h", "1e3", "--rounds", "1"]) == 4
@@ -437,7 +435,7 @@ def test_threshold_reaches_the_ideal_gate_limit_at_f_1e11():
 
 
 def test_threshold_sweep_workers_agree():
-    # a threshold sweep is faulttol.threshold mapped over the grid by the CLI's pool
+    # threshold points mapped by the CLI's pool come back as the serial ones
     tasks = [(1e3, n, 0.03, 1e-3) for n in (1, 3)]
     serial = _map_tasks(threshold, tasks, workers=1)
     parallel = _map_tasks(threshold, tasks, workers=2)
@@ -445,12 +443,40 @@ def test_threshold_sweep_workers_agree():
     assert serial[0].eps_star < serial[1].eps_star
 
 
+def _bits(point):
+    """A threshold point's floats as hex strings, so equal means bit for bit."""
+    return (float(point.eps_star).hex(), point.iterations,
+            tuple((float(lo).hex(), float(hi).hex()) for lo, hi in point.history))
+
+
+@pytest.mark.parametrize("freq_over_h, rounds, include_decoupling", [
+    *((f, (1, 3, 9, 15, 17), False) for f in (1e3, 6524.44, 1e5)),
+    *((f, (3, 5), True) for f in (1e4, 1e5)),
+])
+def test_a_pass_over_round_counts_equals_separate_searches(
+        freq_over_h, rounds, include_decoupling):
+    # the pass shares each eps's round-independent terms between its round
+    # counts; a one-count search builds them afresh.  (1e4, 5) decoupled is
+    # over budget at eps = 0, and the pass raises there as a lone search does
+    search = faulttol.ThresholdPass(freq_over_h, include_decoupling=include_decoupling)
+    for n in rounds:
+        if (freq_over_h, n, include_decoupling) == (1e4, 5, True):
+            with pytest.raises(ThresholdError, match="already above") as alone:
+                threshold(freq_over_h, n, include_decoupling=include_decoupling)
+            with pytest.raises(ThresholdError, match=f"^{re.escape(str(alone.value))}$"):
+                search.threshold(n)
+        else:
+            alone = threshold(freq_over_h, n, include_decoupling=include_decoupling)
+            assert _bits(search.threshold(n)) == _bits(alone)
+
+
 def test_threshold_builds_each_channel_once(monkeypatch):
-    # every budget term is one register propagation; no term is kept from one
-    # budget evaluation to the next, so each evaluation propagates all three
+    # every budget term is one register propagation.  A pass keeps the terms
+    # no round count changes, per eps, for all its round counts, so each
+    # distinct eps propagates rx, rzz and the round rates once
     propagations = []
     original_state = faulttol.noco_state
-    original_budget = faulttol.vacuum_error_budget
+    original_p_phase = faulttol.ThresholdPass.p_phase
 
     def refuse(*_args):
         raise AssertionError("full-system channel built")
@@ -461,24 +487,33 @@ def test_threshold_builds_each_channel_once(monkeypatch):
 
     evaluations = []
 
-    def recording_budget(*args):
-        evaluations.append(args)
-        return original_budget(*args)
+    def recording_p_phase(search, eps, classes):
+        evaluations.append(eps)
+        return original_p_phase(search, eps, classes)
 
     monkeypatch.setattr(zeno, "noco_channel", refuse)
     monkeypatch.setattr(gates, "noco_channel", refuse)
     monkeypatch.setattr(faulttol, "noco_state", counting_state)
-    monkeypatch.setattr(faulttol, "vacuum_error_budget", recording_budget)
+    monkeypatch.setattr(faulttol.ThresholdPass, "p_phase", recording_p_phase)
+    search = faulttol.ThresholdPass(1e3, bisect_tol=1e-3)
     for n in (15, 17):
-        threshold(1e3, n, bisect_tol=1e-3)
-    # per evaluation: one propagation each for rx, rzz and the round rates
-    assert evaluations
-    assert len(propagations) == 3 * len(evaluations)
+        search.threshold(n)
+    distinct = set(evaluations)
+    assert len(distinct) < len(evaluations)  # the two counts share the scan at least
+    assert len(propagations) == 3 * len(distinct)
+    # decoupled, rx's and rzz's slots add one shared idle term each; the two
+    # distillation idles last n rounds, so each evaluation propagates its own
+    propagations.clear()
+    evaluations.clear()
+    search = faulttol.ThresholdPass(1e5, bisect_tol=1e-3, include_decoupling=True)
+    for n in (3, 5):
+        search.threshold(n)
+    assert len(propagations) == 5 * len(set(evaluations)) + 2 * len(evaluations)
     # the decoupled schedule's 7 idle terms hold 4 distinct (interaction, gate)
     # pairs: both distillations share theirs, and both x rotations their Ising term
     for include_decoupling, calls in ((True, 7), (False, 3)):
         propagations.clear()
-        original_budget(0.1, 1e4, 3, include_decoupling)
+        vacuum_error_budget(0.1, 1e4, 3, include_decoupling)
         assert len(propagations) == calls, include_decoupling
 
 
