@@ -12,7 +12,8 @@ register evolves under an effective Hamiltonian obtained by
 averaging the interaction over that state.  At finite repetition frequency
 the register picks up a residual error channel, which is what this module
 computes exactly (for small systems): as a register channel, by powering
-the d_r^2 distinct columns of the full-system period map
+the full-system period map held as the only entries anything reads, the
+d_a d_r^2 actuator-diagonal rows of its d_r^2 distinct columns
 (``noco_channel``), or as the N-th power of one period's register map
 (``noco_state``), which its callers apply to the operators they need.
 Both return the plain d_r^2 x d_r^2 superoperator, and both power by
@@ -28,7 +29,7 @@ from math import isfinite
 
 import numpy as np
 
-from .qcore import hermitian_eigh, kron, power_by_squaring, reduce_superop, unitary_evolution
+from .qcore import hermitian_eigh, power_by_squaring, unitary_evolution
 
 # float dust tolerated in t * f at a whole count: a few ulps from ~1.1e6 periods up
 _PERIOD_COUNT_NUDGE = 1e-9
@@ -164,39 +165,50 @@ def noco_channel(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> n
     whole period is discarded.
 
     The full-system period map P is powered by squaring, each power held
-    as its d_r^2 distinct columns, those of the inputs |0 r><0 r'|: the
-    operations output only the ``replacement_images``, so every other
-    column is zero or a copy.  Each product rebuilds its full left operand
-    and contracts over all d^2 terms: the dot products of the dense
-    P^a P^b, at d_r^2 of its d^2 columns.  BLAS computes a column the same
-    way whatever the others, so the channel equals the dense chain's bit
-    for bit, which the tests assert.
+    as the only entries anything reads: its d_r^2 distinct columns, those
+    of the inputs |0 r><0 r'| (the operations output only the
+    ``replacement_images``, so every other column is zero or a copy), at
+    its d_a d_r^2 actuator-diagonal rows, those of the outputs |a s><a s'|
+    (the operations and the final trace read no other row).  Each product
+    still contracts over all d^2 terms, zeros included: the dot products of
+    the dense P^a P^b at the kept entries.  BLAS computes an entry the same
+    way whatever the other rows and columns, so the channel equals the
+    dense chain's bit for bit, which the tests assert.  No d^2 x d^2 array
+    is formed.
     """
     n = period_count(duration, freq_over_h)
     na, nq = spec.n_actuators, spec.nqubits
     da, dr, d2 = 2 ** na, 2 ** (nq - na), 4 ** nq
     if n == 0:
-        # the reduced P^0, exactly; the column form starts at P^1.  No period
+        # the reduced P^0, exactly; the row form starts at P^1.  No period
         # is built: its 2 pi / f is inf at a subnormal f
         return np.eye(dr * dr, dtype=complex)
-    # the d^2 x d^2 flight map is freed before the buffer below exists
-    u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / freq_over_h)
-    period = kron(u.conj(), u) @ replacement_images(spec)
-    # one column-major buffer holds every left operand: only the columns of
-    # the inputs |a r><a r'|, one block per actuator state a, are ever
-    # written, each column a contiguous run
-    full = np.zeros((d2, d2), dtype=complex, order="F")
-    rows = full.T.reshape(da, dr, da, dr, d2)
-    blocks = [rows[a, :, a] for a in range(da)]
+    # row (a, s', s) of the kept rows of kron(conj U, U) is the output
+    # vec index (b, s', a, s) with b = a, each entry one product as in kron;
+    # they are freed before the buffers below exist
+    u = unitary_evolution(spec.hamiltonian, 2.0 * np.pi / freq_over_h).reshape(da, dr, -1)
+    flight = u.conj()[:, :, None, :, None] * u[:, None, :, None, :]
+    period = flight.reshape(da * dr * dr, d2) @ replacement_images(spec)
+    del flight
+    # every left operand lives in one column-major buffer, every right one in
+    # a buffer zero off the kept rows; each fills through a writeable diagonal
+    # view, the left one at the columns of the inputs |a r><a r'|
+    left = np.zeros((da * dr * dr, d2), dtype=complex, order="F")
+    right = np.zeros((d2, dr * dr), dtype=complex)
+    left_diag = np.einsum("aiaj...->aij...", left.T.reshape(da, dr, da, dr, -1))
+    right_diag = np.einsum("aiaj...->aij...", right.reshape(da, dr, da, dr, -1))
 
-    def expand(cols):
-        cols = cols.T.reshape(dr, dr, d2)
-        for block in blocks:
-            block[...] = cols
-        return full
+    def mul(x, y):
+        left_diag[...] = x.T.reshape(dr, dr, -1)
+        right_diag[...] = y.reshape(da, dr, dr, -1)
+        return left @ right
 
-    cols = power_by_squaring(period, n, lambda x, y: expand(x) @ y)
-    return reduce_superop(expand(cols), nq, range(na, nq), np.eye(da, dtype=complex) / da)
+    rows = power_by_squaring(period, n, mul).reshape(da, dr * dr, dr * dr)
+    # reduce_superop's trace: the row blocks added in order from zero, then
+    # its einsum with env over inputs zero off the actuator diagonal
+    traced = np.zeros((dr * dr, da, da, dr * dr), dtype=complex)
+    np.einsum("ajjb->ajb", traced)[...] = sum(rows, np.zeros_like(rows[0]))[:, None]
+    return np.einsum("ajib,ij->ab", traced, np.eye(da, dtype=complex) / da)
 
 
 def noco_state(spec: NoisyCycleSpec, duration: float, freq_over_h: float) -> np.ndarray:
